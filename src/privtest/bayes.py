@@ -18,7 +18,8 @@ for i.i.d. (k = 1) laws:
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
 Finite-horizon quantities are exact: ``exact_min_error`` enumerates output
 sequences, ``exact_min_error_iid`` enumerates type classes in log space and
-scales to horizons of several thousand slots.
+scales to horizons of several thousand slots on binary alphabets (the
+type count grows like n^(m-1) and is capped).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import EnumerationCapError, SizeCapError, SupportError, ValidationE
 from .model import UP_PAIRS, OutputLaws, Prior
 from .probkit import chernoff_from_probs, kl_from_probs, simplex_grid, composite_chernoff
 
-#: Default cap on the number of enumerated output sequences.
+#: Default cap on the number of enumerated output sequences, type classes
+#: and Sanov grid points.
 DEFAULT_ENUM_CAP = 1 << 22
 
 
@@ -270,11 +272,18 @@ def exact_min_error_iid_log(
     Enumerates type classes: sequences of the same type share the same
     probability under every law, so each class contributes its exact
     probability times the losing grouped mass.  All accumulation is done in
-    log space with log-sum-exp.
+    log space with log-sum-exp.  Refuses to enumerate more than
+    :data:`DEFAULT_ENUM_CAP` type classes.
     """
     _require_iid(block_laws)
     if n < 1:
         raise ValidationError("n must be >= 1")
+    m = len(block_laws.block_labels)
+    types = math.comb(n + m - 1, m - 1)
+    if types > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{types} type classes (n={n}, {m} symbols) exceed the cap {DEFAULT_ENUM_CAP}"
+        )
     arrays = _law_arrays(block_laws)
     log_laws = {
         up: [math.log(p) if p > 0.0 else -math.inf for p in arrays[up]] for up in UP_PAIRS
@@ -287,7 +296,7 @@ def exact_min_error_iid_log(
     side1 = _side_laws(target, 1)
 
     per_type: list[float] = []
-    for t in type_vectors(n, len(arrays[UP_PAIRS[0]])):
+    for t in type_vectors(n, m):
         log_coef = _log_multinomial(t.counts, n)
         log_class = {}
         for up in UP_PAIRS:
@@ -381,13 +390,22 @@ def exponent_sanov(
     contributes the minimal divergence to a law on the *opposite* side of
     the decision.  Grid points on the decision boundary belong to both
     regions, so the contribution is max(m0, m1) where m_h is the divergence
-    to the nearest side-h law.  Alphabets larger than 4 are refused.
+    to the nearest side-h law.  Alphabets larger than 4, and grids of more
+    than :data:`DEFAULT_ENUM_CAP` points, are refused.
     """
     _require_iid(block_laws)
     _require_full_support_laws(block_laws)
     m = len(block_laws.block_labels)
     if m > 4:
         raise SizeCapError(f"sanov grid refuses alphabets larger than 4 (got {m})")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
+    points = math.comb(max(1, round(1.0 / grid_step)) + m - 1, m - 1)
+    if points > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{points} grid points ({m} symbols, step {grid_step}) exceed the cap "
+            f"{DEFAULT_ENUM_CAP}; use a coarser grid step"
+        )
     arrays = _law_arrays(block_laws)
     side0 = _side_laws(target, 0)
     side1 = _side_laws(target, 1)

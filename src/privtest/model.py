@@ -224,8 +224,13 @@ def feasible_outputs(
     return tuple(out)
 
 
-def validate_policy(policy: PolicyKernel) -> PolicyReport:
-    """Check every row for constraint-(supply) support and normalization."""
+def validate_policy(policy: PolicyKernel, x_alphabet: Alphabet | None = None) -> PolicyReport:
+    """Check every row for constraint-(supply) support and normalization.
+
+    Every output block must have length k; with ``x_alphabet`` given, its
+    symbols must also come from that alphabet (outputs live in X^k).
+    """
+    symbols = None if x_alphabet is None else set(x_alphabet.values)
     violations = []
     for (x_block, z_block), row in policy.rows.items():
         if len(x_block) != policy.k or len(z_block) != policy.k:
@@ -236,7 +241,13 @@ def validate_policy(policy: PolicyKernel) -> PolicyReport:
             if prob < 0.0:
                 violations.append(f"row {x_block}/{z_block}: negative mass on {y_block}")
             total += prob
-            if prob > 0.0:
+            outside = symbols is not None and not symbols.issuperset(y_block)
+            if len(y_block) != policy.k or outside:
+                violations.append(
+                    f"row x={x_block} z={z_block}: output {y_block} is not a block "
+                    f"of {policy.k} symbols from the X alphabet"
+                )
+            elif prob > 0.0:
                 avg = block_average_net(x_block, z_block, y_block)
                 if not (-CONSTRAINT_TOL <= avg <= policy.s + CONSTRAINT_TOL):
                     violations.append(
@@ -318,7 +329,7 @@ def induced_output_laws(model: SourceModel, policy: PolicyKernel) -> OutputLaws:
             f"policy rows do not match the model alphabets at k={k} "
             f"(missing e.g. {missing}, unexpected e.g. {extra})"
         )
-    report = validate_policy(policy)
+    report = validate_policy(policy, model.x_alphabet)
     if not report.ok:
         raise ValidationError(
             "policy violates its invariants: " + "; ".join(report.violations[:5])
@@ -426,6 +437,10 @@ class PolicySpace:
     outputs contributes f-1 free parameters (the probabilities of all but
     its last output).  A parameter vector is feasible when each row's slice
     is nonnegative with sum <= 1.
+
+    The kernel entries (one per row and feasible output) are the affine map
+    ``params @ entry_map + entry_offset``, clipped at 0, and the induced
+    laws are ``entries @ law_map``; both maps are built once per space.
     """
 
     model: SourceModel
@@ -434,6 +449,9 @@ class PolicySpace:
     rows: tuple[RowSpec, ...]
     y_blocks: tuple[Block, ...]
     free_slices: tuple[tuple[int, int, int], ...] = field(init=False)  # (row_idx, start, stop)
+    entry_map: np.ndarray = field(init=False, repr=False)  # (dim, entries)
+    entry_offset: np.ndarray = field(init=False, repr=False)  # (entries,)
+    law_map: np.ndarray = field(init=False, repr=False)  # (entries, 4 * |Y|)
 
     def __post_init__(self):
         slices = []
@@ -444,6 +462,31 @@ class PolicySpace:
                 slices.append((idx, cursor, cursor + f - 1))
                 cursor += f - 1
         object.__setattr__(self, "free_slices", tuple(slices))
+
+        num_y = len(self.y_blocks)
+        y_index = {blk: i for i, blk in enumerate(self.y_blocks)}
+        num_entries = sum(len(row.outputs) for row in self.rows)
+        entry_map = np.zeros((cursor, num_entries))
+        entry_offset = np.zeros(num_entries)
+        law_map = np.zeros((num_entries, 4 * num_y))
+        free = {idx: start for idx, start, _ in slices}
+        entry = 0
+        for idx, row in enumerate(self.rows):
+            f = len(row.outputs)
+            last = entry + f - 1
+            entry_offset[last] = 1.0
+            if idx in free:
+                # the head entries are the row's parameters, the last one is
+                # 1 minus their sum
+                cols = np.arange(free[idx], free[idx] + f - 1)
+                entry_map[cols, np.arange(entry, last)] = 1.0
+                entry_map[cols, last] = -1.0
+            for j, y in enumerate(row.outputs):
+                law_map[entry + j, np.arange(4) * num_y + y_index[y]] = row.weights
+            entry += f
+        object.__setattr__(self, "entry_map", entry_map)
+        object.__setattr__(self, "entry_offset", entry_offset)
+        object.__setattr__(self, "law_map", law_map)
 
     @property
     def dim(self) -> int:
@@ -499,23 +542,10 @@ class PolicySpace:
     def batch_laws(self, params: np.ndarray) -> np.ndarray:
         """Induced laws for a (G, dim) parameter batch; shape (G, 4, |Y|)."""
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        G = params.shape[0]
-        y_index = {blk: i for i, blk in enumerate(self.y_blocks)}
-        laws = np.zeros((G, 4, len(self.y_blocks)))
-        free = {idx: (start, stop) for idx, start, stop in self.free_slices}
-        for idx, row in enumerate(self.rows):
-            w = np.asarray(row.weights)  # (4,)
-            cols = [y_index[y] for y in row.outputs]
-            if idx in free:
-                start, stop = free[idx]
-                head = params[:, start:stop]  # (G, f-1)
-                last = 1.0 - head.sum(axis=1, keepdims=True)
-                probs = np.concatenate([head, last], axis=1)  # (G, f)
-                np.clip(probs, 0.0, None, out=probs)
-                laws[:, :, cols] += w[None, :, None] * probs[:, None, :]
-            else:
-                laws[:, :, cols[0]] += w[None, :]
-        return laws
+        entries = params @ self.entry_map
+        entries += self.entry_offset
+        np.clip(entries, 0.0, None, out=entries)
+        return (entries @ self.law_map).reshape(params.shape[0], 4, len(self.y_blocks))
 
 
 def policy_space(
@@ -597,7 +627,8 @@ def load_model(path) -> SourceModel:
 
 
 def _block_key(block: Block) -> str:
-    return ",".join(f"{v:g}" for v in block)
+    # repr round-trips every float exactly, so reloaded keys match the alphabet
+    return ",".join(repr(v) for v in block)
 
 
 def _parse_block_key(key: str) -> Block:

@@ -10,8 +10,15 @@ Search strategy: the kernel family's free parameters (one simplex per
 multi-output row) are enumerated on a per-axis grid when the total dimension
 is at most :data:`GRID_DIM_LIMIT`, followed by a local pattern refinement;
 higher-dimensional families fall back to seeded multistart random sampling
-plus coordinate descent.  All rate evaluations are vectorized over candidate
-batches.  Results are deterministic given the search seed.
+plus coordinate descent.  Results are deterministic given the search seed.
+
+Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
+a whole candidate batch through the model with two matrix products, and
+:func:`_batch_both_rates` stacks the six unordered cross-group law pairs of
+every candidate into one call of the Newton kernel
+:func:`privtest.probkit.chernoff_batch`, chunk by chunk.  Both targets take
+the minimum over their four pairs; a pair with disjoint supports is +inf and
+so only decides the rate when all four are disjoint.
 
 The per-block optimum at any finite k is only an upper bound on the
 asymptotic minimum privacy exponent (the true quantity is an infimum over
@@ -41,8 +48,7 @@ from .model import (
     validate_policy,
 )
 from .bayes import TestTarget, grouped_pairs
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .probkit import chernoff_batch
 
 #: Largest free dimension searched by exhaustive grid.
 GRID_DIM_LIMIT = 4
@@ -50,10 +56,6 @@ GRID_DIM_LIMIT = 4
 #: Margin slack accepted by the public guarantee check (the search itself
 #: requires margin >= 0, so re-verification can never flip a result).
 MARGIN_SLACK = 1e-9
-
-#: Golden-section bracket width for bulk grid scoring.  The winning kernel is
-#: always re-evaluated at full precision, so the scan can afford to be coarse.
-GRID_EVAL_TOL = 1e-7
 
 _UP_INDEX = {up: i for i, up in enumerate(UP_PAIRS)}
 
@@ -130,92 +132,73 @@ class TradeoffPoint:
 # ---------------------------------------------------------------------------
 
 
-def _chernoff_batch(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Chernoff information per row of two (G, m) probability arrays.
+def _unordered_pairs() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, list[int]]]:
+    """The six unordered cross-group law pairs of both targets.
 
-    Zero masses are handled in common-support mode: rows whose supports are
-    disjoint evaluate to +inf.  All probabilities are <= 1, so the inner sums
-    never overflow and need no log-sum-exp shift.
+    Returns the law indices of each pair's two sides and, per target, the
+    positions of its four pairs in that list.  Chernoff information is
+    symmetric, so the two pairs the targets share are scored once.
     """
-    with np.errstate(divide="ignore"):
-        lp = np.log(p)
-        lq = np.log(q)
-
-    def objective(mu: np.ndarray) -> np.ndarray:
-        w = mu[:, None] * lp + (1.0 - mu)[:, None] * lq
-        with np.errstate(divide="ignore"):
-            return -np.log(np.exp(w).sum(axis=1))
-
-    a = np.zeros(p.shape[0])
-    b = np.ones(p.shape[0])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    # inf/nan objectives (disjoint support) are routed left arbitrarily;
-    # their final value is recomputed at the midpoint anyway
-    while float(np.max(d - c)) > tol:
-        left = ~(fd > fc)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = objective(c), objective(d)
-    vals = objective(0.5 * (a + b))
-    return np.where(np.isnan(vals), np.inf, np.maximum(vals, 0.0))
+    pairs: list[tuple[int, int]] = []
+    columns: dict[TestTarget, list[int]] = {}
+    for target in (TestTarget.UTILITY, TestTarget.PRIVACY):
+        cols = []
+        for a, b in grouped_pairs(target):
+            pair = tuple(sorted((_UP_INDEX[a], _UP_INDEX[b])))
+            if pair not in pairs:
+                pairs.append(pair)
+            cols.append(pairs.index(pair))
+        columns[target] = cols
+    first, second = np.array(pairs).T
+    return first, second, columns
 
 
-def _batch_both_rates(
-    laws: np.ndarray, k: int, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+_FIRST, _SECOND, _COLUMNS = _unordered_pairs()
+
+#: Probabilities per stacked array in one :func:`chernoff_batch` call; larger
+#: candidate batches are scored in chunks of this size, so memory stays flat.
+_CHUNK_ELEMENTS = 8192
+
+
+def _batch_both_rates(laws: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
 
-    Chernoff information is symmetric, so the eight ordered cross-group
-    pairs reduce to six unordered ones, each evaluated once.  For the
-    privacy rate a single undefined (disjoint-support) pair marks the whole
-    kernel degenerate, reported as +inf.
+    The six unordered cross-group pairs of a chunk of candidates are
+    stacked into one ``(6g, m)`` kernel call.  Each target's rate is the
+    minimum over its four pairs; a pair with disjoint supports is perfectly
+    distinguishable (+inf), so the rate is +inf only when all four are.
     """
-    values: dict[frozenset, np.ndarray] = {}
-    rates = []
-    for target in (TestTarget.UTILITY, TestTarget.PRIVACY):
-        best = None
-        any_inf = None
-        for a, b in grouped_pairs(target):
-            key = frozenset((a, b))
-            if key not in values:
-                values[key] = _chernoff_batch(
-                    laws[:, _UP_INDEX[a], :], laws[:, _UP_INDEX[b], :], tol
-                )
-            c = values[key]
-            best = c if best is None else np.minimum(best, c)
-            inf_here = np.isinf(c)
-            any_inf = inf_here if any_inf is None else (any_inf | inf_here)
-        if target is TestTarget.PRIVACY:
-            best = np.where(any_inf, np.inf, best)
-        rates.append(best / k)
-    return rates[0], rates[1]
-
-
-def _batch_rates(laws: np.ndarray, k: int, target: TestTarget) -> np.ndarray:
-    """min cross-group Chernoff rate per batch row for one target."""
-    utility, privacy = _batch_both_rates(laws, k)
-    return utility if target is TestTarget.UTILITY else privacy
+    G, _, m = laws.shape
+    pairs = len(_FIRST)
+    utility = np.empty(G)
+    privacy = np.empty(G)
+    size = max(1, _CHUNK_ELEMENTS // (pairs * m))
+    for start in range(0, G, size):
+        chunk = laws[start : start + size]
+        rates = chernoff_batch(
+            chunk[:, _FIRST].reshape(-1, m), chunk[:, _SECOND].reshape(-1, m)
+        ).reshape(-1, pairs)
+        utility[start : start + size] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
+        privacy[start : start + size] = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
+    return utility / k, privacy / k
 
 
 def utility_rate(laws: OutputLaws) -> float:
     """(1/k) * min cross-group utility Chernoff information of block laws."""
-    arr = laws.arrays()[None, :, :]
-    return float(_batch_rates(arr, laws.k, TestTarget.UTILITY)[0])
+    utility, _ = _batch_both_rates(laws.arrays()[None, :, :], laws.k)
+    return float(utility[0])
 
 
 def privacy_objective(laws: OutputLaws) -> float:
     """(1/k) * min cross-group privacy Chernoff information of block laws.
 
     Laws with partially overlapping supports are evaluated on the common
-    support; if any required pair has disjoint supports the kernel is
-    degenerate and the objective is +inf.  Identical laws give 0.
+    support.  A pair with disjoint supports is perfectly distinguishable and
+    never attains the minimum, so the objective is +inf only when all four
+    required pairs have disjoint supports.  Identical laws give 0.
     """
-    arr = laws.arrays()[None, :, :]
-    return float(_batch_rates(arr, laws.k, TestTarget.PRIVACY)[0])
+    _, privacy = _batch_both_rates(laws.arrays()[None, :, :], laws.k)
+    return float(privacy[0])
 
 
 def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
@@ -248,10 +231,9 @@ class _FamilyEval:
     privacy: np.ndarray  # (G,)
 
 
-def _evaluate(space: PolicySpace, params: np.ndarray, tol: float = 1e-9) -> _FamilyEval:
+def _evaluate(space: PolicySpace, params: np.ndarray) -> _FamilyEval:
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    laws = space.batch_laws(params)
-    utility, privacy = _batch_both_rates(laws, space.k, tol)
+    utility, privacy = _batch_both_rates(space.batch_laws(params), space.k)
     return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
 
 
@@ -446,7 +428,7 @@ def optimize_policy(
             batches = [_grid_eval]
         else:
             batches = (
-                _evaluate(space, chunk, tol=GRID_EVAL_TOL)
+                _evaluate(space, chunk)
                 for chunk in _grid_candidates(space, search.grid_points_per_parameter)
             )
         for ev in batches:
@@ -500,7 +482,7 @@ def grid_evaluation(
         return None
     chunks = list(_grid_candidates(space, search.grid_points_per_parameter))
     params = np.concatenate(chunks, axis=0)
-    return _evaluate(space, params, tol=GRID_EVAL_TOL)
+    return _evaluate(space, params)
 
 
 def tradeoff_sweep(

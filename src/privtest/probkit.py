@@ -8,7 +8,11 @@ The three computational kernels are
 * ``kl_divergence`` -- the Kullback-Leibler divergence with the usual
   ``0 * log 0 = 0`` convention,
 * ``chernoff_information`` -- ``max_{0<=mu<=1} -log sum q1^mu q2^(1-mu)``,
-  found by golden-section search on the concave objective,
+  found by golden-section search on the concave objective; this scalar
+  path is the reference the batched kernel is tested against,
+* ``chernoff_batch`` -- the same quantity for every row of two ``(B, m)``
+  arrays at once, by safeguarded Newton iteration on the derivative of the
+  log-moment function (used by the policy optimizer),
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
@@ -40,6 +44,13 @@ CLAMP_TOL = 1e-12
 
 #: KL values below this are treated as an exact match (degenerate triangle).
 _DEGENERATE_KL = 1e-14
+
+#: Newton step (in mu) below which a row of :func:`chernoff_batch` has converged.
+_NEWTON_TOL = 1e-10
+
+#: Iteration cap of :func:`chernoff_batch`, a safety net only: rows converge
+#: in a handful of steps.
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -282,6 +293,108 @@ def chernoff_information_with_argmax(q1: Pmf, q2: Pmf) -> tuple[float, float]:
     """Like :func:`chernoff_information` but also returns the optimal mu."""
     _common_alphabet(q1, q2)
     return chernoff_from_probs(q1.probs, q2.probs)
+
+
+def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Chernoff information per row of two ``(B, m)`` probability arrays.
+
+    Works on the log-moment function ``L(mu) = log sum p^mu q^(1-mu)``,
+    which is convex: ``L'(mu)`` is the mean of ``d = log p/q`` under the
+    tilted law proportional to ``p^mu q^(1-mu)`` and ``L''(mu)`` is its
+    variance (Cover & Thomas, section 11.9).  The result is ``-min L`` over
+    [0, 1], clamped at 0.
+
+    Zero masses are handled in common-support mode, as with
+    ``chernoff_from_probs(..., allow_zeros=True)``: the sum runs over the
+    symbols where both rows have mass, and rows with disjoint supports give
+    +inf.  Equal rows give exactly 0.  Rows whose slope does not change sign
+    on [0, 1] -- every row with a constant log-ratio among them -- take the
+    better endpoint at once; the rest go to :func:`_chernoff_newton`.  Each
+    row's result depends on that row alone (sums run over the symbols in a
+    fixed order), so splitting a batch changes no bit of the output.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape:
+        raise ValidationError(f"expected two equal (B, m) arrays, got {p.shape} and {q.shape}")
+    # symbol-major (m, B) layout: per-row sums become m - 1 vector additions
+    p = np.ascontiguousarray(p.T)
+    q = np.ascontiguousarray(q.T)
+    common = (p > 0.0) & (q > 0.0)
+    pc = np.where(common, p, 0.0)
+    qc = np.where(common, q, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lq = np.log(qc)  # -inf off the common support
+        d = np.where(common, np.log(pc) - lq, 0.0)
+        sp = _symbol_sum(pc)
+        sq = _symbol_sum(qc)
+        slope0 = _symbol_sum(qc * d) / sq  # L'(0); nan for disjoint rows
+        slope1 = _symbol_sum(pc * d) / sp  # L'(1)
+        # the better endpoint; log 0 = -inf makes disjoint rows +inf
+        out = -np.minimum(np.log(sq), np.log(sp))
+    inner = np.flatnonzero((slope0 < 0.0) & (slope1 > 0.0))
+    if inner.size:
+        out[inner] = np.maximum(
+            out[inner],
+            _chernoff_newton(lq[:, inner], d[:, inner], slope0[inner], slope1[inner]),
+        )
+    out[np.all(p == q, axis=0)] = 0.0
+    return np.maximum(out, 0.0)
+
+
+def _symbol_sum(a: np.ndarray) -> np.ndarray:
+    """Sum an (m, ...) array over its first axis, first to last symbol."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def _chernoff_newton(
+    lq: np.ndarray, d: np.ndarray, slope0: np.ndarray, slope1: np.ndarray
+) -> np.ndarray:
+    """``-min L`` for rows with ``L'(0) < 0 < L'(1)``, by safeguarded Newton.
+
+    ``L(mu) = log sum exp(lq + mu * d)`` with ``lq`` and ``d`` of shape
+    (m, B).  Each row keeps a bracket around the root of ``L'``, starts from
+    the secant root of the endpoint slopes, and retires as soon as its raw
+    Newton step is below :data:`_NEWTON_TOL`.  That test comes before the
+    safeguard, which replaces a step leaving the bracket by bisection, so a
+    converged row is never sent back to bisection.  ``L`` is flat at its
+    minimum, so its value at the last iterate is exact to rounding.
+    """
+    m, n = lq.shape
+    out = np.empty(n)
+    rows = np.arange(n)
+    mu = slope0 / (slope0 - slope1)
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_NEWTON_MAX_ITER):
+            # moments of d under the tilted weights w, summed in one pass
+            terms = np.empty((3, m, mu.size))
+            w = np.exp(lq + mu * d, out=terms[0])
+            wd = np.multiply(w, d, out=terms[1])
+            np.multiply(wd, d, out=terms[2])
+            total, first, second = _symbol_sum(terms.swapaxes(0, 1))
+            grad = first / total
+            step = grad / (second / total - grad * grad)
+            done = (np.abs(step) <= _NEWTON_TOL) | (hi - lo <= _NEWTON_TOL)
+            if it == _NEWTON_MAX_ITER - 1:
+                done[:] = True
+            if done.any():
+                out[rows[done]] = -np.log(total[done])
+                if done.all():
+                    break
+                keep = ~done
+                rows, lq, d = rows[keep], lq[:, keep], d[:, keep]
+                mu, lo, hi, grad, step = mu[keep], lo[keep], hi[keep], grad[keep], step[keep]
+            right = grad > 0.0
+            hi = np.where(right, mu, hi)
+            lo = np.where(right, lo, mu)
+            nxt = mu - step
+            mu = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,14 @@ def binary_laws(thetas):
     )
 
 
+def four_symbol_laws():
+    labels = ((0.0,), (1.0,), (2.0,), (3.0,))
+    probs = ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1), (0.25,) * 4, (0.1, 0.4, 0.4, 0.1))
+    return OutputLaws(
+        k=1, laws={up: Pmf(labels=labels, probs=p) for up, p in zip(UP_PAIRS, probs)}
+    )
+
+
 def ternary_laws(rng):
     labels = ((0.0,), (1.0,), (2.0,))
     laws = {}
@@ -122,6 +130,11 @@ class TestExactMinError:
     def test_enumeration_cap(self, identity_laws):
         with pytest.raises(EnumerationCapError):
             exact_min_error(identity_laws, UNIFORM, TestTarget.UTILITY, 40)
+
+    def test_type_class_cap_refuses_before_enumerating(self):
+        # C(803, 3) = 85.9 M type classes of length-800 sequences on 4 symbols
+        with pytest.raises(EnumerationCapError, match="type classes"):
+            exact_min_error_iid_log(four_symbol_laws(), UNIFORM, TestTarget.UTILITY, 800)
 
     def test_agrees_with_type_class_path(self, identity_laws):
         for target in TestTarget:
@@ -233,6 +246,11 @@ class TestExponents:
             chern = exponent_chernoff(identity_laws, target).value
             sanov = exponent_sanov(identity_laws, target, 1e-3).value
             assert abs(chern - sanov) <= 2e-3
+
+    def test_sanov_grid_cap_refuses_before_enumerating(self):
+        # C(1003, 3) = 167.7 M grid pmfs on 4 symbols at step 1e-3
+        with pytest.raises(EnumerationCapError, match="grid points"):
+            exponent_sanov(four_symbol_laws(), TestTarget.PRIVACY, 1e-3)
 
     def test_sanov_grid_refinement_stability(self, identity_laws):
         coarse = exponent_sanov(identity_laws, TestTarget.UTILITY, 1e-2).value

@@ -1,0 +1,106 @@
+"""Property tests of the batched Newton Chernoff kernel and the matmul push-forward.
+
+The scalar golden-section ``chernoff_from_probs`` is the reference.  Its
+maximizer is found to 1e-10, so when the optimum sits at an endpoint of
+[0, 1] its value is off by up to 1e-10 times the slope there; weights are
+drawn as small integers so that every log-ratio, and hence that slope, stays
+below 5 nats and the comparison holds to 1e-9.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privtest import demo_model, induced_output_laws, policy_space
+from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _batch_both_rates
+from privtest.probkit import chernoff_batch, chernoff_from_probs, kl_from_probs
+
+PROPERTY = settings(deadline=None, max_examples=80, derandomize=True, database=None)
+
+
+def _weights(m: int, low: int):
+    return st.lists(st.integers(low, 20), min_size=m, max_size=m).filter(lambda w: sum(w) > 0)
+
+
+@st.composite
+def pmf_rows(draw, zeros: bool = True, max_rows: int = 8):
+    """Two (B, m) arrays of pmfs with m in 2..6, zero masses allowed if ``zeros``."""
+    m = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, max_rows))
+    low = 0 if zeros else 1
+    p = np.array([draw(_weights(m, low)) for _ in range(rows)], dtype=float)
+    q = np.array([draw(_weights(m, low)) for _ in range(rows)], dtype=float)
+    return p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+
+
+@PROPERTY
+@given(pmf_rows())
+def test_matches_scalar_reference_in_common_support_mode(pair):
+    p, q = pair
+    values = chernoff_batch(p, q)
+    for row, value in enumerate(values):
+        expected, _ = chernoff_from_probs(p[row], q[row], allow_zeros=True)
+        if math.isinf(expected):
+            assert math.isinf(value)
+        else:
+            assert value == pytest.approx(expected, abs=1e-9)
+
+
+@PROPERTY
+@given(pmf_rows(zeros=False))
+def test_symmetric_and_below_both_divergences(pair):
+    p, q = pair
+    forward = chernoff_batch(p, q)
+    np.testing.assert_allclose(chernoff_batch(q, p), forward, rtol=0.0, atol=1e-12)
+    for row, value in enumerate(forward):
+        assert value <= kl_from_probs(p[row], q[row]) + 1e-12
+        assert value <= kl_from_probs(q[row], p[row]) + 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.data())
+def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
+    split = data.draw(st.integers(1, m - 1))
+    p = np.array(data.draw(_weights(m, 1)), dtype=float)
+    q = np.array(data.draw(_weights(m, 1)), dtype=float)
+    p[split:] = 0.0
+    q[:split] = 0.0
+    p /= p.sum()
+    q /= q.sum()
+    assert math.isinf(chernoff_batch(p[None], q[None])[0])
+    assert chernoff_batch(p[None], p[None])[0] == 0.0
+    assert chernoff_batch(q[None], q[None])[0] == 0.0
+
+
+@settings(deadline=None, max_examples=6, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m):
+    rng = np.random.default_rng(seed)
+    per_chunk = _CHUNK_ELEMENTS // (len(_FIRST) * m)
+    count = 2 * per_chunk + int(rng.integers(1, per_chunk))
+    laws = rng.dirichlet(np.ones(m), size=(count, 4))
+    laws[rng.random(laws.shape) < 0.1] = 0.0  # common-support rows, some disjoint
+    laws[laws.sum(axis=2) == 0.0] = 1.0 / m
+    laws /= laws.sum(axis=2, keepdims=True)
+    utility, privacy = _batch_both_rates(laws, 2)
+    for g in range(count):
+        u, v = _batch_both_rates(laws[g : g + 1], 2)
+        assert (u[0], v[0]) == (utility[g], privacy[g])
+
+
+@settings(deadline=None, max_examples=25, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([1.0, 2.0]))
+def test_batch_laws_match_induced_output_laws(seed, k, s):
+    model = demo_model()
+    space = policy_space(model, s=s, k=k)
+    rng = np.random.default_rng(seed)
+    params = np.zeros((4, space.dim))
+    for _, start, stop in space.free_slices:
+        params[:, start:stop] = rng.dirichlet(np.ones(stop - start + 1), size=4)[:, :-1]
+    batch = space.batch_laws(params)
+    for g in range(4):
+        laws = induced_output_laws(model, space.kernel_from_params(params[g]))
+        np.testing.assert_allclose(batch[g], laws.arrays(), rtol=0.0, atol=1e-15)

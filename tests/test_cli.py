@@ -6,6 +6,16 @@ import math
 import pytest
 
 from privtest.cli import main
+from privtest.model import identity_policy, model_from_dict, policy_to_dict
+
+# a model whose X alphabet holds a value that six significant digits round
+MODEL_DOC = {
+    "x_alphabet": [0, 0.1234567],
+    "z_alphabet": [0, 1],
+    "prior": [0.25, 0.25, 0.25, 0.25],
+    "cond": [[0.1, 0.9], [0.25, 0.75], [0.8, 0.2], [0.9, 0.1]],
+    "noise": [0.2, 0.8],
+}
 
 
 def run(capsys, *argv):
@@ -117,6 +127,51 @@ class TestExactErrorCommand:
             "--method", "enumerate",
         )
         assert code == 5
+
+
+class TestPolicyFiles:
+    def write(self, tmp_path, edit=None):
+        doc = policy_to_dict(identity_policy(model_from_dict(MODEL_DOC), s=1.0))
+        if edit:
+            for row in doc["rows"]:
+                row["output_probs"] = {edit(key): p for key, p in row["output_probs"].items()}
+        model_path = tmp_path / "model.json"
+        policy_path = tmp_path / "policy.json"
+        model_path.write_text(json.dumps(MODEL_DOC))
+        policy_path.write_text(json.dumps(doc))
+        return str(model_path), str(policy_path)
+
+    def test_round_tripped_policy_exits_0(self, capsys, tmp_path):
+        model_path, policy_path = self.write(tmp_path)
+        code, out, _ = run(
+            capsys, "exact-error", "--model", model_path, "--policy", policy_path,
+            "--n", "4", "--method", "enumerate",
+        )
+        assert code == 0
+        assert "[PASS]" in out
+
+    def test_output_block_outside_alphabet_exits_2(self, capsys, tmp_path):
+        model_path, policy_path = self.write(
+            tmp_path, edit=lambda key: key.replace("0.1234567", "0.123457")
+        )
+        code, _, err = run(
+            capsys, "exact-error", "--model", model_path, "--policy", policy_path,
+            "--n", "4", "--method", "enumerate",
+        )
+        assert code == 2
+        assert "X alphabet" in err
+
+    def test_sanov_grid_cap_exits_5(self, capsys, tmp_path):
+        doc = dict(
+            MODEL_DOC,
+            x_alphabet=[0, 1, 2, 3],
+            cond=[[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25] * 4, [0.1, 0.4, 0.4, 0.1]],
+        )
+        path = tmp_path / "model4.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "exponent", "--model", str(path), "--cross-check")
+        assert code == 5
+        assert "grid points" in err
 
 
 class TestTradeoffCommand:

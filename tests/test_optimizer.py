@@ -11,6 +11,7 @@ from privtest import (
     SearchConfig,
     TestTarget,
     constant_policy,
+    exact_min_error,
     exact_min_error_iid_log,
     exponent_chernoff,
     guarantee_check,
@@ -71,6 +72,22 @@ class TestPrivacyObjective:
         assert privacy_objective(identity_laws) == pytest.approx(
             0.0101245165799592, abs=1e-9
         )
+
+    def test_one_disjoint_pair_does_not_make_the_rate_infinite(self):
+        # law(0,1) and law(0,0) have disjoint supports, but law(1,1) = law(1,0)
+        # keeps the privacy error at 1/4 for every horizon: the exponent is 0
+        labels = ((0.0,), (1.0,))
+        laws = OutputLaws(k=1, laws={
+            (0, 1): Pmf(labels=labels, probs=(1.0, 0.0)),
+            (0, 0): Pmf(labels=labels, probs=(0.0, 1.0)),
+            (1, 1): Pmf(labels=labels, probs=(0.5, 0.5)),
+            (1, 0): Pmf(labels=labels, probs=(0.5, 0.5)),
+        })
+        for n in (1, 4, 10):
+            assert exact_min_error(laws, UNIFORM, TestTarget.PRIVACY, n) == pytest.approx(
+                0.25, abs=1e-12
+            )
+        assert privacy_objective(laws) == 0.0
 
     def test_data_processing_never_helps_the_adversary(self, model, identity_laws):
         # any k=1 kernel weakly reduces both composite rates below the source

@@ -17,9 +17,11 @@ for i.i.d. (k = 1) laws:
 
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
 Finite-horizon quantities are exact: ``exact_min_error`` enumerates output
-sequences, ``exact_min_error_iid`` enumerates type classes in log space and
-scales to horizons of several thousand slots on binary alphabets (the
-type count grows like n^(m-1) and is capped).
+sequences, ``exact_min_error_iid`` enumerates type classes in log space.
+Type classes and Sanov grid points both come from the chunked numpy lattice
+:func:`privtest.probkit.composition_lattice` and are scored a chunk at a
+time (millions of type classes per second; the count grows like n^(m-1)
+and is capped).
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ import numpy as np
 
 from .errors import EnumerationCapError, SizeCapError, SupportError, ValidationError
 from .model import UP_PAIRS, OutputLaws, Prior
-from .probkit import chernoff_from_probs, kl_from_probs, simplex_grid, composite_chernoff
+from .probkit import (
+    chernoff_from_probs,
+    composite_chernoff,
+    composition_lattice,
+    kl_from_probs,
+    kl_rows,
+)
 
 #: Default cap on the number of enumerated output sequences, type classes
 #: and Sanov grid points.
@@ -246,22 +254,10 @@ def _check_error_bounds(alpha: float, prior: Prior, target: TestTarget) -> None:
 
 
 def type_vectors(n: int, size: int) -> Iterator[TypeVector]:
-    """All types of length-n sequences over ``size`` symbols."""
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
-    for counts in compositions(n, size):
-        yield TypeVector(counts=counts, n=n)
-
-
-def _log_multinomial(counts: Sequence[int], n: int) -> float:
-    return math.lgamma(n + 1) - math.fsum(math.lgamma(c + 1) for c in counts)
+    """All types of length-n sequences over ``size`` symbols, in lexicographic order."""
+    for counts in composition_lattice(n, size):
+        for row in counts.tolist():
+            yield TypeVector(counts=tuple(row), n=n)
 
 
 def exact_min_error_iid_log(
@@ -271,9 +267,12 @@ def exact_min_error_iid_log(
 
     Enumerates type classes: sequences of the same type share the same
     probability under every law, so each class contributes its exact
-    probability times the losing grouped mass.  All accumulation is done in
-    log space with log-sum-exp.  Refuses to enumerate more than
-    :data:`DEFAULT_ENUM_CAP` type classes.
+    probability times the losing grouped mass.  The classes come in chunks
+    of :func:`composition_lattice`; per chunk, the multinomial coefficients
+    come from a table of log-factorials, the four class log-likelihoods from
+    one matrix product, and the chunk's log-sum-exp joins a running one, so
+    memory stays flat however many classes there are.  Refuses to enumerate
+    more than :data:`DEFAULT_ENUM_CAP` type classes.
     """
     _require_iid(block_laws)
     if n < 1:
@@ -284,44 +283,30 @@ def exact_min_error_iid_log(
         raise EnumerationCapError(
             f"{types} type classes (n={n}, {m} symbols) exceed the cap {DEFAULT_ENUM_CAP}"
         )
-    arrays = _law_arrays(block_laws)
-    log_laws = {
-        up: [math.log(p) if p > 0.0 else -math.inf for p in arrays[up]] for up in UP_PAIRS
-    }
-    log_prior = {
-        up: math.log(prior.prob(*up)) if prior.prob(*up) > 0.0 else -math.inf
-        for up in UP_PAIRS
-    }
-    side0 = _side_laws(target, 0)
-    side1 = _side_laws(target, 1)
+    laws = block_laws.arrays()  # (4, m) in UP_PAIRS order
+    # a symbol a law cannot emit makes a class impossible when counted (the
+    # mask below) and adds nothing when not (its log is stored as 0)
+    zero_mass = laws == 0.0
+    log_laws = np.zeros_like(laws)
+    np.log(laws, out=log_laws, where=~zero_mass)
+    log_prior = np.array([math.log(w) if w > 0.0 else -math.inf for w in prior.joint])
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
+    sides = [[UP_PAIRS.index(up) for up in _side_laws(target, h)] for h in (0, 1)]
 
-    per_type: list[float] = []
-    for t in type_vectors(n, m):
-        log_coef = _log_multinomial(t.counts, n)
-        log_class = {}
-        for up in UP_PAIRS:
-            acc = log_coef
-            for count, lp in zip(t.counts, log_laws[up]):
-                if count:
-                    acc += count * lp  # -inf propagates: impossible class
-            log_class[up] = acc
-        g = []
-        for side in (side0, side1):
-            terms = [log_class[up] + log_prior[up] for up in side]
-            terms = [x for x in terms if x > -math.inf]
-            if terms:
-                m = max(terms)
-                g.append(m + math.log(math.fsum(math.exp(x - m) for x in terms)))
-            else:
-                g.append(-math.inf)
-        loser = min(g)
-        if loser > -math.inf:
-            per_type.append(loser)
-
-    if not per_type:
-        return -math.inf
-    m = max(per_type)
-    return m + math.log(math.fsum(math.exp(x - m) for x in per_type))
+    top, scaled = -math.inf, 0.0  # running log-sum-exp = top + log(scaled)
+    for counts in composition_lattice(n, m):
+        log_class = counts @ log_laws.T
+        log_class[(counts > 0) @ zero_mass.T] = -math.inf
+        joint = (log_fact[n] - log_fact[counts].sum(axis=1))[:, None] + log_class + log_prior
+        loser = np.minimum(*(np.logaddexp(joint[:, a], joint[:, b]) for a, b in sides))
+        chunk_top = float(loser.max())
+        if chunk_top == -math.inf:
+            continue
+        if chunk_top > top:
+            scaled *= math.exp(top - chunk_top)
+            top = chunk_top
+        scaled += float(np.exp(loser - top).sum())
+    return top + math.log(scaled) if scaled > 0.0 else -math.inf
 
 
 def exact_min_error_iid(
@@ -400,27 +385,26 @@ def exponent_sanov(
         raise SizeCapError(f"sanov grid refuses alphabets larger than 4 (got {m})")
     if not 0.0 < grid_step <= 1.0:
         raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
-    points = math.comb(max(1, round(1.0 / grid_step)) + m - 1, m - 1)
+    steps = max(1, round(1.0 / grid_step))
+    points = math.comb(steps + m - 1, m - 1)
     if points > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
             f"{points} grid points ({m} symbols, step {grid_step}) exceed the cap "
             f"{DEFAULT_ENUM_CAP}; use a coarser grid step"
         )
-    arrays = _law_arrays(block_laws)
     side0 = _side_laws(target, 0)
     side1 = _side_laws(target, 1)
+    laws = np.array([block_laws.laws[up].probs for up in side0 + side1])
 
     best = math.inf
     best_pair = None
-    for t in simplex_grid(m, grid_step):
-        d0 = {up: kl_from_probs(t, arrays[up], allow_zeros=True) for up in side0}
-        d1 = {up: kl_from_probs(t, arrays[up], allow_zeros=True) for up in side1}
-        m0 = min(d0.values())
-        m1 = min(d1.values())
-        value = max(m0, m1)
-        if value < best:
-            best = value
-            best_pair = (min(d1, key=d1.get), min(d0, key=d0.get))
+    for counts in composition_lattice(steps, m):
+        d = kl_rows(counts / steps, laws)
+        value = np.maximum(d[:, :2].min(axis=1), d[:, 2:].min(axis=1))
+        i = int(np.argmin(value))  # first minimum: ties keep the earliest grid point
+        if value[i] < best:
+            best = float(value[i])
+            best_pair = (side1[int(np.argmin(d[i, 2:]))], side0[int(np.argmin(d[i, :2]))])
     return ExponentReport(value=best, argmin_pair=best_pair, method=ExponentMethod.SANOV)
 
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bayes import (
     TestTarget,
+    _check_error_bounds,
     exact_min_error,
     exact_min_error_iid_log,
     exponent_composite,
@@ -231,6 +232,7 @@ def cmd_exact_error(args) -> int:
             raise ValidationError("method 'types' needs a k=1 policy")
         log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
         alpha = math.exp(log_alpha)
+        _check_error_bounds(alpha, model.prior, target)
     exponent = -log_alpha / n
     bound = exponent_lower_bound(laws, model.prior, target, n_blocks=n_blocks)
     ok = exponent >= bound

@@ -23,6 +23,12 @@ The three computational kernels are
 simplex grid; it is deliberately independent of the dual maximization so the
 two can cross-check each other.
 
+``composition_lattice`` is the one enumerator of integer compositions: it
+yields them in lexicographic order as int64 arrays of bounded size, and the
+simplex grid here as well as the type classes and Sanov grid of
+:mod:`privtest.bayes` are built on it.  ``kl_rows`` scores such a chunk of
+grid pmfs against a few laws in one numpy pass.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -38,6 +44,9 @@ import numpy as np
 from .errors import AlphabetError, NumericalError, SizeCapError, SupportError, ValidationError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Golden-section bracket width per unit of interior-point spacing, 1 / (2 phi' - 1).
+_BRACKET_PER_TOL = 1.0 / (2.0 * _INVPHI - 1.0)
 
 #: Sums more negative than this raise NumericalError instead of being clamped.
 CLAMP_TOL = 1e-12
@@ -176,8 +185,9 @@ def golden_section_max(
 ) -> tuple[float, float]:
     """Maximize a concave function on [lo, hi] by golden-section search.
 
-    Returns ``(x, f(x))`` where x is the midpoint of the final bracket, whose
-    width is at most ``tol``.
+    Returns ``(x, f(x))`` where x is the midpoint of the final bracket.  The
+    search stops once its two interior points are at most ``tol`` apart, so
+    the bracket is then at most ``_BRACKET_PER_TOL * tol`` wide.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -251,6 +261,13 @@ def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float], tol: float) ->
         return -math.log(acc)
 
     mu, value = golden_section_max(objective, 0.0, 1.0, tol)
+    # The midpoint of a final bracket that touches 0 or 1 misses an optimum
+    # at that endpoint by the slope there times half the bracket width.
+    for end in (0.0, 1.0):
+        if abs(mu - end) <= _BRACKET_PER_TOL * tol:
+            end_value = objective(end)
+            if end_value > value:
+                mu, value = end, end_value
     return mu, value
 
 
@@ -494,6 +511,59 @@ def composite_chernoff_with_argmax(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, Du
 #: Largest alphabet simplex_grid / composite_chernoff_primal_oracle will enumerate.
 MAX_GRID_ALPHABET = 4
 
+#: Rows per chunk of :func:`composition_lattice`; bounds the memory of every
+#: lattice enumeration regardless of its size.
+LATTICE_CHUNK = 8192
+
+
+def composition_lattice(n: int, parts: int) -> Iterator[np.ndarray]:
+    """All ways to write ``n`` as an ordered sum of ``parts`` nonnegative integers.
+
+    Yields ``(rows, parts)`` int64 arrays of at most :data:`LATTICE_CHUNK`
+    rows each, in lexicographic order of the rows, so the C(n+parts-1,
+    parts-1) compositions are never held in memory at once.  Each chunk is
+    built by unranking its row indices: among the compositions of t into p
+    parts, N(t, p) - N(t - v, p) have a first part below v, where N(t, p)
+    = C(t+p-1, p-1), so the first part of the composition of rank r is read
+    off a sorted table of N(., p).
+    """
+    if n < 0 or parts < 1:
+        raise ValidationError(f"no compositions of n={n} into {parts} parts")
+    # tables[p][t] = N(t, p) for the parts p >= 3 that need a lookup:
+    # N(t, 2) = t + 1, and N(., p) is the running sum of N(., p - 1)
+    tables = {}
+    column = np.arange(1, n + 2, dtype=np.int64)
+    for p in range(3, parts + 1):
+        column = tables[p] = np.cumsum(column)
+    total = math.comb(n + parts - 1, parts - 1)
+    for lo in range(0, total, LATTICE_CHUNK):
+        rank = np.arange(lo, min(lo + LATTICE_CHUNK, total), dtype=np.int64)
+        rest = np.full_like(rank, n)
+        out = np.empty((rank.size, parts), dtype=np.int64)
+        for i in range(parts - 2):
+            table = tables[parts - i]
+            above = table[rest] - rank  # N(t - v, p) >= this for the first part v
+            tail = np.searchsorted(table, above)
+            out[:, i] = rest - tail
+            rank -= table[rest] - table[tail]
+            rest = tail
+        # two parts left: the rank is the first of them
+        out[:, parts - 1] = rest - rank
+        if parts > 1:
+            out[:, parts - 2] = rank
+        yield out
+
+
+def _grid_steps(size: int, grid_step: float) -> int:
+    """Validate a simplex grid request; return N, the grid's denominator."""
+    if size < 2:
+        raise ValidationError("simplex grid needs at least 2 symbols")
+    if size > MAX_GRID_ALPHABET:
+        raise SizeCapError(f"alphabet size {size} exceeds grid cap {MAX_GRID_ALPHABET}")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
+    return max(1, round(1.0 / grid_step))
+
 
 def simplex_grid(size: int, grid_step: float) -> Iterator[tuple[float, ...]]:
     """Yield all pmfs on ``size`` symbols with weights that are multiples of
@@ -501,25 +571,28 @@ def simplex_grid(size: int, grid_step: float) -> Iterator[tuple[float, ...]]:
 
     The step is rounded to 1/N for N = round(1/grid_step); a binary alphabet
     with grid_step 0.5 therefore yields exactly the 3 points (0, .5, 1).
+    Points come in the lexicographic order of :func:`composition_lattice`.
     """
-    if size < 2:
-        raise ValidationError("simplex grid needs at least 2 symbols")
-    if size > MAX_GRID_ALPHABET:
-        raise SizeCapError(f"alphabet size {size} exceeds grid cap {MAX_GRID_ALPHABET}")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
-    n = max(1, round(1.0 / grid_step))
+    n = _grid_steps(size, grid_step)
+    for counts in composition_lattice(n, size):
+        yield from map(tuple, (counts / n).tolist())
 
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
 
-    for counts in compositions(n, size):
-        yield tuple(c / n for c in counts)
+def kl_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(t_i || q_j) for every row of ``t`` (T, m) and of ``q`` (L, m): a (T, L) array.
+
+    Zero masses in ``t`` contribute 0 (0 log 0 = 0); ``q`` must be positive.
+    Terms are added symbol by symbol as in :func:`kl_from_probs`, and the
+    result is clamped the same way.
+    """
+    total = np.zeros((len(t), len(q)))
+    for a in range(t.shape[1]):
+        ta = t[:, a, None]
+        positive = ta > 0.0
+        total += np.where(positive, ta * np.log(np.where(positive, ta, 1.0) / q[:, a]), 0.0)
+    if total.size and total.min() < -CLAMP_TOL:
+        raise NumericalError(f"divergence {total.min()!r} negative beyond clamping tolerance")
+    return np.maximum(total, 0.0)
 
 
 def composite_chernoff_primal_oracle(q1: Pmf, q2: Pmf, q3: Pmf, grid_step: float) -> float:
@@ -533,11 +606,11 @@ def composite_chernoff_primal_oracle(q1: Pmf, q2: Pmf, q3: Pmf, grid_step: float
     _common_alphabet(q1, q2, q3)
     for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
         _require_full_support(q, role)
+    n = _grid_steps(q1.size, grid_step)
+    laws = np.array([q1.probs, q2.probs, q3.probs])
     best = math.inf
-    for t in simplex_grid(q1.size, grid_step):
-        d1 = kl_from_probs(t, q1.probs, allow_zeros=True)
-        d2 = kl_from_probs(t, q2.probs, allow_zeros=True)
-        if d1 <= d2 and d1 <= kl_from_probs(t, q3.probs, allow_zeros=True):
-            if d2 < best:
-                best = d2
+    for counts in composition_lattice(n, q1.size):
+        d1, d2, d3 = kl_rows(counts / n, laws).T
+        feasible = d2[(d1 <= d2) & (d1 <= d3)]
+        best = min(best, float(feasible.min(initial=math.inf)))
     return best

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from privtest import cli
 from privtest.cli import main
 from privtest.model import identity_policy, model_from_dict, policy_to_dict
 
@@ -120,6 +121,16 @@ class TestExactErrorCommand:
         alpha_a = float(out_a.splitlines()[0].split(":")[1])
         alpha_b = float(out_b.splitlines()[0].split(":")[1])
         assert alpha_a == pytest.approx(alpha_b, abs=1e-12)
+
+    def test_types_error_above_constant_decision_exits_2(self, capsys, monkeypatch):
+        # both paths check 0 <= alpha <= the best constant decision (1/2 here)
+        monkeypatch.setattr(cli, "exact_min_error_iid_log", lambda *args: math.log(0.9))
+        code, out, err = run(
+            capsys, "exact-error", "--target", "utility", "--n", "4", "--method", "types",
+        )
+        assert code == 2
+        assert "best constant decision" in err
+        assert out == ""
 
     def test_size_cap_exits_5(self, capsys):
         code, _, err = run(

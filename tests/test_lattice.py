@@ -1,0 +1,220 @@
+"""Property tests of the chunked composition lattice and the numpy paths built on it.
+
+Each vectorized path is compared with a scalar reference kept here: the
+recursive composition generator the lattice replaced, full sequence
+enumeration for type-class errors, and a loop of ``kl_from_probs`` calls over
+the simplex grid for the Sanov exponent and the primal oracle.  The numpy
+paths sum in another order and use numpy's log, so values agree to 1e-12,
+not bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from privtest import (
+    Pmf,
+    Prior,
+    TestTarget,
+    composite_chernoff_primal_oracle,
+    exact_min_error,
+    exact_min_error_iid,
+    exact_min_error_iid_log,
+    exponent_sanov,
+    simplex_grid,
+    type_vectors,
+)
+from privtest.bayes import _side_laws
+from privtest.model import UP_PAIRS, OutputLaws
+from privtest.probkit import LATTICE_CHUNK, composition_lattice, kl_from_probs
+
+PROPERTY = settings(deadline=None, max_examples=40, derandomize=True, database=None)
+
+
+def compositions(total, parts):
+    """The recursive generator the lattice replaced: lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def weights(size, low):
+    return st.lists(st.integers(low, 9), min_size=size, max_size=size).filter(
+        lambda w: sum(w) > 0
+    )
+
+
+@st.composite
+def iid_laws(draw, sizes=(2, 4), zeros=True):
+    """k = 1 output laws on 2..4 symbols, zero masses allowed if ``zeros``."""
+    m = draw(st.integers(*sizes))
+    labels = tuple((float(i),) for i in range(m))
+    laws = {up: Pmf.from_weights(labels, draw(weights(m, 0 if zeros else 1))) for up in UP_PAIRS}
+    return OutputLaws(k=1, laws=laws)
+
+
+priors = weights(4, 0).map(lambda w: Prior(tuple(x / sum(w) for x in w)))
+
+
+def best_constant_error(prior, target):
+    mass1 = math.fsum(prior.prob(*up) for up in _side_laws(target, 1))
+    return min(mass1, 1.0 - mass1)
+
+
+# ---------------------------------------------------------------------------
+# The lattice itself
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 12))
+def test_lattice_matches_recursive_generator(parts, n):
+    chunks = list(composition_lattice(n, parts))
+    assert all(c.dtype == np.int64 and c.shape[1] == parts for c in chunks)
+    assert [tuple(row) for c in chunks for row in c.tolist()] == list(compositions(n, parts))
+
+
+@pytest.mark.parametrize("n, parts", [(127, 3), (40, 4), (14, 6)])
+def test_lattice_across_chunk_boundaries(n, parts):
+    # C(129, 2) = 8,256, C(43, 3) = 12,341 and C(19, 5) = 11,628 rows: two chunks each
+    chunks = list(composition_lattice(n, parts))
+    assert [len(c) for c in chunks[:-1]] == [LATTICE_CHUNK] * (len(chunks) - 1)
+    assert len(chunks) == 2
+    assert [tuple(row) for c in chunks for row in c.tolist()] == list(compositions(n, parts))
+    assert sum(len(c) for c in chunks) == math.comb(n + parts - 1, parts - 1)
+
+
+def test_wrappers_keep_order_and_values():
+    assert [t.counts for t in type_vectors(5, 3)] == list(compositions(5, 3))
+    assert list(simplex_grid(3, 0.1)) == [
+        tuple(c / 10 for c in counts) for counts in compositions(10, 3)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Exact type-class errors
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@given(iid_laws(), priors, st.sampled_from(list(TestTarget)), st.integers(1, 6))
+def test_type_classes_equal_sequence_enumeration(laws, prior, target, n):
+    types = exact_min_error_iid(laws, prior, target, n)
+    assert types == pytest.approx(exact_min_error(laws, prior, target, n), abs=1e-12)
+    assert 0.0 <= types <= best_constant_error(prior, target) + 1e-12
+
+
+def reference_log_alpha(laws, prior, target, n):
+    """The scalar type-class loop the numpy path replaced."""
+    m = len(laws.block_labels)
+    per_class = []
+    for counts in compositions(n, m):
+        log_coef = math.lgamma(n + 1) - math.fsum(math.lgamma(c + 1) for c in counts)
+        grouped = []
+        for h in (0, 1):
+            terms = []
+            for up in _side_laws(target, h):
+                law, weight = laws.laws[up].probs, prior.prob(*up)
+                if weight > 0.0 and all(p > 0.0 for c, p in zip(counts, law) if c):
+                    terms.append(
+                        log_coef + math.log(weight)
+                        + math.fsum(c * math.log(p) for c, p in zip(counts, law) if c)
+                    )
+            top = max(terms, default=-math.inf)
+            grouped.append(
+                top + math.log(math.fsum(math.exp(t - top) for t in terms)) if terms else top
+            )
+        if min(grouped) > -math.inf:
+            per_class.append(min(grouped))
+    if not per_class:
+        return -math.inf
+    top = max(per_class)
+    return top + math.log(math.fsum(math.exp(x - top) for x in per_class))
+
+
+# horizons whose type classes fill more than one lattice chunk
+MULTI_CHUNK_N = {2: 9000, 3: 130, 4: 40}
+
+
+@settings(deadline=None, max_examples=10, derandomize=True, database=None)
+@given(iid_laws(), priors, st.sampled_from(list(TestTarget)))
+def test_streaming_sum_across_chunks_matches_scalar_loop(laws, prior, target):
+    n = MULTI_CHUNK_N[len(laws.block_labels)]
+    expected = reference_log_alpha(laws, prior, target, n)
+    log_alpha = exact_min_error_iid_log(laws, prior, target, n)
+    if expected == -math.inf:
+        assert log_alpha == -math.inf
+    else:
+        assert log_alpha == pytest.approx(expected, rel=1e-12)
+
+
+@PROPERTY
+@given(iid_laws(), priors, st.sampled_from(list(TestTarget)), st.integers(1, 60))
+def test_type_class_error_below_best_constant_decision(laws, prior, target, n):
+    log_alpha = exact_min_error_iid_log(laws, prior, target, n)
+    assert type(log_alpha) is float  # not a numpy scalar, whose repr the CLI would print
+    alpha = exact_min_error_iid(laws, prior, target, n)
+    assert 0.0 <= alpha <= best_constant_error(prior, target) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Grid oracles against a scalar kl_from_probs loop
+# ---------------------------------------------------------------------------
+
+STEP = 1e-2
+
+
+def reference_grid(m):
+    steps = round(1.0 / STEP)
+    return [tuple(c / steps for c in counts) for counts in compositions(steps, m)]
+
+
+def four_symbol_laws():
+    """One 4-symbol case (its grid has 176,851 points), with two equal laws."""
+    labels = tuple((float(i),) for i in range(4))
+    probs = [(1, 2, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (2, 2, 1, 5)]
+    return OutputLaws(
+        k=1, laws={up: Pmf.from_weights(labels, w) for up, w in zip(UP_PAIRS, probs)}
+    )
+
+
+@settings(deadline=None, max_examples=12, derandomize=True, database=None)
+@given(iid_laws(sizes=(2, 3), zeros=False), st.sampled_from(list(TestTarget)))
+@example(four_symbol_laws(), TestTarget.PRIVACY)
+def test_sanov_matches_scalar_loop(laws, target):
+    side0, side1 = _side_laws(target, 0), _side_laws(target, 1)
+    arrays = {up: laws.laws[up].probs for up in UP_PAIRS}
+    scored = []
+    for t in reference_grid(len(laws.block_labels)):
+        d0 = {up: kl_from_probs(t, arrays[up], allow_zeros=True) for up in side0}
+        d1 = {up: kl_from_probs(t, arrays[up], allow_zeros=True) for up in side1}
+        pair = (min(d1, key=d1.get), min(d0, key=d0.get))
+        scored.append((max(min(d0.values()), min(d1.values())), pair))
+    best = min(value for value, _ in scored)
+    report = exponent_sanov(laws, target, STEP)
+    assert report.value == pytest.approx(best, abs=1e-12)
+    # the first minimum in grid order wins; near-ties may resolve either way
+    assert report.argmin_pair in {pair for value, pair in scored if value <= best + 1e-12}
+
+
+@settings(deadline=None, max_examples=12, derandomize=True, database=None)
+@given(iid_laws(sizes=(2, 3), zeros=False))
+def test_primal_oracle_matches_scalar_loop(laws):
+    q1, q2, q3 = (laws.laws[up] for up in UP_PAIRS[:3])
+    best = math.inf
+    for t in reference_grid(q1.size):
+        d1 = kl_from_probs(t, q1.probs, allow_zeros=True)
+        d2 = kl_from_probs(t, q2.probs, allow_zeros=True)
+        if d1 <= d2 and d1 <= kl_from_probs(t, q3.probs, allow_zeros=True):
+            best = min(best, d2)
+    value = composite_chernoff_primal_oracle(q1, q2, q3, STEP)
+    if math.isinf(best):
+        assert math.isinf(value)
+    else:
+        assert value == pytest.approx(best, abs=1e-12)

@@ -27,6 +27,7 @@ from privtest import (
     composite_chernoff,
     composite_chernoff_dual,
 )
+from privtest.probkit import chernoff_from_probs
 
 
 def random_pmf(rng, size, floor=1e-3):
@@ -157,6 +158,19 @@ class TestChernoffInformation:
         b = Pmf(labels=(0, 1), probs=(0.0, 1.0))
         assert math.isinf(chernoff_information(a, b, allow_zeros=True))
         assert chernoff_information(a, a, allow_zeros=True) == 0.0
+
+    def test_optimum_at_endpoint_is_exact(self):
+        # the common support is symbol 0 alone, so the objective is linear in
+        # mu and peaks at mu = 1 with value -log(1.3e-11); the midpoint of the
+        # final golden-section bracket falls short by about 4e-9
+        value, mu = chernoff_from_probs(
+            [1.3e-11, 0, 1, 0], [0.0216, 0.978, 0, 0], allow_zeros=True
+        )
+        assert value == pytest.approx(-math.log(1.3e-11), abs=1e-12)
+        assert mu == 1.0
+        value, mu = chernoff_from_probs([0.0216, 0.978, 0], [1.3e-11, 0, 1], allow_zeros=True)
+        assert value == pytest.approx(-math.log(1.3e-11), abs=1e-12)
+        assert mu == 0.0
 
 
 class TestCompositeDual:

@@ -36,16 +36,13 @@ import numpy as np
 from .errors import EnumerationCapError, SizeCapError, SupportError, ValidationError
 from .model import UP_PAIRS, OutputLaws, Prior
 from .probkit import (
+    DEFAULT_ENUM_CAP,
     chernoff_from_probs,
     composite_chernoff,
     composition_lattice,
     kl_from_probs,
     kl_rows,
 )
-
-#: Default cap on the number of enumerated output sequences, type classes
-#: and Sanov grid points.
-DEFAULT_ENUM_CAP = 1 << 22
 
 
 class TestTarget(enum.Enum):

@@ -86,9 +86,6 @@ class Prior:
         total = math.fsum(joint)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"prior sums to {total!r}, expected 1")
-        # four nonnegative entries summing to 1 always have max >= 1/4
-        if max(joint) < 0.25 - 1e-12:
-            raise ValidationError("prior max below 1/4; entries cannot sum to 1")
 
     @classmethod
     def uniform(cls) -> "Prior":

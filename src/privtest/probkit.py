@@ -3,7 +3,7 @@
 Everything in this module works on finite pmfs over a shared label set and
 uses natural logarithms throughout, so all divergence values are in nats.
 
-The three computational kernels are
+The four computational kernels are
 
 * ``kl_divergence`` -- the Kullback-Leibler divergence with the usual
   ``0 * log 0 = 0`` convention,
@@ -17,7 +17,10 @@ The three computational kernels are
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
   duality equals ``min D(t||q2)`` over
-  ``{t : D(t||q1) <= D(t||q2), D(t||q1) <= D(t||q3)}``.
+  ``{t : D(t||q1) <= D(t||q2), D(t||q1) <= D(t||q3)}``.  The same
+  safeguarded Newton iteration finds the optimum on each edge of the
+  triangle; a damped two-dimensional Newton looks inside it only when the
+  best edge point is not optimal for the whole triangle.
 
 ``composite_chernoff_primal_oracle`` evaluates that primal minimum by brute force over a
 simplex grid; it is deliberately independent of the dual maximization so the
@@ -41,7 +44,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AlphabetError, NumericalError, SizeCapError, SupportError, ValidationError
+from .errors import (
+    AlphabetError,
+    EnumerationCapError,
+    NumericalError,
+    SizeCapError,
+    SupportError,
+    ValidationError,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,6 +70,21 @@ _NEWTON_TOL = 1e-10
 #: Iteration cap of :func:`chernoff_batch`, a safety net only: rows converge
 #: in a handful of steps.
 _NEWTON_MAX_ITER = 100
+
+#: Newton step below which the composite searches stop.  The tilted-mean
+#: gradient has a rounding floor near 1e-10, so a much smaller test stalls.
+_COMPOSITE_TOL = 1e-9
+
+#: Below this ``det / (h_aa h_bb)`` the tilted covariance counts as rank 1.
+_RANK_TOL = 1e-10
+
+#: Edges of the unit dual triangle: origin, direction and inward normal in
+#: the coordinates (mu, nu / R) of :func:`_composite_maximize`.
+_TRIANGLE_EDGES = (
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),  # nu = 0
+    ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)),  # mu = 0
+    ((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)),  # nu = (1 - mu) R
+)
 
 
 @dataclass(frozen=True)
@@ -439,46 +464,166 @@ def composite_chernoff_dual(q1: Pmf, q2: Pmf, q3: Pmf, point: DualPoint) -> floa
     return _composite_from_logs(l1, l2, l3, point.mu, point.nu)
 
 
+def _tilted_moments(c, d, t: float) -> tuple[float, float]:
+    """Slope and curvature of ``h(t) = log sum exp(c + t d)``: the mean and
+    the variance of ``d`` under the tilted weights ``exp(c + t d)``."""
+    es = [ci + t * di for ci, di in zip(c, d)]
+    top = max(es)  # shift: t * d can be large on the edges that reach D12/D13
+    s = s1 = s2 = 0.0
+    for e, di in zip(es, d):
+        w = math.exp(e - top)
+        s += w
+        s1 += w * di
+        s2 += w * di * di
+    mean = s1 / s
+    return mean, s2 / s - mean * mean
+
+
+def _edge_minimize(c, d) -> float:
+    """The t in [0, 1] minimizing the convex ``h(t) = log sum exp(c + t d)``.
+
+    The answer is 0 if h' >= 0 there and 1 if h' <= 0 there.  Otherwise
+    safeguarded Newton runs as in :func:`_chernoff_newton`: secant start from
+    the endpoint slopes, a bracket around the root of h', bisection for a
+    step that would leave it.  On convergence the last Newton step is taken
+    too, so the point is good to about the square of the stopping step.
+    """
+    slope0, _ = _tilted_moments(c, d, 0.0)
+    if slope0 >= 0.0:
+        return 0.0
+    slope1, _ = _tilted_moments(c, d, 1.0)
+    if slope1 <= 0.0:
+        return 1.0
+    t = slope0 / (slope0 - slope1)
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_MAX_ITER):
+        grad, curv = _tilted_moments(c, d, t)
+        step = grad / curv if curv > 0.0 else math.inf
+        if abs(step) <= _COMPOSITE_TOL:
+            return min(max(t - step, 0.0), 1.0)
+        if grad > 0.0:
+            hi = t
+        else:
+            lo = t
+        if hi - lo <= _COMPOSITE_TOL:
+            break
+        nxt = t - step
+        t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return t
+
+
+def _tilted_covariance(c, a, b, x: float, y: float) -> tuple[float, ...]:
+    """Gradient and Hessian of ``G(x, y) = log sum exp(c + x a + y b)``: the
+    means of (a, b) under the tilted weights ``exp(c + x a + y b)`` and their
+    covariance, as ``(ga, gb, haa, hab, hbb)``."""
+    es = [ci + x * ai + y * bi for ci, ai, bi in zip(c, a, b)]
+    top = max(es)
+    s = sa = sb = saa = sab = sbb = 0.0
+    for e, ai, bi in zip(es, a, b):
+        w = math.exp(e - top)
+        s += w
+        sa += w * ai
+        sb += w * bi
+        saa += w * ai * ai
+        sab += w * ai * bi
+        sbb += w * bi * bi
+    ga, gb = sa / s, sb / s
+    return ga, gb, saa / s - ga * ga, sab / s - ga * gb, sbb / s - gb * gb
+
+
+def _interior_minimize(c, a, b, x: float, y: float) -> tuple[float, float] | None:
+    """Damped Newton on the convex ``G(x, y) = log sum exp(c + x a + y b)``.
+
+    Starts at (x, y) and returns the stationary point, or None when the
+    Hessian is numerically rank-deficient or the iteration does not settle.
+    Each Newton step is scaled by the exact line search of
+    :func:`_edge_minimize` over [0, 1] of its length, which reads slopes
+    rather than values of G and so still works where a decrease in G is
+    below its rounding; a step of at most :data:`_COMPOSITE_TOL` in both
+    coordinates ends the run and is taken.
+    """
+    for _ in range(_NEWTON_MAX_ITER):
+        ga, gb, haa, hab, hbb = _tilted_covariance(c, a, b, x, y)
+        det = haa * hbb - hab * hab
+        if not det > _RANK_TOL * haa * hbb:
+            return None
+        dx = (hab * gb - hbb * ga) / det
+        dy = (hab * ga - haa * gb) / det
+        if max(abs(dx), abs(dy)) <= _COMPOSITE_TOL:
+            return x + dx, y + dy
+        here = [ci + x * ai + y * bi for ci, ai, bi in zip(c, a, b)]
+        t = _edge_minimize(here, [dx * ai + dy * bi for ai, bi in zip(a, b)])
+        if t == 0.0:  # no descent along the Newton step: stationary to rounding
+            return x, y
+        x, y = x + t * dx, y + t * dy
+    return None
+
+
 def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     """Maximize the dual objective over the compact triangle in the module docs.
 
-    The search region has corners (0, 0), (1, 0) and (0, D12/D13).  When
-    D(q1||q3) vanishes the triangle degenerates and the maximization falls
-    back to the segment nu = 0, where the objective is the Chernoff curve of
-    (q1, q2).  The objective is jointly concave, so a nested golden-section
-    search (outer in mu, inner in nu) converges; it is also scale-invariant,
-    which matters because D12/D13 can be enormous for nearly coinciding
-    pmfs.
+    The objective is ``-G`` for the convex log-partition function ``G(mu,
+    nu) = log sum exp(l2 + mu a + nu b)``, ``a = l1 - l2``, ``b = l1 - l3``
+    (``l`` the log-pmfs): its gradient is the mean of (a, b) under the
+    tilted law proportional to ``exp(l2 + mu a + nu b)`` and its Hessian
+    their covariance (Cover & Thomas, section 11.9).  The work is done in
+    the coordinates ``(mu, nu / R)``, ``R = D12/D13``, which map the
+    triangle with corners (0, 0), (1, 0), (0, R) onto the unit one, so the
+    tolerances do not depend on R, which is enormous for nearly coinciding
+    q1 and q3.
+
+    The maximum over the boundary is the best of the three edge optima, each
+    a one-dimensional convex problem (:func:`_edge_minimize`).  The concave
+    objective's maximum over the whole triangle is that boundary point
+    unless the point lies inside an edge and the objective rises across it
+    into the triangle; only then does a damped two-dimensional Newton
+    (:func:`_interior_minimize`) start from it, and its stationary point is
+    counted only when it lies strictly inside.  A rank-deficient covariance
+    -- every binary alphabet has one -- makes G affine along a line, so the
+    boundary is then exact and the interior search is skipped.  Every
+    candidate is a feasible point and the value returned is the objective
+    evaluated there, so it never exceeds the true maximum.
+
+    When D(q1||q3) or D(q1||q2) vanishes the triangle degenerates and the
+    maximization falls back to the segment nu = 0, where the objective is
+    the Chernoff curve of (q1, q2).  Equal q1 and q2 give exactly 0 at
+    (0, 0): the objective is then -log sum q2 along that whole segment, and
+    evaluating it would only add rounding.
     """
+    if q1.probs == q2.probs:
+        return 0.0, DualPoint(0.0, 0.0)
     l1 = [math.log(x) for x in q1.probs]
     l2 = [math.log(x) for x in q2.probs]
     l3 = [math.log(x) for x in q3.probs]
     d12 = kl_from_probs(q1.probs, q2.probs)
     d13 = kl_from_probs(q1.probs, q3.probs)
+    a = [x1 - x2 for x1, x2 in zip(l1, l2)]
 
     if d13 < _DEGENERATE_KL or d12 < _DEGENERATE_KL:
-        mu, value = golden_section_max(
-            lambda m: _composite_from_logs(l1, l2, l3, m, 0.0), 0.0, 1.0, 1e-10
-        )
-        return value, DualPoint(mu, 0.0)
+        mu = _edge_minimize(l2, a)
+        return _composite_from_logs(l1, l2, l3, mu, 0.0), DualPoint(mu, 0.0)
 
     ratio = d12 / d13
-    best_nu = [0.0]
+    b = [ratio * (x1 - x3) for x1, x3 in zip(l1, l3)]  # nu / R is the coordinate
+    best = None
+    for (x0, y0), (dx, dy), normal in _TRIANGLE_EDGES:
+        c = [x2 + x0 * ai + y0 * bi for x2, ai, bi in zip(l2, a, b)]
+        t = _edge_minimize(c, [dx * ai + dy * bi for ai, bi in zip(a, b)])
+        x, y = x0 + t * dx, y0 + t * dy
+        value = _composite_from_logs(l1, l2, l3, x, y * ratio)
+        if best is None or value > best[0]:
+            best = value, x, y, 0.0 < t < 1.0, normal
+    value, x, y, inside_edge, normal = best
 
-    def inner(mu: float) -> float:
-        hi = (1.0 - mu) * ratio
-        if hi <= 0.0:
-            best_nu[0] = 0.0
-            return _composite_from_logs(l1, l2, l3, mu, 0.0)
-        tol = max(1e-10, hi * 1e-12)
-        nu, value = golden_section_max(
-            lambda n: _composite_from_logs(l1, l2, l3, mu, n), 0.0, hi, tol
-        )
-        best_nu[0] = nu
-        return value
-
-    mu, value = golden_section_max(inner, 0.0, 1.0, 1e-9)
-    return value, DualPoint(mu, best_nu[0])
+    if inside_edge:
+        ga, gb, *_ = _tilted_covariance(l2, a, b, x, y)
+        if ga * normal[0] + gb * normal[1] < 0.0:  # -G rises into the triangle
+            found = _interior_minimize(l2, a, b, x, y)
+            if found is not None and found[0] > 0.0 and found[1] > 0.0 and sum(found) < 1.0:
+                interior = _composite_from_logs(l1, l2, l3, found[0], found[1] * ratio)
+                if interior > value:
+                    value, x, y = interior, *found
+    return value, DualPoint(x, y * ratio)
 
 
 def composite_chernoff(q1: Pmf, q2: Pmf, q3: Pmf) -> float:
@@ -510,6 +655,10 @@ def composite_chernoff_with_argmax(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, Du
 
 #: Largest alphabet simplex_grid / composite_chernoff_primal_oracle will enumerate.
 MAX_GRID_ALPHABET = 4
+
+#: Default cap on the number of enumerated output sequences, type classes
+#: and simplex grid points (here and in :mod:`privtest.bayes`).
+DEFAULT_ENUM_CAP = 1 << 22
 
 #: Rows per chunk of :func:`composition_lattice`; bounds the memory of every
 #: lattice enumeration regardless of its size.
@@ -555,14 +704,25 @@ def composition_lattice(n: int, parts: int) -> Iterator[np.ndarray]:
 
 
 def _grid_steps(size: int, grid_step: float) -> int:
-    """Validate a simplex grid request; return N, the grid's denominator."""
+    """Validate a simplex grid request; return N, the grid's denominator.
+
+    Grids of more than :data:`DEFAULT_ENUM_CAP` points are refused before
+    any is enumerated.
+    """
     if size < 2:
         raise ValidationError("simplex grid needs at least 2 symbols")
     if size > MAX_GRID_ALPHABET:
         raise SizeCapError(f"alphabet size {size} exceeds grid cap {MAX_GRID_ALPHABET}")
     if not 0.0 < grid_step <= 1.0:
         raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
-    return max(1, round(1.0 / grid_step))
+    n = max(1, round(1.0 / grid_step))
+    points = math.comb(n + size - 1, size - 1)
+    if points > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{points} grid points ({size} symbols, step {grid_step}) exceed the cap "
+            f"{DEFAULT_ENUM_CAP}; use a coarser grid step"
+        )
+    return n
 
 
 def simplex_grid(size: int, grid_step: float) -> Iterator[tuple[float, ...]]:
@@ -601,7 +761,8 @@ def composite_chernoff_primal_oracle(q1: Pmf, q2: Pmf, q3: Pmf, grid_step: float
     Minimizes D(t || q2) over grid pmfs t satisfying D(t||q1) <= D(t||q2)
     and D(t||q1) <= D(t||q3).  Returns ``inf`` when no grid point is
     feasible.  Only intended as an independent cross-check of
-    :func:`composite_chernoff`; alphabets larger than 4 are refused.
+    :func:`composite_chernoff`; alphabets larger than 4, and grids of more
+    than :data:`DEFAULT_ENUM_CAP` points, are refused.
     """
     _common_alphabet(q1, q2, q3)
     for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):

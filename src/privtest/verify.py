@@ -302,9 +302,8 @@ def run_suites(names: Sequence[str], seed: int = 0, trials: int | None = None) -
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        fn = SUITES[name]
         kwargs = {"seed": seed}
-        if trials is not None and name in ("identity", "primal-dual", "exponents", "lower-bound", "tensorize"):
+        if trials is not None:
             kwargs["trials"] = trials
-        results.append(fn(**kwargs))
+        results.append(SUITES[name](**kwargs))
     return results

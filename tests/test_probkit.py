@@ -18,6 +18,7 @@ from privtest import (
     SupportError,
     ValidationError,
     AlphabetError,
+    EnumerationCapError,
     chernoff_information,
     chernoff_information_with_argmax,
     kl_divergence,
@@ -27,7 +28,7 @@ from privtest import (
     composite_chernoff,
     composite_chernoff_dual,
 )
-from privtest.probkit import chernoff_from_probs
+from privtest.probkit import chernoff_from_probs, golden_section_max
 
 
 def random_pmf(rng, size, floor=1e-3):
@@ -240,6 +241,16 @@ class TestCompositeChernoff:
             primal = composite_chernoff_primal_oracle(a, b, c, 1e-3)
             assert dual == pytest.approx(primal, abs=1e-3)
 
+    def test_optimum_on_mu_zero_edge_is_exact(self):
+        # the optimum lies on the edge mu = 0, at nu = 1.8128; a search that
+        # stops short of that edge (mu = 1.35e-9) reports 2.8e-9 nats less
+        q1, q2, q3 = Pmf.bernoulli(0.9951), Pmf.bernoulli(0.0998), Pmf.bernoulli(0.9017)
+        ratio = kl_divergence(q1, q2) / kl_divergence(q1, q3)
+        _, edge = golden_section_max(
+            lambda nu: composite_chernoff_dual(q1, q2, q3, DualPoint(0.0, nu)), 0.0, ratio
+        )
+        assert composite_chernoff(q1, q2, q3) >= edge - 1e-15
+
     def test_near_degenerate_third_argument(self):
         # q3 almost equal to q1 makes the dual search region extremely
         # elongated; the value must still match the primal
@@ -268,6 +279,12 @@ class TestPrimalOracle:
         q2 = Pmf.bernoulli(0.9)
         q3 = Pmf.bernoulli(0.5)
         assert math.isinf(composite_chernoff_primal_oracle(q1, q2, q3, 0.5))
+
+    def test_grid_cap_refuses_before_enumerating(self):
+        # C(10003, 3) = 1.7e11 grid pmfs on 4 symbols at step 1e-4
+        p = Pmf.uniform(tuple(range(4)))
+        with pytest.raises(EnumerationCapError, match="grid points"):
+            composite_chernoff_primal_oracle(p, p, p, 1e-4)
 
     def test_oversized_alphabet_refused(self):
         from privtest import SizeCapError

@@ -57,6 +57,12 @@ GRID_DIM_LIMIT = 4
 #: requires margin >= 0, so re-verification can never flip a result).
 MARGIN_SLACK = 1e-9
 
+#: Privacy rates (or guarantee violations) closer than this are ties, broken
+#: by the lexicographically smallest parameter vector.  Rates on a flat face
+#: of the optimum differ only in their last bits, so an exact-equality rule
+#: would let rounding pick the kernel.
+_TIE_TOL = 1e-15
+
 _UP_INDEX = {up: i for i, up in enumerate(UP_PAIRS)}
 
 
@@ -265,18 +271,17 @@ def _selection_key(privacy: np.ndarray, utility: np.ndarray, threshold: float):
 def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
     """Best candidate in a batch: min privacy among feasible, else min violation.
 
-    Exact ties are broken by the lexicographically smallest parameter vector.
+    Every candidate within :data:`_TIE_TOL` of the best value is tied, and
+    the lexicographically smallest parameter vector among them wins.
     """
     feasible, violation = _selection_key(ev.privacy, ev.utility, threshold)
     if feasible.any():
         pool = np.flatnonzero(feasible)
         vals = ev.privacy[pool]
-        best_val = vals.min()
-        tied = pool[vals == best_val]
     else:
+        pool = np.arange(len(violation))
         vals = violation
-        best_val = vals.min()
-        tied = np.flatnonzero(vals == best_val)
+    tied = pool[vals <= vals.min() + _TIE_TOL]
     if len(tied) > 1:
         cand = ev.params[tied]
         order = np.lexsort(tuple(cand[:, j] for j in range(cand.shape[1] - 1, -1, -1)))
@@ -300,9 +305,9 @@ def _better(
     if c_feas and not i_feas:
         return True
     if c_feas and i_feas:
-        return c_priv < i_priv - 1e-15
+        return c_priv < i_priv - _TIE_TOL
     if not c_feas and not i_feas:
-        return (threshold - c_util) < (threshold - i_util) - 1e-15
+        return (threshold - c_util) < (threshold - i_util) - _TIE_TOL
     return False
 
 
@@ -414,7 +419,7 @@ def optimize_policy(
             not _better(best_state, state, threshold)
             and tuple(params) < tuple(best_params)
         ):
-            # exact tie: keep the lexicographically smallest parameter vector
+            # tie within _TIE_TOL: keep the lexicographically smallest vector
             best_params, best_state = params, state
 
     if space.dim == 0:

@@ -154,6 +154,24 @@ class TestOptimizePolicy:
         assert e_util >= cfg.lam - 0.02
 
 
+class TestTieRule:
+    def test_near_tie_goes_to_smallest_params(self, model):
+        # privacy values 1e-16 apart sit on a flat face of the optimum: the
+        # lexicographically smallest parameters must win, not the last bit
+        from privtest.optimizer import _FamilyEval, _pick_best
+
+        ev = _FamilyEval(
+            space=policy_space(model, s=1.0, k=1),
+            params=np.array([[0.5, 0.0], [0.25, 1.0], [0.25, 0.5]]),
+            utility=np.array([0.2, 0.2, 0.2]),
+            privacy=np.array([0.1, 0.1 + 1e-16, 0.1 + 1e-14]),
+        )
+        params, privacy, _, feasible = _pick_best(ev, threshold=0.1)
+        assert feasible
+        assert params.tolist() == [0.25, 1.0]
+        assert privacy == 0.1 + 1e-16
+
+
 class TestSweep:
     def test_deterministic_given_seed(self, model):
         lambdas = [0.0, 0.05, 0.1]

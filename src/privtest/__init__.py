@@ -28,7 +28,6 @@ from .probkit import (
     golden_section_max,
     kl_divergence,
     composite_chernoff_primal_oracle,
-    product_pmf,
     simplex_grid,
     composite_chernoff,
     composite_chernoff_with_argmax,

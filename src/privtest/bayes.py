@@ -33,10 +33,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, SizeCapError, SupportError, ValidationError
-from .model import UP_PAIRS, OutputLaws, Prior
+from .errors import EnumerationCapError, SupportError, ValidationError
+from .model import UP_PAIRS, OutputLaws, Prior, _row_outer
 from .probkit import (
     DEFAULT_ENUM_CAP,
+    _grid_steps,
     chernoff_from_probs,
     composite_chernoff,
     composition_lattice,
@@ -229,10 +230,7 @@ def exact_min_error(
             f"{m}**{n_blocks} output sequences exceed the cap {cap}; "
             "use exact_min_error_iid for long i.i.d. horizons"
         )
-    arrays = _law_arrays(laws)
-    lik = {up: np.ones(1) for up in UP_PAIRS}
-    for _ in range(n_blocks):
-        lik = {up: np.kron(lik[up], arrays[up]) for up in UP_PAIRS}
+    lik = dict(zip(UP_PAIRS, _row_outer([laws.arrays()] * n_blocks)))
     g0 = sum(prior.prob(*up) * lik[up] for up in _side_laws(target, 0))
     g1 = sum(prior.prob(*up) * lik[up] for up in _side_laws(target, 1))
     alpha = float(np.minimum(g0, g1).sum())
@@ -378,17 +376,7 @@ def exponent_sanov(
     _require_iid(block_laws)
     _require_full_support_laws(block_laws)
     m = len(block_laws.block_labels)
-    if m > 4:
-        raise SizeCapError(f"sanov grid refuses alphabets larger than 4 (got {m})")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValidationError(f"grid_step {grid_step} outside (0, 1]")
-    steps = max(1, round(1.0 / grid_step))
-    points = math.comb(steps + m - 1, m - 1)
-    if points > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(
-            f"{points} grid points ({m} symbols, step {grid_step}) exceed the cap "
-            f"{DEFAULT_ENUM_CAP}; use a coarser grid step"
-        )
+    steps = _grid_steps(m, grid_step)
     side0 = _side_laws(target, 0)
     side1 = _side_laws(target, 1)
     laws = np.array([block_laws.laws[up].probs for up in side0 + side1])

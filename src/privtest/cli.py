@@ -94,7 +94,7 @@ def _load_policy_arg(spec: str, model: SourceModel, s: float, k: int):
         return identity_policy(model, s=s, k=k)
     if spec.startswith("constant:"):
         return constant_policy(model, s=s, y_value=float(spec.split(":", 1)[1]), k=k)
-    return load_policy(spec)
+    return load_policy(spec, model)
 
 
 def _parse_target(name: str) -> TestTarget:

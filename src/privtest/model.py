@@ -9,9 +9,15 @@ average supply constraint
 
     0 <= (1/k) * sum_i (y_i + z_i - x_i) <= s.
 
-Pushing a model through a kernel yields the four induced output laws over
-k-blocks (:func:`induced_output_laws`).  Kernels are stored densely, one row
-per (x-block, z-block) pair, which is why the block length is capped.
+A kernel is one dense matrix Q: a row per (x-block, z-block) pair, x-blocks
+outer, and a column per output block, all in lexicographic order.  It grows
+like (|X||Z||X|)^k, which is why the block length is capped.  Three array
+primitives carry the module: a row-wise k-fold outer product (source and
+product laws, the row weights W and, with addition, the block sums of the
+supply constraint), the supply mask of (alphabets, s, k), and the
+push-forward W^T Q behind both :func:`induced_output_laws` and
+:meth:`PolicySpace.batch_laws`.  Dicts keyed by blocks appear only in the
+JSON policy files, which are read against a model.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     SupportError,
     ValidationError,
 )
-from .probkit import Pmf, product_pmf
+from .probkit import Pmf
 
 #: Canonical ordering of the hypothesis pairs (u, p) used everywhere.
 UP_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -123,35 +129,35 @@ class SourceModel:
         if self.noise.labels != self.z_alphabet.values:
             raise AlphabetError("noise labels differ from the Z alphabet")
 
-    def cond_block_pmf(self, u: int, p: int, k: int) -> Pmf:
-        """k-fold product extension of p_{X|u,p} (labels are k-blocks)."""
-        return product_pmf(self.cond[(u, p)], k)
-
 
 @dataclass(frozen=True, eq=False)
 class PolicyKernel:
-    """Randomized k-slot management map q(y^k | x^k, z^k).
+    """Randomized k-slot management map q(y^k | x^k, z^k) as a dense matrix.
 
-    ``rows`` maps each input pair (x-block, z-block) to a dict from output
-    block to probability.  The mapping is stored raw (not as Pmf) so that
+    ``matrix`` has one row per input pair (x-block, z-block), x-blocks outer
+    and both in lexicographic order, and one column per output block of
+    ``x_alphabet.blocks(k)``.  Its entries are stored raw so that
     :func:`validate_policy` can report invariant violations instead of
-    refusing to represent them.  Treat instances as immutable.
+    refusing to represent them; the matrix is a read-only copy.
     """
 
+    x_alphabet: Alphabet
+    z_alphabet: Alphabet
     k: int
     s: float
-    rows: Mapping[tuple[Block, Block], Mapping[Block, float]]
+    matrix: np.ndarray
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("block length k must be >= 1")
         if self.s < 0.0:
             raise ValidationError("supply slack s must be >= 0")
-        object.__setattr__(
-            self,
-            "rows",
-            {key: dict(row) for key, row in self.rows.items()},
-        )
+        matrix = np.array(self.matrix, dtype=float)
+        shape = _kernel_shape(self, self.k)
+        if matrix.shape != shape:
+            raise ValidationError(f"kernel matrix has shape {matrix.shape}, expected {shape}")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +200,70 @@ class PolicyReport:
         return not self.violations
 
 
-def block_average_net(x_block: Block, z_block: Block, y_block: Block) -> float:
-    """(1/k) * sum_i (y_i + z_i - x_i) for equal-length blocks."""
-    k = len(x_block)
-    return math.fsum(y + z - x for x, z, y in zip(x_block, z_block, y_block)) / k
+# ---------------------------------------------------------------------------
+# Array primitives.  ``alphabets`` is anything with ``x_alphabet`` and
+# ``z_alphabet``: a SourceModel or a PolicyKernel.
+# ---------------------------------------------------------------------------
+
+
+def _row_outer(factors: Sequence[np.ndarray], op: np.ufunc = np.multiply) -> np.ndarray:
+    """Row-wise outer product of (..., n_i) arrays: shape (..., n_1 * ... * n_f).
+
+    The first factor's index is outermost, so ``[a] * k`` gives a's k-fold
+    product over blocks in :meth:`Alphabet.blocks` order.  Entries are
+    folded from the left; ``op=np.add`` gives block sums instead.
+    """
+    out = factors[0]
+    for factor in factors[1:]:
+        out = op(out[..., :, None], factor[..., None, :])
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out
+
+
+def _kernel_shape(alphabets, k: int) -> tuple[int, int]:
+    outputs = len(alphabets.x_alphabet) ** k
+    return outputs * len(alphabets.z_alphabet) ** k, outputs
+
+
+def _input_pair(alphabets, k: int, row: int) -> tuple[Block, Block]:
+    """The (x-block, z-block) labels of a kernel row."""
+    x_index, z_index = divmod(int(row), len(alphabets.z_alphabet) ** k)
+    return alphabets.x_alphabet.blocks(k)[x_index], alphabets.z_alphabet.blocks(k)[z_index]
+
+
+def _supply_net(alphabets, k: int) -> np.ndarray:
+    """(1/k) * sum_i (y_i + z_i - x_i) for every kernel entry, shape (rows, outputs)."""
+    x_sums, z_sums = (
+        _row_outer([np.array(a.values)] * k, np.add)
+        for a in (alphabets.x_alphabet, alphabets.z_alphabet)
+    )
+    # y - x first, so that y = x gives the noise average exactly
+    net = (x_sums[None, None, :] - x_sums[:, None, None]) + z_sums[None, :, None]
+    return net.reshape(-1, len(x_sums)) / k
+
+
+def _within_supply(net: np.ndarray, s: float) -> np.ndarray:
+    """The supply-feasibility mask: average net flow in [0, s] up to the slack."""
+    return (net >= -CONSTRAINT_TOL) & (net <= s + CONSTRAINT_TOL)
+
+
+def _row_weights(model: SourceModel, k: int) -> np.ndarray:
+    """W[(x, z), (u, p)] = P(x-block | u, p) * P(z-block), shape (rows, 4)."""
+    cond = np.array([model.cond[up].probs for up in UP_PAIRS])
+    noise = np.array([model.noise.probs])
+    return _row_outer([cond] * k + [noise] * k).T
+
+
+def _push_forward(weights: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Induced laws W^T Q of one (rows, outputs) kernel or a (G, rows, outputs)
+    stack: laws(u,p)(y) = sum_{x,z} w(x,z|u,p) q(y|x,z)."""
+    return weights.T @ kernels
+
+
+def _output_laws(k: int, labels: tuple, arrays: np.ndarray) -> OutputLaws:
+    return OutputLaws(
+        k=k, laws={up: Pmf(labels=labels, probs=tuple(row)) for up, row in zip(UP_PAIRS, arrays)}
+    )
 
 
 def feasible_outputs(
@@ -207,61 +273,49 @@ def feasible_outputs(
 
     May be empty.  Blocks are returned in lexicographic order.
     """
-    x_block = tuple(float(v) for v in x_block)
-    z_block = tuple(float(v) for v in z_block)
-    if len(x_block) != len(z_block):
-        raise ValidationError(
-            f"input block length {len(x_block)} != noise block length {len(z_block)}"
-        )
-    out = []
-    for y_block in x_alphabet.blocks(len(x_block)):
-        avg = block_average_net(x_block, z_block, y_block)
-        if -CONSTRAINT_TOL <= avg <= s + CONSTRAINT_TOL:
-            out.append(y_block)
-    return tuple(out)
+    k = len(x_block)
+    if k != len(z_block):
+        raise ValidationError(f"input block length {k} != noise block length {len(z_block)}")
+    y_sums = _row_outer([np.array(x_alphabet.values)] * k, np.add)
+    net = ((y_sums - sum(x_block)) + sum(z_block)) / k
+    blocks = x_alphabet.blocks(k)
+    return tuple(blocks[i] for i in np.flatnonzero(_within_supply(net, s)))
 
 
-def validate_policy(policy: PolicyKernel, x_alphabet: Alphabet | None = None) -> PolicyReport:
-    """Check every row for constraint-(supply) support and normalization.
-
-    Every output block must have length k; with ``x_alphabet`` given, its
-    symbols must also come from that alphabet (outputs live in X^k).
-    """
-    symbols = None if x_alphabet is None else set(x_alphabet.values)
+def validate_policy(policy: PolicyKernel) -> PolicyReport:
+    """Check every row for nonnegative mass, supply-constraint support and
+    normalization; each violation names the row's x- and z-block."""
+    q = policy.matrix
+    net = _supply_net(policy, policy.k)
+    bad_entries = (q < 0.0) | ((q > 0.0) & ~_within_supply(net, policy.s))
+    totals = q.sum(axis=1)
+    bad_totals = ~(np.abs(totals - 1.0) <= 1e-9)
+    y_blocks = policy.x_alphabet.blocks(policy.k)
     violations = []
-    for (x_block, z_block), row in policy.rows.items():
-        if len(x_block) != policy.k or len(z_block) != policy.k:
-            violations.append(f"row {x_block}/{z_block}: block length != k={policy.k}")
-            continue
-        total = 0.0
-        for y_block, prob in row.items():
-            if prob < 0.0:
-                violations.append(f"row {x_block}/{z_block}: negative mass on {y_block}")
-            total += prob
-            outside = symbols is not None and not symbols.issuperset(y_block)
-            if len(y_block) != policy.k or outside:
+    for r in np.flatnonzero(bad_entries.any(axis=1) | bad_totals):
+        where = "row x={} z={}".format(*_input_pair(policy, policy.k, r))
+        for c in np.flatnonzero(bad_entries[r]):
+            if q[r, c] < 0.0:
+                violations.append(f"{where}: negative mass on {y_blocks[c]}")
+            else:
                 violations.append(
-                    f"row x={x_block} z={z_block}: output {y_block} is not a block "
-                    f"of {policy.k} symbols from the X alphabet"
+                    f"{where}: output {y_blocks[c]} has mass {float(q[r, c])} but "
+                    f"average net {net[r, c]:.6g} violates [0, {policy.s}]"
                 )
-            elif prob > 0.0:
-                avg = block_average_net(x_block, z_block, y_block)
-                if not (-CONSTRAINT_TOL <= avg <= policy.s + CONSTRAINT_TOL):
-                    violations.append(
-                        f"row x={x_block} z={z_block}: output {y_block} has mass "
-                        f"{prob} but average net {avg:.6g} violates [0, {policy.s}]"
-                    )
-        if abs(total - 1.0) > 1e-9:
-            violations.append(
-                f"row x={x_block} z={z_block}: probabilities sum to {total!r}, not 1"
-            )
+        if bad_totals[r]:
+            violations.append(f"{where}: probabilities sum to {float(totals[r])!r}, not 1")
     return PolicyReport(violations=tuple(violations))
 
 
-def _dense_row_keys(model: SourceModel, k: int) -> tuple[tuple[Block, Block], ...]:
-    return tuple(
-        itertools.product(model.x_alphabet.blocks(k), model.z_alphabet.blocks(k))
-    )
+def _deterministic_policy(model: SourceModel, s: float, k: int, columns, name: str):
+    """The kernel sending row r to output column ``columns[r]``, if that is feasible."""
+    matrix = np.zeros(_kernel_shape(model, k))
+    matrix[np.arange(len(matrix)), columns] = 1.0
+    kernel = PolicyKernel(model.x_alphabet, model.z_alphabet, k, s, matrix)
+    report = validate_policy(kernel)
+    if not report.ok:
+        raise FeasibilityError(f"{name} infeasible at s={s}: {report.violations[0]}")
+    return kernel
 
 
 def identity_policy(model: SourceModel, s: float, k: int = 1) -> PolicyKernel:
@@ -270,101 +324,48 @@ def identity_policy(model: SourceModel, s: float, k: int = 1) -> PolicyKernel:
     Feasible iff every noise value lies in [0, s] (then the average net flow
     equals the average noise).
     """
-    rows = {}
-    for x_block, z_block in _dense_row_keys(model, k):
-        avg = block_average_net(x_block, z_block, x_block)
-        if not (-CONSTRAINT_TOL <= avg <= s + CONSTRAINT_TOL):
-            raise FeasibilityError(
-                f"identity infeasible at s={s}: input pair x={x_block} z={z_block} "
-                f"has average net {avg:.6g}"
-            )
-        rows[(x_block, z_block)] = {x_block: 1.0}
-    return PolicyKernel(k=k, s=s, rows=rows)
+    columns = np.repeat(np.arange(len(model.x_alphabet) ** k), len(model.z_alphabet) ** k)
+    return _deterministic_policy(model, s, k, columns, "identity")
 
 
 def constant_policy(model: SourceModel, s: float, y_value: float, k: int = 1) -> PolicyKernel:
     """The deterministic kernel mapping every input pair to a fixed block."""
     y_block = (float(y_value),) * k
-    if y_block not in model.x_alphabet.blocks(k):
+    if y_block[0] not in model.x_alphabet.values:
         raise ValidationError(f"constant output {y_value!r} not in the X alphabet")
-    rows = {}
-    for x_block, z_block in _dense_row_keys(model, k):
-        avg = block_average_net(x_block, z_block, y_block)
-        if not (-CONSTRAINT_TOL <= avg <= s + CONSTRAINT_TOL):
-            raise FeasibilityError(
-                f"constant output {y_block} infeasible at s={s} for input pair "
-                f"x={x_block} z={z_block} (average net {avg:.6g})"
-            )
-        rows[(x_block, z_block)] = {y_block: 1.0}
-    return PolicyKernel(k=k, s=s, rows=rows)
-
-
-def _block_log_prob(pmf: Pmf, block: Block) -> float:
-    total = 0.0
-    for sym in block:
-        p = pmf.prob(sym)
-        if p == 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    column = model.x_alphabet.blocks(k).index(y_block)
+    return _deterministic_policy(model, s, k, column, f"constant output {y_block}")
 
 
 def induced_output_laws(model: SourceModel, policy: PolicyKernel) -> OutputLaws:
     """Push the model through the kernel: laws(u,p)(y) = sum_{x,z} w(x,z|u,p) q(y|x,z).
 
-    The kernel must be dense (one row per input pair), valid per
-    :func:`validate_policy`, and defined over the model's alphabets.  Each
-    induced law is checked to sum to 1 within 1e-10 and then renormalized.
+    The kernel must be defined over the model's alphabets and valid per
+    :func:`validate_policy`.  Each induced law is checked to sum to 1 within
+    1e-10 and then renormalized.
     """
-    k = policy.k
-    expected = set(_dense_row_keys(model, k))
-    got = set(policy.rows)
-    if got != expected:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
-        raise AlphabetError(
-            f"policy rows do not match the model alphabets at k={k} "
-            f"(missing e.g. {missing}, unexpected e.g. {extra})"
-        )
-    report = validate_policy(policy, model.x_alphabet)
+    if (policy.x_alphabet, policy.z_alphabet) != (model.x_alphabet, model.z_alphabet):
+        raise AlphabetError("policy alphabets differ from the model alphabets")
+    report = validate_policy(policy)
     if not report.ok:
         raise ValidationError(
             "policy violates its invariants: " + "; ".join(report.violations[:5])
         )
-
-    y_blocks = model.x_alphabet.blocks(k)
-    y_index = {blk: i for i, blk in enumerate(y_blocks)}
-    acc = {up: np.zeros(len(y_blocks)) for up in UP_PAIRS}
-    for (x_block, z_block), row in policy.rows.items():
-        z_logp = _block_log_prob(model.noise, z_block)
-        if z_logp == -math.inf:
-            continue
-        for up in UP_PAIRS:
-            x_logp = _block_log_prob(model.cond[up], x_block)
-            weight = math.exp(x_logp + z_logp)
-            if weight == 0.0:
-                continue
-            for y_block, prob in row.items():
-                if prob > 0.0:
-                    acc[up][y_index[y_block]] += weight * prob
-
-    laws = {}
-    for up in UP_PAIRS:
-        total = float(acc[up].sum())
+    laws = _push_forward(_row_weights(model, policy.k), policy.matrix)
+    totals = laws.sum(axis=1)
+    for up, total in zip(UP_PAIRS, totals):
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
-                f"induced law for (u,p)={up} sums to {total!r}; policy rows are "
+                f"induced law for (u,p)={up} sums to {float(total)!r}; policy rows are "
                 "not properly normalized"
             )
-        laws[up] = Pmf(labels=y_blocks, probs=tuple(acc[up] / total))
-    return OutputLaws(k=k, laws=laws)
+    return _output_laws(policy.k, model.x_alphabet.blocks(policy.k), laws / totals[:, None])
 
 
 def source_laws(model: SourceModel, k: int = 1) -> OutputLaws:
     """Laws of the unmanaged source: k-fold products of the conditionals."""
-    return OutputLaws(
-        k=k, laws={up: model.cond_block_pmf(*up, k) for up in UP_PAIRS}
-    )
+    cond = np.array([model.cond[up].probs for up in UP_PAIRS])
+    return _output_laws(k, model.x_alphabet.blocks(k), _row_outer([cond] * k))
 
 
 def blockwise_extend(policy: PolicyKernel, l: int, cap: int = DEFAULT_BLOCK_CAP) -> PolicyKernel:
@@ -380,35 +381,26 @@ def blockwise_extend(policy: PolicyKernel, l: int, cap: int = DEFAULT_BLOCK_CAP)
     k_new = policy.k * l
     if k_new > cap:
         raise SizeCapError(f"extended block length {k_new} exceeds cap {cap}")
-    rows = {}
-    keys = tuple(policy.rows)
-    for combo in itertools.product(keys, repeat=l):
-        x_cat = tuple(itertools.chain.from_iterable(key[0] for key in combo))
-        z_cat = tuple(itertools.chain.from_iterable(key[1] for key in combo))
-        out: dict[Block, float] = {}
-        for parts in itertools.product(*(policy.rows[key].items() for key in combo)):
-            y_cat = tuple(itertools.chain.from_iterable(y for y, _ in parts))
-            prob = math.prod(p for _, p in parts)
-            if prob > 0.0:
-                out[y_cat] = out.get(y_cat, 0.0) + prob
-        rows[(x_cat, z_cat)] = out
-    return PolicyKernel(k=k_new, s=policy.s, rows=rows)
+    matrix = policy.matrix
+    for _ in range(l - 1):
+        matrix = np.kron(matrix, policy.matrix)
+    # np.kron orders the rows (x_1, z_1, ..., x_l, z_l); kernels put every
+    # x-block before every z-block
+    pair = (len(policy.x_alphabet) ** policy.k, len(policy.z_alphabet) ** policy.k)
+    order = np.arange(len(matrix)).reshape(pair * l)
+    order = order.transpose(list(range(0, 2 * l, 2)) + list(range(1, 2 * l, 2))).ravel()
+    return PolicyKernel(policy.x_alphabet, policy.z_alphabet, k_new, policy.s, matrix[order])
 
 
 def product_laws(laws: OutputLaws, l: int) -> OutputLaws:
     """l-fold product of output laws (labels become concatenated blocks)."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    new = {}
-    for up in UP_PAIRS:
-        base = laws.laws[up]
-        labels = []
-        probs = []
-        for combo in itertools.product(range(base.size), repeat=l):
-            labels.append(tuple(itertools.chain.from_iterable(base.labels[i] for i in combo)))
-            probs.append(math.prod(base.probs[i] for i in combo))
-        new[up] = Pmf(labels=tuple(labels), probs=tuple(probs))
-    return OutputLaws(k=laws.k * l, laws=new)
+    labels = tuple(
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(laws.block_labels, repeat=l)
+    )
+    return _output_laws(laws.k * l, labels, _row_outer([laws.arrays()] * l))
 
 
 # ---------------------------------------------------------------------------
@@ -416,86 +408,71 @@ def product_laws(laws: OutputLaws, l: int) -> OutputLaws:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """One dense kernel row: its input pair, feasible outputs, input weights."""
-
-    x_block: Block
-    z_block: Block
-    outputs: tuple[Block, ...]
-    weights: tuple[float, float, float, float]  # P(x-block|u,p) * P(z-block), UP_PAIRS order
-
-
 @dataclass(frozen=True, eq=False)
 class PolicySpace:
     """The family of all feasible k-slot kernels for (model, s, k).
 
-    Rows with one feasible output are forced; a row with f >= 2 feasible
-    outputs contributes f-1 free parameters (the probabilities of all but
-    its last output).  A parameter vector is feasible when each row's slice
-    is nonnegative with sum <= 1.
+    ``feasible`` is the supply mask over the kernel matrix.  Rows with one
+    feasible output are forced; a row with f >= 2 feasible outputs
+    contributes f-1 free parameters (the probabilities of all but its last
+    output).  A parameter vector is feasible when each row's slice is
+    nonnegative with sum <= 1.
 
-    The kernel entries (one per row and feasible output) are the affine map
-    ``params @ entry_map + entry_offset``, clipped at 0, and the induced
-    laws are ``entries @ law_map``; both maps are built once per space.
+    The flattened kernel matrix is ``params @ entry_map + entry_offset``,
+    clipped at 0, for one parameter vector or a whole batch.
     """
 
     model: SourceModel
     s: float
     k: int
-    rows: tuple[RowSpec, ...]
-    y_blocks: tuple[Block, ...]
+    feasible: np.ndarray = field(repr=False)  # (rows, outputs)
+    weights: np.ndarray = field(init=False, repr=False)  # (rows, 4)
     free_slices: tuple[tuple[int, int, int], ...] = field(init=False)  # (row_idx, start, stop)
-    entry_map: np.ndarray = field(init=False, repr=False)  # (dim, entries)
-    entry_offset: np.ndarray = field(init=False, repr=False)  # (entries,)
-    law_map: np.ndarray = field(init=False, repr=False)  # (entries, 4 * |Y|)
+    entry_map: np.ndarray = field(init=False, repr=False)  # (dim, rows * outputs)
+    entry_offset: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
 
     def __post_init__(self):
-        slices = []
-        cursor = 0
-        for idx, row in enumerate(self.rows):
-            f = len(row.outputs)
-            if f >= 2:
-                slices.append((idx, cursor, cursor + f - 1))
-                cursor += f - 1
+        entries = np.flatnonzero(self.feasible)
+        last = entries[np.cumsum(self.feasible.sum(axis=1)) - 1]  # each row's last entry
+        # every other feasible entry is a parameter; the last is 1 minus their sum
+        heads = np.setdiff1d(entries, last)
+        rows = heads // self.feasible.shape[1]
+        params = np.arange(len(heads))
+        entry_map = np.zeros((len(heads), self.feasible.size))
+        entry_map[params, heads] = 1.0
+        entry_map[params, last[rows]] = -1.0
+        entry_offset = np.zeros(self.feasible.size)
+        entry_offset[last] = 1.0
+        free, starts = np.unique(rows, return_index=True)
+        slices = zip(free.tolist(), starts.tolist(), [*starts[1:].tolist(), len(heads)])
+        object.__setattr__(self, "weights", _row_weights(self.model, self.k))
         object.__setattr__(self, "free_slices", tuple(slices))
-
-        num_y = len(self.y_blocks)
-        y_index = {blk: i for i, blk in enumerate(self.y_blocks)}
-        num_entries = sum(len(row.outputs) for row in self.rows)
-        entry_map = np.zeros((cursor, num_entries))
-        entry_offset = np.zeros(num_entries)
-        law_map = np.zeros((num_entries, 4 * num_y))
-        free = {idx: start for idx, start, _ in slices}
-        entry = 0
-        for idx, row in enumerate(self.rows):
-            f = len(row.outputs)
-            last = entry + f - 1
-            entry_offset[last] = 1.0
-            if idx in free:
-                # the head entries are the row's parameters, the last one is
-                # 1 minus their sum
-                cols = np.arange(free[idx], free[idx] + f - 1)
-                entry_map[cols, np.arange(entry, last)] = 1.0
-                entry_map[cols, last] = -1.0
-            for j, y in enumerate(row.outputs):
-                law_map[entry + j, np.arange(4) * num_y + y_index[y]] = row.weights
-            entry += f
         object.__setattr__(self, "entry_map", entry_map)
         object.__setattr__(self, "entry_offset", entry_offset)
-        object.__setattr__(self, "law_map", law_map)
 
     @property
     def dim(self) -> int:
         return self.free_slices[-1][2] if self.free_slices else 0
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
-        """Boolean mask over a (G, dim) batch: in [0,1] with row sums <= 1."""
-        params = np.atleast_2d(params)
-        ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
+        """Boolean mask over a (G, dim) batch: every kernel entry the parameters
+        give, the rows' last ones (1 minus a slice sum) included, is in [0, 1]."""
+        entries = np.atleast_2d(params) @ self.entry_map + self.entry_offset
+        return np.all((entries >= -1e-12) & (entries <= 1.0 + 1e-12), axis=1)
+
+    def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` parameter vectors, each row's output simplex drawn uniformly."""
+        out = np.zeros((count, self.dim))
         for _, start, stop in self.free_slices:
-            ok &= params[:, start:stop].sum(axis=1) <= 1.0 + 1e-12
-        return ok
+            out[:, start:stop] = rng.dirichlet(np.ones(stop - start + 1), size=count)[:, :-1]
+        return out
+
+    def _matrices(self, params: np.ndarray) -> np.ndarray:
+        """Kernel matrices of a (G, dim) parameter batch, shape (G, rows, outputs)."""
+        entries = params @ self.entry_map
+        entries += self.entry_offset
+        np.clip(entries, 0.0, None, out=entries)
+        return entries.reshape((-1,) + self.feasible.shape)
 
     def kernel_from_params(self, params: Sequence[float]) -> PolicyKernel:
         params = np.asarray(params, dtype=float)
@@ -503,46 +480,30 @@ class PolicySpace:
             raise ValidationError(f"expected {self.dim} parameters, got {params.shape}")
         if not bool(self.params_feasible(params)[0]):
             raise ValidationError("parameter vector outside the policy simplex")
-        rows = {}
-        free = {idx: (start, stop) for idx, start, stop in self.free_slices}
-        for idx, row in enumerate(self.rows):
-            if idx in free:
-                start, stop = free[idx]
-                head = [max(float(v), 0.0) for v in params[start:stop]]
-                last = max(1.0 - math.fsum(head), 0.0)
-                probs = head + [last]
-            else:
-                probs = [1.0]
-            rows[(row.x_block, row.z_block)] = {
-                y: p for y, p in zip(row.outputs, probs) if p > 0.0
-            }
-        return PolicyKernel(k=self.k, s=self.s, rows=rows)
+        matrix = self._matrices(params[None, :])[0]
+        return PolicyKernel(self.model.x_alphabet, self.model.z_alphabet, self.k, self.s, matrix)
 
     def params_from_kernel(self, kernel: PolicyKernel) -> np.ndarray:
         """Inverse of :meth:`kernel_from_params` for kernels in this family."""
         if kernel.k != self.k:
             raise ValidationError(f"kernel has k={kernel.k}, space has k={self.k}")
-        params = np.zeros(self.dim)
-        for idx, start, stop in self.free_slices:
-            row = self.rows[idx]
-            krow = kernel.rows.get((row.x_block, row.z_block))
-            if krow is None:
-                raise ValidationError(f"kernel misses row {row.x_block}/{row.z_block}")
-            if any(y not in row.outputs for y in krow):
-                raise ValidationError(
-                    f"kernel row {row.x_block}/{row.z_block} puts mass outside "
-                    "the feasible output set"
+        model = self.model
+        if (kernel.x_alphabet, kernel.z_alphabet) != (model.x_alphabet, model.z_alphabet):
+            raise AlphabetError("kernel alphabets differ from the model alphabets")
+        outside = np.flatnonzero(((kernel.matrix != 0.0) & ~self.feasible).any(axis=1))
+        if outside.size:
+            raise ValidationError(
+                "kernel row {}/{} puts mass outside the feasible output set".format(
+                    *_input_pair(kernel, self.k, outside[0])
                 )
-            params[start:stop] = [krow.get(y, 0.0) for y in row.outputs[:-1]]
-        return params
+            )
+        # each parameter is the entry its column of entry_map selects with +1
+        return kernel.matrix.ravel()[self.entry_map.argmax(axis=1)]
 
     def batch_laws(self, params: np.ndarray) -> np.ndarray:
         """Induced laws for a (G, dim) parameter batch; shape (G, 4, |Y|)."""
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        entries = params @ self.entry_map
-        entries += self.entry_offset
-        np.clip(entries, 0.0, None, out=entries)
-        return (entries @ self.law_map).reshape(params.shape[0], 4, len(self.y_blocks))
+        return _push_forward(self.weights, self._matrices(params))
 
 
 def policy_space(
@@ -555,29 +516,15 @@ def policy_space(
     """
     if k > cap:
         raise SizeCapError(f"block length {k} exceeds cap {cap}")
-    rows = []
-    for x_block, z_block in _dense_row_keys(model, k):
-        outputs = feasible_outputs(model.x_alphabet, x_block, z_block, s)
-        if not outputs:
-            raise FeasibilityError(
-                f"no feasible output for input pair x={x_block} z={z_block} at s={s}"
-            )
-        z_logp = _block_log_prob(model.noise, z_block)
-        weights = []
-        for up in UP_PAIRS:
-            x_logp = _block_log_prob(model.cond[up], x_block)
-            weights.append(math.exp(x_logp + z_logp) if z_logp > -math.inf else 0.0)
-        rows.append(
-            RowSpec(
-                x_block=x_block,
-                z_block=z_block,
-                outputs=outputs,
-                weights=tuple(weights),
+    feasible = _within_supply(_supply_net(model, k), s)
+    empty = np.flatnonzero(~feasible.any(axis=1))
+    if empty.size:
+        raise FeasibilityError(
+            "no feasible output for input pair x={} z={} at s={}".format(
+                *_input_pair(model, k, empty[0]), s
             )
         )
-    return PolicySpace(
-        model=model, s=s, k=k, rows=tuple(rows), y_blocks=model.x_alphabet.blocks(k)
-    )
+    return PolicySpace(model=model, s=s, k=k, feasible=feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +559,18 @@ def model_from_dict(doc: dict) -> SourceModel:
     )
 
 
-def load_model(path) -> SourceModel:
+def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ValidationError(f"model file not found: {path}") from None
+        raise ValidationError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+        raise ValidationError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_model(path) -> SourceModel:
+    return model_from_dict(_read_json(path, "model"))
 
 
 def _block_key(block: Block) -> str:
@@ -633,48 +583,66 @@ def _parse_block_key(key: str) -> Block:
 
 
 def policy_to_dict(policy: PolicyKernel) -> dict:
+    """The JSON policy schema: one entry per kernel row, with its nonzero outputs."""
+    y_blocks = policy.x_alphabet.blocks(policy.k)
     rows = []
-    for (x_block, z_block), row in sorted(policy.rows.items()):
+    for r, row in enumerate(policy.matrix):
+        x_block, z_block = _input_pair(policy, policy.k, r)
         rows.append(
             {
                 "input": [list(x_block), list(z_block)],
-                "output_probs": {_block_key(y): p for y, p in sorted(row.items())},
+                "output_probs": {
+                    _block_key(y_blocks[c]): float(row[c]) for c in np.flatnonzero(row)
+                },
             }
         )
     return {"k": policy.k, "s": policy.s, "rows": rows}
 
 
-def policy_from_dict(doc: dict) -> PolicyKernel:
+def policy_from_dict(doc: dict, model: SourceModel) -> PolicyKernel:
+    """Parse the JSON policy schema into a kernel over the model's alphabets.
+
+    The rows must be the model's input pairs at the file's k, and every
+    output key a block of k symbols from the X alphabet.
+    """
     try:
         k = int(doc["k"])
         s = float(doc["s"])
-        raw_rows = list(doc["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed policy document: {exc!r}") from exc
-    rows = {}
-    for entry in raw_rows:
-        try:
-            x_block = tuple(float(v) for v in entry["input"][0])
-            z_block = tuple(float(v) for v in entry["input"][1])
-            out = {
-                _parse_block_key(key): float(prob)
-                for key, prob in entry["output_probs"].items()
+        rows = {
+            (tuple(map(float, entry["input"][0])), tuple(map(float, entry["input"][1]))): {
+                _parse_block_key(key): float(prob) for key, prob in entry["output_probs"].items()
             }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ValidationError(f"malformed policy row: {exc!r}") from exc
-        rows[(x_block, z_block)] = out
-    return PolicyKernel(k=k, s=s, rows=rows)
+            for entry in doc["rows"]
+        }
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ValidationError(f"malformed policy document: {exc!r}") from exc
+    if k < 1:
+        raise ValidationError("block length k must be >= 1")
+    if k > DEFAULT_BLOCK_CAP:
+        raise SizeCapError(f"policy block length {k} exceeds cap {DEFAULT_BLOCK_CAP}")
+    pairs = list(itertools.product(model.x_alphabet.blocks(k), model.z_alphabet.blocks(k)))
+    if set(rows) != set(pairs):
+        missing = sorted(set(pairs) - set(rows))[:3]
+        extra = sorted(set(rows) - set(pairs))[:3]
+        raise AlphabetError(
+            f"policy rows do not match the model alphabets at k={k} "
+            f"(missing e.g. {missing}, unexpected e.g. {extra})"
+        )
+    y_index = {y: c for c, y in enumerate(model.x_alphabet.blocks(k))}
+    matrix = np.zeros(_kernel_shape(model, k))
+    for r, (x_block, z_block) in enumerate(pairs):
+        for y_block, prob in rows[(x_block, z_block)].items():
+            if y_block not in y_index:
+                raise AlphabetError(
+                    f"row x={x_block} z={z_block}: output {y_block} is not a block "
+                    f"of {k} symbols from the X alphabet"
+                )
+            matrix[r, y_index[y_block]] = prob
+    return PolicyKernel(model.x_alphabet, model.z_alphabet, k, s, matrix)
 
 
-def load_policy(path) -> PolicyKernel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"policy file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"policy file is not valid JSON: {exc}") from exc
-    return policy_from_dict(doc)
+def load_policy(path, model: SourceModel) -> PolicyKernel:
+    return policy_from_dict(_read_json(path, "policy"), model)
 
 
 def demo_model() -> SourceModel:

@@ -246,26 +246,13 @@ def _evaluate(space: PolicySpace, params: np.ndarray) -> _FamilyEval:
 def _grid_candidates(space: PolicySpace, points: int, chunk: int = 1 << 20) -> Iterable[np.ndarray]:
     """Yield feasible grid parameter batches (chunked to bound memory)."""
     axis = np.linspace(0.0, 1.0, points)
-    d = space.dim
-    total = points**d
+    total = points**space.dim
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop)
-        cols = []
-        for j in range(d - 1, -1, -1):
-            cols.append(axis[idx % points])
-            idx = idx // points
-        batch = np.stack(cols[::-1], axis=1)
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * space.dim)
+        batch = axis[np.stack(idx, axis=1)]
         mask = space.params_feasible(batch)
         if mask.any():
             yield batch[mask]
-
-
-def _selection_key(privacy: np.ndarray, utility: np.ndarray, threshold: float):
-    """Feasible kernels sort by privacy; infeasible ones by shrinking violation."""
-    feasible = utility >= threshold
-    violation = np.where(feasible, 0.0, threshold - utility)
-    return feasible, violation
 
 
 def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
@@ -274,20 +261,15 @@ def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, fl
     Every candidate within :data:`_TIE_TOL` of the best value is tied, and
     the lexicographically smallest parameter vector among them wins.
     """
-    feasible, violation = _selection_key(ev.privacy, ev.utility, threshold)
+    feasible = ev.utility >= threshold
     if feasible.any():
         pool = np.flatnonzero(feasible)
         vals = ev.privacy[pool]
     else:
-        pool = np.arange(len(violation))
-        vals = violation
+        pool = np.arange(len(feasible))
+        vals = threshold - ev.utility
     tied = pool[vals <= vals.min() + _TIE_TOL]
-    if len(tied) > 1:
-        cand = ev.params[tied]
-        order = np.lexsort(tuple(cand[:, j] for j in range(cand.shape[1] - 1, -1, -1)))
-        choice = tied[order[0]]
-    else:
-        choice = tied[0]
+    choice = tied[np.lexsort(ev.params[tied].T[::-1])[0]]
     return (
         ev.params[choice].copy(),
         float(ev.privacy[choice]),
@@ -338,10 +320,7 @@ def _local_refine(
         feasible = ev.utility >= threshold
         best = None
         best_state = None
-        order = np.lexsort(
-            tuple(ev.params[:, j] for j in range(ev.params.shape[1] - 1, -1, -1))
-        )
-        for i in order:
+        for i in np.lexsort(ev.params.T[::-1]):
             cand_state = (float(ev.privacy[i]), float(ev.utility[i]), bool(feasible[i]))
             if _better(cand_state, state, threshold) and (
                 best is None or _better(cand_state, best_state, threshold)
@@ -373,17 +352,6 @@ def _pattern_directions(dim: int) -> np.ndarray:
                         v[j], v[jj] = s1, s2
                         dirs.append(v)
     return np.stack(dirs) if dirs else np.zeros((0, dim))
-
-
-def _random_starts(space: PolicySpace, count: int, seed: int) -> np.ndarray:
-    """Uniform draws from each row's output simplex, seeded."""
-    rng = np.random.default_rng(seed)
-    out = np.zeros((count, space.dim))
-    for idx, start, stop in space.free_slices:
-        f = stop - start + 1
-        draws = rng.dirichlet(np.ones(f), size=count)
-        out[:, start:stop] = draws[:, :-1]
-    return out
 
 
 def optimize_policy(
@@ -448,7 +416,7 @@ def optimize_policy(
             consider(refined, (priv, util, feas))
     else:
         starts = list(np.asarray(s, dtype=float) for s in extra_starts)
-        starts.extend(_random_starts(space, search.restarts, search.seed))
+        starts.extend(space.random_params(np.random.default_rng(search.seed), search.restarts))
         directions = _pattern_directions(space.dim)
         for start in starts:
             refined, priv, util, feas = _local_refine(
@@ -458,11 +426,7 @@ def optimize_policy(
             consider(refined, (priv, util, feas))
 
     kernel = space.kernel_from_params(best_params)
-    report = validate_policy(kernel)
-    if not report.ok:
-        raise ValidationError("optimizer produced an invalid kernel: "
-                              + "; ".join(report.violations[:3]))
-    laws = induced_output_laws(model, kernel)
+    laws = induced_output_laws(model, kernel)  # validates the kernel first
     check = guarantee_check(laws, cfg, model.prior)
     return TradeoffPoint(
         lam=cfg.lam,

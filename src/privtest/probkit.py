@@ -37,7 +37,6 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -170,18 +169,6 @@ class DualPoint:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
             raise ValidationError(f"dual point ({self.mu}, {self.nu}) must be finite")
-
-
-def product_pmf(p: Pmf, k: int) -> Pmf:
-    """The k-fold product extension of ``p``; labels become k-tuples."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    labels = []
-    probs = []
-    for combo in itertools.product(range(p.size), repeat=k):
-        labels.append(tuple(p.labels[i] for i in combo))
-        probs.append(math.prod(p.probs[i] for i in combo))
-    return Pmf(labels=tuple(labels), probs=tuple(probs))
 
 
 def _common_alphabet(*pmfs: Pmf) -> None:
@@ -709,8 +696,8 @@ def _grid_steps(size: int, grid_step: float) -> int:
     Grids of more than :data:`DEFAULT_ENUM_CAP` points are refused before
     any is enumerated.
     """
-    if size < 2:
-        raise ValidationError("simplex grid needs at least 2 symbols")
+    if size < 1:
+        raise ValidationError("simplex grid needs at least 1 symbol")
     if size > MAX_GRID_ALPHABET:
         raise SizeCapError(f"alphabet size {size} exceeds grid cap {MAX_GRID_ALPHABET}")
     if not 0.0 < grid_step <= 1.0:

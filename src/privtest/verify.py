@@ -103,12 +103,7 @@ def random_kernel_laws(
 ) -> OutputLaws:
     """Induced laws of a random feasible k=1 kernel on ``model``."""
     space = policy_space(model, s, 1)
-    params = np.zeros(space.dim)
-    for _, start, stop in space.free_slices:
-        f = stop - start + 1
-        params[start:stop] = rng.dirichlet(np.ones(f))[:-1]
-    kernel = space.kernel_from_params(params)
-    return induced_output_laws(model, kernel)
+    return induced_output_laws(model, space.kernel_from_params(space.random_params(rng, 1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +238,12 @@ def suite_tensorization(seed: int = 0, trials: int = 10, tolerance: float = 1e-9
     space = policy_space(model, 2.0, 1)
     worst = 0.0
     for _ in range(trials):
-        params = np.zeros(space.dim)
-        for _, start, stop in space.free_slices:
-            f = stop - start + 1
-            params[start:stop] = rng.dirichlet(np.ones(f))[:-1]
-        kernel = space.kernel_from_params(params)
+        kernel = space.kernel_from_params(space.random_params(rng, 1)[0])
         laws = induced_output_laws(model, kernel)
         extended = blockwise_extend(kernel, 2)
         ext_laws = induced_output_laws(model, extended)
         expect = product_laws(laws, 2)
-        law_delta = max(
-            abs(pa - pb)
-            for up in UP_PAIRS
-            for pa, pb in zip(ext_laws.laws[up].probs, expect.laws[up].probs)
-        )
+        law_delta = float(np.abs(ext_laws.arrays() - expect.arrays()).max())
         rate_delta = abs(privacy_objective(ext_laws) - privacy_objective(laws))
         worst = max(worst, law_delta, rate_delta)
     return SuiteResult("blockwise-tensorization", worst <= tolerance, trials, worst, tolerance)

@@ -252,6 +252,12 @@ class TestExponents:
         with pytest.raises(EnumerationCapError, match="grid points"):
             exponent_sanov(four_symbol_laws(), TestTarget.PRIVACY, 1e-3)
 
+    def test_sanov_one_symbol_is_zero(self):
+        pmf = Pmf(labels=((0.0,),), probs=(1.0,))
+        laws = OutputLaws(k=1, laws={up: pmf for up in UP_PAIRS})
+        for target in TestTarget:
+            assert exponent_sanov(laws, target, 1e-3).value == 0.0
+
     def test_sanov_grid_refinement_stability(self, identity_laws):
         coarse = exponent_sanov(identity_laws, TestTarget.UTILITY, 1e-2).value
         fine = exponent_sanov(identity_laws, TestTarget.UTILITY, 1e-3).value

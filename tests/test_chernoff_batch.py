@@ -18,7 +18,7 @@ from privtest import demo_model, induced_output_laws, policy_space
 from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _batch_both_rates
 from privtest.probkit import chernoff_batch, chernoff_from_probs, kl_from_probs
 
-PROPERTY = settings(deadline=None, max_examples=80, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 
 
 def _weights(m: int, low: int):
@@ -85,7 +85,7 @@ def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
     assert chernoff_batch(q[None], q[None])[0] == 0.0
 
 
-@settings(deadline=None, max_examples=6, derandomize=True, database=None)
+@settings(max_examples=6)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m):
     rng = np.random.default_rng(seed)
@@ -101,15 +101,13 @@ def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m):
         assert (u[0], v[0]) == (utility[g], privacy[g])
 
 
-@settings(deadline=None, max_examples=25, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([1.0, 2.0]))
 def test_batch_laws_match_induced_output_laws(seed, k, s):
     model = demo_model()
     space = policy_space(model, s=s, k=k)
     rng = np.random.default_rng(seed)
-    params = np.zeros((4, space.dim))
-    for _, start, stop in space.free_slices:
-        params[:, start:stop] = rng.dirichlet(np.ones(stop - start + 1), size=4)[:, :-1]
+    params = space.random_params(rng, 4)
     batch = space.batch_laws(params)
     for g in range(4):
         laws = induced_output_laws(model, space.kernel_from_params(params[g]))

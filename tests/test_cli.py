@@ -161,6 +161,18 @@ class TestPolicyFiles:
         assert code == 0
         assert "[PASS]" in out
 
+    def test_missing_row_exits_2(self, capsys, tmp_path):
+        model_path, policy_path = self.write(tmp_path)
+        doc = json.loads((tmp_path / "policy.json").read_text())
+        doc["rows"].pop()
+        (tmp_path / "policy.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "exact-error", "--model", model_path, "--policy", policy_path,
+            "--n", "4", "--method", "enumerate",
+        )
+        assert code == 2
+        assert "policy rows do not match the model alphabets" in err
+
     def test_output_block_outside_alphabet_exits_2(self, capsys, tmp_path):
         model_path, policy_path = self.write(
             tmp_path, edit=lambda key: key.replace("0.1234567", "0.123457")

@@ -27,7 +27,7 @@ from privtest import (
 )
 from privtest.probkit import _DEGENERATE_KL
 
-PROPERTY = settings(deadline=None, max_examples=80, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 
 #: Edge points per edge of the triangle, corners included.
 EDGE_POINTS = 33
@@ -106,7 +106,7 @@ def test_value_is_the_objective_at_a_best_triangle_point(triple, seed):
     _check_optimal(*triple, seed)
 
 
-@settings(deadline=None, max_examples=20, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_elongated_triangle_when_third_law_nearly_equals_first(seed):
     rng = np.random.default_rng(seed)

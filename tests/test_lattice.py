@@ -31,7 +31,7 @@ from privtest.bayes import _side_laws
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.probkit import LATTICE_CHUNK, composition_lattice, kl_from_probs
 
-PROPERTY = settings(deadline=None, max_examples=40, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 def compositions(total, parts):
@@ -102,7 +102,7 @@ def test_wrappers_keep_order_and_values():
 # ---------------------------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(iid_laws(), priors, st.sampled_from(list(TestTarget)), st.integers(1, 6))
 def test_type_classes_equal_sequence_enumeration(laws, prior, target, n):
     types = exact_min_error_iid(laws, prior, target, n)
@@ -142,7 +142,7 @@ def reference_log_alpha(laws, prior, target, n):
 MULTI_CHUNK_N = {2: 9000, 3: 130, 4: 40}
 
 
-@settings(deadline=None, max_examples=10, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(iid_laws(), priors, st.sampled_from(list(TestTarget)))
 def test_streaming_sum_across_chunks_matches_scalar_loop(laws, prior, target):
     n = MULTI_CHUNK_N[len(laws.block_labels)]
@@ -184,7 +184,7 @@ def four_symbol_laws():
     )
 
 
-@settings(deadline=None, max_examples=12, derandomize=True, database=None)
+@settings(max_examples=12)
 @given(iid_laws(sizes=(2, 3), zeros=False), st.sampled_from(list(TestTarget)))
 @example(four_symbol_laws(), TestTarget.PRIVACY)
 def test_sanov_matches_scalar_loop(laws, target):
@@ -203,7 +203,7 @@ def test_sanov_matches_scalar_loop(laws, target):
     assert report.argmin_pair in {pair for value, pair in scored if value <= best + 1e-12}
 
 
-@settings(deadline=None, max_examples=12, derandomize=True, database=None)
+@settings(max_examples=12)
 @given(iid_laws(sizes=(2, 3), zeros=False))
 def test_primal_oracle_matches_scalar_loop(laws):
     q1, q2, q3 = (laws.laws[up] for up in UP_PAIRS[:3])

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import small_models
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privtest import (
     Alphabet,
+    AlphabetError,
     FeasibilityError,
     Pmf,
     PolicyKernel,
@@ -22,6 +26,7 @@ from privtest import (
     policy_space,
     privacy_objective,
     product_laws,
+    utility_rate,
     source_laws,
     validate_policy,
 )
@@ -148,9 +153,9 @@ class TestInducedLaws:
             np.testing.assert_allclose(lmix.laws[up].probs, mixed, atol=1e-12)
 
     def test_missing_rows_rejected(self, model):
-        kernel = PolicyKernel(k=1, s=1.0, rows={((0.0,), (0.0,)): {(0.0,): 1.0}})
-        with pytest.raises(Exception):
-            induced_output_laws(model, kernel)
+        doc = {"k": 1, "s": 1.0, "rows": [{"input": [[0.0], [0.0]], "output_probs": {"0.0": 1.0}}]}
+        with pytest.raises(AlphabetError, match="missing e.g. \\[\\(\\(0.0,\\), \\(1.0,\\)\\)"):
+            policy_from_dict(doc, model)
 
 
 class TestValidatePolicy:
@@ -172,10 +177,13 @@ class TestValidatePolicy:
 
     def test_infeasible_mass_reported_with_triple(self, model):
         kernel = identity_policy(model, s=1.0)
-        rows = dict(kernel.rows)
-        # put half the mass of row (x=1, z=0) on the infeasible output y=0
-        rows[((1.0,), (0.0,))] = {(0.0,): 0.5, (1.0,): 0.5}
-        report = validate_policy(PolicyKernel(k=1, s=1.0, rows=rows))
+        matrix = kernel.matrix.copy()
+        # put half the mass of row (x=1, z=0) on the infeasible output y=0;
+        # rows are (x, z) pairs with x outer, columns the outputs y = 0, 1
+        matrix[2] = (0.5, 0.5)
+        report = validate_policy(
+            PolicyKernel(model.x_alphabet, model.z_alphabet, k=1, s=1.0, matrix=matrix)
+        )
         assert not report.ok
         assert len(report.violations) == 1
         assert "x=(1.0,)" in report.violations[0]
@@ -184,9 +192,11 @@ class TestValidatePolicy:
 
     def test_bad_normalization_reported(self, model):
         kernel = identity_policy(model, s=1.0)
-        rows = dict(kernel.rows)
-        rows[((0.0,), (0.0,))] = {(0.0,): 0.98}
-        report = validate_policy(PolicyKernel(k=1, s=1.0, rows=rows))
+        matrix = kernel.matrix.copy()
+        matrix[0] = (0.98, 0.0)  # row x=0, z=0
+        report = validate_policy(
+            PolicyKernel(model.x_alphabet, model.z_alphabet, k=1, s=1.0, matrix=matrix)
+        )
         assert any("sum to 0.98" in v for v in report.violations)
 
 
@@ -200,7 +210,7 @@ class TestBlockwiseExtend:
         kernel = space.kernel_from_params(np.array([0.35, 0.6]))
         extended = blockwise_extend(kernel, 2)
         assert extended.k == 2
-        assert len(extended.rows) == 16
+        assert extended.matrix.shape == (16, 4)
         laws = induced_output_laws(model, kernel)
         ext_laws = induced_output_laws(model, extended)
         expected = product_laws(laws, 2)
@@ -232,14 +242,12 @@ class TestPolicySpace:
         assert policy_space(model, s=2.0, k=1).dim == 3
 
     def test_forced_rows(self, model):
+        # rows (x, z) = (0, 0), (0, 1), (1, 0), (1, 1); columns y = 0, 1
         space = policy_space(model, s=1.0, k=1)
-        forced = {
-            (row.x_block, row.z_block): row.outputs
-            for row in space.rows
-            if len(row.outputs) == 1
-        }
-        assert forced[((1.0,), (0.0,))] == ((1.0,),)
-        assert forced[((0.0,), (1.0,))] == ((0.0,),)
+        assert space.feasible.tolist() == [
+            [True, True], [True, False], [False, True], [True, True]
+        ]
+        assert [idx for idx, _, _ in space.free_slices] == [0, 3]
 
     def test_empty_feasible_set_rejected(self):
         x_alpha = Alphabet((0.0, 1.0))
@@ -304,8 +312,48 @@ class TestJsonInterfaces:
         doc = policy_to_dict(kernel)
         path = tmp_path / "policy.json"
         path.write_text(json.dumps(doc))
-        loaded = load_policy(path)
+        loaded = load_policy(path, model)
         assert loaded.k == kernel.k and loaded.s == kernel.s
-        for key, row in kernel.rows.items():
-            for y, p in row.items():
-                assert loaded.rows[key][y] == pytest.approx(p, abs=1e-15)
+        np.testing.assert_array_equal(loaded.matrix, kernel.matrix)
+
+
+def _model_on(x_values, z_values):
+    x_alpha, z_alpha = Alphabet(x_values), Alphabet(z_values)
+    cond = {
+        up: Pmf.from_weights(x_alpha.values, np.arange(len(x_values)) + 1.0 + i)
+        for i, up in enumerate(UP_PAIRS)
+    }
+    noise = Pmf.uniform(z_alpha.values)
+    return SourceModel(
+        x_alphabet=x_alpha, z_alphabet=z_alpha, prior=Prior.uniform(), cond=cond, noise=noise
+    )
+
+
+@settings(max_examples=25)
+@given(small_models(), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_blockwise_extension_tensorizes(drawn, l, seed):
+    # the laws of the extended kernel are the l-fold products of the base
+    # laws, so the per-slot Chernoff rates are unchanged
+    model, s = drawn
+    space = policy_space(model, s=s, k=1)
+    kernel = space.kernel_from_params(space.random_params(np.random.default_rng(seed), 1)[0])
+    laws = induced_output_laws(model, kernel)
+    ext_laws = induced_output_laws(model, blockwise_extend(kernel, l))
+    expected = product_laws(laws, l)
+    assert ext_laws.block_labels == expected.block_labels
+    np.testing.assert_allclose(ext_laws.arrays(), expected.arrays(), rtol=0.0, atol=1e-15)
+    assert privacy_objective(ext_laws) == pytest.approx(privacy_objective(laws), abs=1e-9)
+    assert utility_rate(ext_laws) == pytest.approx(utility_rate(laws), abs=1e-9)
+
+
+@settings(max_examples=25)
+@given(small_models(x_values=(-1e6, 1e6)), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+@example((_model_on((-3.5, 0.1234567, 1e6), (0.0, 0.1234567)), 1.0), 1, 0)
+@example((_model_on((-3.5, 0.1234567, 1e6), (0.0, 0.1234567)), 1.0), 2, 1)
+def test_policy_json_roundtrip_is_bit_exact(drawn, k, seed):
+    model, s = drawn
+    space = policy_space(model, s=s, k=k)
+    kernel = space.kernel_from_params(space.random_params(np.random.default_rng(seed), 1)[0])
+    loaded = policy_from_dict(json.loads(json.dumps(policy_to_dict(kernel))), model)
+    assert (loaded.k, loaded.s) == (kernel.k, kernel.s)
+    assert loaded.matrix.tobytes() == kernel.matrix.tobytes()

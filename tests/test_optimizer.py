@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import small_models
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privtest import (
     GuaranteeConfig,
@@ -89,20 +92,17 @@ class TestPrivacyObjective:
             )
         assert privacy_objective(laws) == 0.0
 
-    def test_data_processing_never_helps_the_adversary(self, model, identity_laws):
-        # any k=1 kernel weakly reduces both composite rates below the source
-        rng = np.random.default_rng(53)
-        space = policy_space(model, s=2.0, k=1)
-        src_privacy = privacy_objective(identity_laws)
-        src_utility = utility_rate(identity_laws)
-        for _ in range(20):
-            params = np.zeros(space.dim)
-            for _, start, stop in space.free_slices:
-                f = stop - start + 1
-                params[start:stop] = rng.dirichlet(np.ones(f))[:-1]
+    @settings(max_examples=30)
+    @given(small_models(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+    def test_data_processing_never_helps_the_adversary(self, drawn, k, seed):
+        # any k-slot kernel weakly reduces both composite rates below the source
+        model, s = drawn
+        space = policy_space(model, s=s, k=k)
+        source = source_laws(model, k=k)
+        for params in space.random_params(np.random.default_rng(seed), 5):
             laws = induced_output_laws(model, space.kernel_from_params(params))
-            assert privacy_objective(laws) <= src_privacy + 1e-10
-            assert utility_rate(laws) <= src_utility + 1e-10
+            assert privacy_objective(laws) <= privacy_objective(source) + 1e-10
+            assert utility_rate(laws) <= utility_rate(source) + 1e-10
 
 
 class TestOptimizePolicy:

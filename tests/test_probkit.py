@@ -23,11 +23,13 @@ from privtest import (
     chernoff_information_with_argmax,
     kl_divergence,
     composite_chernoff_primal_oracle,
-    product_pmf,
+    OutputLaws,
+    product_laws,
     simplex_grid,
     composite_chernoff,
     composite_chernoff_dual,
 )
+from privtest.model import UP_PAIRS
 from privtest.probkit import chernoff_from_probs, golden_section_max
 
 
@@ -54,8 +56,8 @@ class TestPmf:
         assert not Pmf.bernoulli(1.0).full_support
 
     def test_product_extension(self):
-        p = Pmf.bernoulli(0.25)
-        pk = product_pmf(p, 2)
+        p = Pmf(labels=((0,), (1,)), probs=Pmf.bernoulli(0.25).probs)
+        pk = product_laws(OutputLaws(k=1, laws={up: p for up in UP_PAIRS}), 2).law(0, 0)
         assert pk.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
         np.testing.assert_allclose(
             pk.probs, (0.0625, 0.1875, 0.1875, 0.5625), atol=1e-15

@@ -455,10 +455,12 @@ class PolicySpace:
         return self.free_slices[-1][2] if self.free_slices else 0
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
-        """Boolean mask over a (G, dim) batch: every kernel entry the parameters
-        give, the rows' last ones (1 minus a slice sum) included, is in [0, 1]."""
-        entries = np.atleast_2d(params) @ self.entry_map + self.entry_offset
-        return np.all((entries >= -1e-12) & (entries <= 1.0 + 1e-12), axis=1)
+        """Boolean mask over a (G, dim) batch: in [0,1] with row sums <= 1."""
+        params = np.atleast_2d(params)
+        ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
+        for _, start, stop in self.free_slices:
+            ok &= params[:, start:stop].sum(axis=1) <= 1.0 + 1e-12
+        return ok
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` parameter vectors, each row's output simplex drawn uniformly."""

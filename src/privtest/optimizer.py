@@ -45,7 +45,6 @@ from .model import (
     blockwise_extend,
     induced_output_laws,
     policy_space,
-    validate_policy,
 )
 from .bayes import TestTarget, grouped_pairs
 from .probkit import chernoff_batch
@@ -249,7 +248,7 @@ def _grid_candidates(space: PolicySpace, points: int, chunk: int = 1 << 20) -> I
     total = points**space.dim
     for start in range(0, total, chunk):
         idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * space.dim)
-        batch = axis[np.stack(idx, axis=1)]
+        batch = np.stack([axis[i] for i in idx], axis=1)
         mask = space.params_feasible(batch)
         if mask.any():
             yield batch[mask]
@@ -521,7 +520,7 @@ def monotonicity_check(
     ext_laws = induced_output_laws(model, extended)
     ext_rate = privacy_objective(ext_laws)
     ext_check = guarantee_check(ext_laws, cfg_n, model.prior)
-    ext_ok = validate_policy(extended).ok and ext_check.passed
+    ext_ok = ext_check.passed  # induced_output_laws has validated the kernel
 
     space_n = policy_space(model, cfg_n.s, cfg_n.k)
     ext_params = space_n.params_from_kernel(extended)

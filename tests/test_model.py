@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import small_models
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +30,8 @@ from privtest import (
     validate_policy,
 )
 from privtest.model import UP_PAIRS, load_policy, model_from_dict, policy_from_dict, policy_to_dict
+
+from model_strategies import small_models
 
 
 def make_model(thetas=(0.1, 0.25, 0.8, 0.9), z0=0.2):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import small_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +28,8 @@ from privtest import (
 )
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.probkit import Pmf
+
+from model_strategies import small_models
 
 UNIFORM = Prior.uniform()
 

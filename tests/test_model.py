@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestInducedLaws:
 
     def test_missing_rows_rejected(self, model):
         doc = {"k": 1, "s": 1.0, "rows": [{"input": [[0.0], [0.0]], "output_probs": {"0.0": 1.0}}]}
-        with pytest.raises(AlphabetError, match="missing e.g. \\[\\(\\(0.0,\\), \\(1.0,\\)\\)"):
+        with pytest.raises(AlphabetError, match=re.escape("missing e.g. [((0.0,), (1.0,))")):
             policy_from_dict(doc, model)
 
 

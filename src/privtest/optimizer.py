@@ -13,7 +13,7 @@ higher-dimensional families fall back to seeded multistart random sampling
 plus coordinate descent.  Results are deterministic given the search seed.
 
 Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
-a whole candidate batch through the model with two matrix products, and
+a whole candidate batch through the model as one stack of kernel matrices, and
 :func:`_batch_both_rates` stacks the six unordered cross-group law pairs of
 every candidate into one call of the Newton kernel
 :func:`privtest.probkit.chernoff_batch`, chunk by chunk.  Both targets take

@@ -605,20 +605,33 @@ def policy_to_dict(policy: PolicyKernel) -> dict:
 def policy_from_dict(doc: dict, model: SourceModel) -> PolicyKernel:
     """Parse the JSON policy schema into a kernel over the model's alphabets.
 
-    The rows must be the model's input pairs at the file's k, and every
-    output key a block of k symbols from the X alphabet.
+    The rows must be the model's input pairs at the file's k, each listed
+    once, and every output key a block of k symbols from the X alphabet,
+    named by one key per row.
     """
     try:
         k = int(doc["k"])
         s = float(doc["s"])
-        rows = {
-            (tuple(map(float, entry["input"][0])), tuple(map(float, entry["input"][1]))): {
-                _parse_block_key(key): float(prob) for key, prob in entry["output_probs"].items()
-            }
+        entries = [
+            (
+                (tuple(map(float, entry["input"][0])), tuple(map(float, entry["input"][1]))),
+                [(_parse_block_key(key), float(p)) for key, p in entry["output_probs"].items()],
+            )
             for entry in doc["rows"]
-        }
+        ]
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ValidationError(f"malformed policy document: {exc!r}") from exc
+    rows: dict[tuple[Block, Block], dict[Block, float]] = {}
+    for (x_block, z_block), outputs in entries:
+        if (x_block, z_block) in rows:
+            raise AlphabetError(f"policy lists input pair x={x_block} z={z_block} twice")
+        rows[x_block, z_block] = probs = {}
+        for y_block, prob in outputs:
+            if y_block in probs:
+                raise AlphabetError(
+                    f"row x={x_block} z={z_block}: two keys name output block {y_block}"
+                )
+            probs[y_block] = prob
     if k < 1:
         raise ValidationError("block length k must be >= 1")
     if k > DEFAULT_BLOCK_CAP:

@@ -8,9 +8,17 @@ optimizer minimizes the privacy Chernoff rate
 
 Search strategy: the kernel family's free parameters (one simplex per
 multi-output row) are enumerated on a per-axis grid when the total dimension
-is at most :data:`GRID_DIM_LIMIT`, followed by a local pattern refinement;
-higher-dimensional families fall back to seeded multistart random sampling
-plus coordinate descent.  Results are deterministic given the search seed.
+is at most :data:`GRID_DIM_LIMIT`, and the grid winner is refined by a local
+pattern search; higher-dimensional families refine seeded random starts
+instead.  Results are deterministic given the search seed.
+
+One selection rule decides every comparison, in :func:`_pick_best`: feasible
+candidates first, then the smallest privacy rate (or, when none is feasible,
+the smallest guarantee violation), where values within :data:`_TIE_TOL` of
+the best are tied and the lexicographically smallest parameter vector among
+the tied wins.  It picks the grid winner, each pattern-search move (among
+the probes that beat the incumbent by more than the tolerance) and the final
+result among the refined starts.
 
 Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a whole candidate batch through the model as one stack of kernel matrices, and
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,7 +101,12 @@ class GuaranteeConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Reproducible search settings; recorded in every result."""
+    """Reproducible search settings; recorded in every result.
+
+    ``restarts`` and ``seed`` draw the random starts, so they act only on
+    families with more than :data:`GRID_DIM_LIMIT` free parameters; smaller
+    families are searched from their grid winner.
+    """
 
     grid_points_per_parameter: int = 101
     restarts: int = 16
@@ -242,23 +255,12 @@ def _evaluate(space: PolicySpace, params: np.ndarray) -> _FamilyEval:
     return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
 
 
-def _grid_candidates(space: PolicySpace, points: int, chunk: int = 1 << 20) -> Iterable[np.ndarray]:
-    """Yield feasible grid parameter batches (chunked to bound memory)."""
-    axis = np.linspace(0.0, 1.0, points)
-    total = points**space.dim
-    for start in range(0, total, chunk):
-        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * space.dim)
-        batch = np.stack([axis[i] for i in idx], axis=1)
-        mask = space.params_feasible(batch)
-        if mask.any():
-            yield batch[mask]
-
-
 def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
     """Best candidate in a batch: min privacy among feasible, else min violation.
 
     Every candidate within :data:`_TIE_TOL` of the best value is tied, and
-    the lexicographically smallest parameter vector among them wins.
+    the lexicographically smallest parameter vector among them wins.  This is
+    the optimizer's only ranking of candidates.
     """
     feasible = ev.utility >= threshold
     if feasible.any():
@@ -268,7 +270,8 @@ def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, fl
         pool = np.arange(len(feasible))
         vals = threshold - ev.utility
     tied = pool[vals <= vals.min() + _TIE_TOL]
-    choice = tied[np.lexsort(ev.params[tied].T[::-1])[0]]
+    # the row index is the least significant key, so there is a key at dim 0
+    choice = tied[np.lexsort((tied, *ev.params[tied].T[::-1]))[0]]
     return (
         ev.params[choice].copy(),
         float(ev.privacy[choice]),
@@ -277,61 +280,38 @@ def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, fl
     )
 
 
-def _better(
-    cand: tuple[float, float, bool], incumbent: tuple[float, float, bool], threshold: float
-) -> bool:
-    """Candidate (privacy, utility, feasible) strictly improves the incumbent."""
-    c_priv, c_util, c_feas = cand
-    i_priv, i_util, i_feas = incumbent
-    if c_feas and not i_feas:
-        return True
-    if c_feas and i_feas:
-        return c_priv < i_priv - _TIE_TOL
-    if not c_feas and not i_feas:
-        return (threshold - c_util) < (threshold - i_util) - _TIE_TOL
-    return False
-
-
 def _local_refine(
     space: PolicySpace,
     threshold: float,
     start: np.ndarray,
-    step0: float,
+    step: float,
     tol: float,
     directions: np.ndarray,
     max_moves: int = 2000,
 ) -> tuple[np.ndarray, float, float, bool]:
-    """Pattern search from ``start``: probe scaled directions, shrink on failure."""
-    x = np.asarray(start, dtype=float).copy()
-    ev = _evaluate(space, x[None, :])
-    state = (float(ev.privacy[0]), float(ev.utility[0]), bool(ev.utility[0] >= threshold))
-    step = step0
+    """Pattern search from ``start``: probe scaled directions, shrink on failure.
+
+    A probe must beat the incumbent by more than :data:`_TIE_TOL` (a feasible
+    probe beats an infeasible incumbent); the best such probe by
+    :func:`_pick_best` becomes the new incumbent.
+    """
+    x, privacy, utility, feasible = _pick_best(_evaluate(space, start[None, :]), threshold)
     moves = 0
     while step >= tol and moves < max_moves:
-        probes = x[None, :] + step * directions
-        np.clip(probes, 0.0, 1.0, out=probes)
-        mask = space.params_feasible(probes)
-        probes = probes[mask]
-        if probes.shape[0] == 0:
-            step *= 0.5
-            continue
-        ev = _evaluate(space, probes)
-        feasible = ev.utility >= threshold
-        best = None
-        best_state = None
-        for i in np.lexsort(ev.params.T[::-1]):
-            cand_state = (float(ev.privacy[i]), float(ev.utility[i]), bool(feasible[i]))
-            if _better(cand_state, state, threshold) and (
-                best is None or _better(cand_state, best_state, threshold)
-            ):
-                best = ev.params[i].copy()
-                best_state = cand_state
-        if best is None:
-            step *= 0.5
+        probes = np.clip(x[None, :] + step * directions, 0.0, 1.0)
+        ev = _evaluate(space, probes[space.params_feasible(probes)])
+        wins = ev.utility >= threshold
+        if feasible:
+            wins &= ev.privacy < privacy - _TIE_TOL
         else:
-            x, state = best, best_state
+            wins |= (threshold - ev.utility) < (threshold - utility) - _TIE_TOL
+        if wins.any():
+            winners = _FamilyEval(space, ev.params[wins], ev.utility[wins], ev.privacy[wins])
+            x, privacy, utility, feasible = _pick_best(winners, threshold)
             moves += 1
-    return x, state[0], state[1], state[2]
+        else:
+            step *= 0.5
+    return x, privacy, utility, feasible
 
 
 def _pattern_directions(dim: int) -> np.ndarray:
@@ -362,67 +342,34 @@ def optimize_policy(
 ) -> TradeoffPoint:
     """Find the kernel minimizing the privacy rate within the guarantee set.
 
-    Exhaustive per-axis grid plus local pattern refinement for families with
-    at most :data:`GRID_DIM_LIMIT` free parameters; seeded random multistart
-    with coordinate descent above that.  ``extra_starts`` adds deterministic
-    warm starts (e.g. a block-extended smaller-k optimum).  When no candidate
-    passes the guarantee the least-violating kernel is returned with
-    ``feasible=False``.
+    Families with at most :data:`GRID_DIM_LIMIT` free parameters refine the
+    winner of an exhaustive per-axis grid, starting at the grid step; larger
+    families refine seeded random starts, starting at step 0.25.
+    ``extra_starts`` adds deterministic warm starts (e.g. a block-extended
+    smaller-k optimum).  Every start is refined and :func:`_pick_best` ranks
+    the results.  When no candidate passes the guarantee the least-violating
+    kernel is returned with ``feasible=False``.
 
     The returned kernel is re-validated and its rates recomputed from
     scratch, independently of the search bookkeeping.
     """
     space = _grid_eval.space if _grid_eval is not None else policy_space(model, cfg.s, cfg.k)
     threshold = cfg.effective_threshold(model.prior)
-
-    best_params: np.ndarray | None = None
-    best_state: tuple[float, float, bool] | None = None
-
-    def consider(params: np.ndarray, state: tuple[float, float, bool]) -> None:
-        nonlocal best_params, best_state
-        if best_state is None or _better(state, best_state, threshold):
-            best_params, best_state = params, state
-        elif (
-            not _better(best_state, state, threshold)
-            and tuple(params) < tuple(best_params)
-        ):
-            # tie within _TIE_TOL: keep the lexicographically smallest vector
-            best_params, best_state = params, state
-
-    if space.dim == 0:
-        params = np.zeros(0)
-        ev = _evaluate(space, params[None, :])
-        consider(params, (float(ev.privacy[0]), float(ev.utility[0]),
-                          bool(ev.utility[0] >= threshold)))
-    elif space.dim <= GRID_DIM_LIMIT:
-        grid_step = 1.0 / (search.grid_points_per_parameter - 1)
-        if _grid_eval is not None:
-            batches = [_grid_eval]
-        else:
-            batches = (
-                _evaluate(space, chunk)
-                for chunk in _grid_candidates(space, search.grid_points_per_parameter)
-            )
-        for ev in batches:
-            params, priv, util, feas = _pick_best(ev, threshold)
-            consider(params, (priv, util, feas))
-        directions = _pattern_directions(space.dim)
-        starts = [best_params] + [np.asarray(s, dtype=float) for s in extra_starts]
-        for start in starts:
-            refined, priv, util, feas = _local_refine(
-                space, threshold, start, grid_step, search.local_step_tolerance, directions
-            )
-            consider(refined, (priv, util, feas))
+    starts = [np.asarray(s, dtype=float) for s in extra_starts]
+    if space.dim <= GRID_DIM_LIMIT:
+        grid = _grid_eval if _grid_eval is not None else grid_evaluation(space, search)
+        starts.insert(0, _pick_best(grid, threshold)[0])
+        step = 1.0 / (search.grid_points_per_parameter - 1)
     else:
-        starts = list(np.asarray(s, dtype=float) for s in extra_starts)
         starts.extend(space.random_params(np.random.default_rng(search.seed), search.restarts))
-        directions = _pattern_directions(space.dim)
-        for start in starts:
-            refined, priv, util, feas = _local_refine(
-                space, threshold, np.asarray(start), 0.25, search.local_step_tolerance,
-                directions,
-            )
-            consider(refined, (priv, util, feas))
+        step = 0.25
+    directions = _pattern_directions(space.dim)
+    params, privacy, utility, _ = zip(*(
+        _local_refine(space, threshold, start, step, search.local_step_tolerance, directions)
+        for start in starts
+    ))
+    refined = _FamilyEval(space, np.array(params), np.array(utility), np.array(privacy))
+    best_params, _, _, best_feasible = _pick_best(refined, threshold)
 
     kernel = space.kernel_from_params(best_params)
     laws = induced_output_laws(model, kernel)  # validates the kernel first
@@ -434,23 +381,23 @@ def optimize_policy(
         privacy_rate=privacy_objective(laws),
         utility_rate=check.utility_rate,
         kernel=kernel,
-        feasible=bool(best_state[2]) and check.passed,
+        feasible=best_feasible and check.passed,
         params=tuple(float(v) for v in best_params),
         seed=search.seed,
     )
 
 
-def grid_evaluation(
-    model: SourceModel, cfg: GuaranteeConfig, search: SearchConfig
-) -> "_FamilyEval | None":
-    """Precompute the grid rates for a (model, s, k) family, for reuse across
-    many lambda values.  Returns None when the family is not grid-searchable."""
-    space = policy_space(model, cfg.s, cfg.k)
-    if not 0 < space.dim <= GRID_DIM_LIMIT:
-        return None
-    chunks = list(_grid_candidates(space, search.grid_points_per_parameter))
-    params = np.concatenate(chunks, axis=0)
-    return _evaluate(space, params)
+def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
+    """Rates of every feasible point of the per-axis grid over ``space``, for
+    reuse across many lambda values; at dim 0 the grid is one empty vector.
+
+    The grid is built in one piece, ``points**dim`` rows, so callers keep
+    ``space.dim`` within :data:`GRID_DIM_LIMIT`.
+    """
+    points = search.grid_points_per_parameter
+    axis = np.linspace(0.0, 1.0, points)
+    grid = axis[np.indices((points,) * space.dim).reshape(space.dim, points**space.dim)].T
+    return _evaluate(space, grid[space.params_feasible(grid)])
 
 
 def tradeoff_sweep(
@@ -471,7 +418,8 @@ def tradeoff_sweep(
     points = []
     for s_idx, s in enumerate(s_values):
         cfg_s = replace(cfg_template, s=float(s))
-        cache = grid_evaluation(model, cfg_s, search)
+        space = policy_space(model, cfg_s.s, cfg_s.k)
+        cache = grid_evaluation(space, search) if space.dim <= GRID_DIM_LIMIT else None
         for lam_idx, lam in enumerate(lambdas):
             cfg = replace(cfg_s, lam=float(lam))
             point_seed = int(search.seed) * 1_000_003 + lam_idx * 1009 + s_idx

@@ -7,8 +7,10 @@ the whole gate with::
     pytest tests/test_acceptance.py -v
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,10 @@ from privtest.verify import (
 )
 
 SEED = 0
+
+# criterion 8's curve, pinned: a change to the search that moves any of its
+# points fails the test
+PINNED_CSV = Path(__file__).parent / "data" / "criterion8.csv"
 
 
 def report(number: int, result_line: str, elapsed: float, budget: float):
@@ -152,6 +158,18 @@ def test_criterion_8_deterministic_csv(tmp_path, capsys):
     assert cli_main(args + ["--out-csv", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    # the pinned curve: a near-tie flip moves kernel_params by far more than 1e-9
+    rows = list(csv.DictReader(a.read_text().splitlines()))
+    pinned = list(csv.DictReader(PINNED_CSV.read_text().splitlines()))
+    assert len(rows) == len(pinned)
+    for row, pin in zip(rows, pinned):
+        assert (row["lambda"], row["s"], row["k"]) == (pin["lambda"], pin["s"], pin["k"])
+        assert row["feasible"] == pin["feasible"]
+        for rate in ("privacy_rate", "utility_rate"):
+            assert float(row[rate]) == pytest.approx(float(pin[rate]), rel=0, abs=1e-13)
+        params = [float(v) for v in row["kernel_params"].split(";")]
+        pinned_params = [float(v) for v in pin["kernel_params"].split(";")]
+        assert params == pytest.approx(pinned_params, rel=0, abs=1e-9)
     elapsed = time.time() - t0
-    report(8, "[PASS] determinism: identical seeds give byte-identical CSV",
-           elapsed, budget=120.0)
+    report(8, "[PASS] determinism: identical seeds give byte-identical CSV, "
+           "matching the pinned curve", elapsed, budget=120.0)

@@ -173,6 +173,30 @@ class TestPolicyFiles:
         assert code == 2
         assert "policy rows do not match the model alphabets" in err
 
+    def test_duplicate_input_pair_exits_2(self, capsys, tmp_path):
+        model_path, policy_path = self.write(tmp_path)
+        doc = json.loads((tmp_path / "policy.json").read_text())
+        doc["rows"].append(doc["rows"][0])
+        (tmp_path / "policy.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "exact-error", "--model", model_path, "--policy", policy_path,
+            "--n", "4", "--method", "enumerate",
+        )
+        assert code == 2
+        assert "policy lists input pair x=(0.0,) z=(0.0,) twice" in err
+
+    def test_two_keys_for_one_output_block_exits_2(self, capsys, tmp_path):
+        model_path, policy_path = self.write(tmp_path)
+        doc = json.loads((tmp_path / "policy.json").read_text())
+        doc["rows"][0]["output_probs"] = {"0": 0.5, "0.0": 0.5}
+        (tmp_path / "policy.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "exact-error", "--model", model_path, "--policy", policy_path,
+            "--n", "4", "--method", "enumerate",
+        )
+        assert code == 2
+        assert "two keys name output block (0.0,)" in err
+
     def test_output_block_outside_alphabet_exits_2(self, capsys, tmp_path):
         model_path, policy_path = self.write(
             tmp_path, edit=lambda key: key.replace("0.1234567", "0.123457")

@@ -159,6 +159,18 @@ class TestInducedLaws:
         with pytest.raises(AlphabetError, match=re.escape("missing e.g. [((0.0,), (1.0,))")):
             policy_from_dict(doc, model)
 
+    def test_duplicate_input_pair_rejected(self, model):
+        doc = policy_to_dict(identity_policy(model, s=1.0))
+        doc["rows"].append(doc["rows"][0])
+        with pytest.raises(AlphabetError, match=re.escape("x=(0.0,) z=(0.0,) twice")):
+            policy_from_dict(doc, model)
+
+    def test_two_keys_for_one_output_block_rejected(self, model):
+        doc = policy_to_dict(identity_policy(model, s=1.0))
+        doc["rows"][0]["output_probs"] = {"0": 0.5, "0.0": 0.5}
+        with pytest.raises(AlphabetError, match=re.escape("two keys name output block (0.0,)")):
+            policy_from_dict(doc, model)
+
 
 class TestValidatePolicy:
     def test_identity_with_zero_noise_valid(self):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privtest import (
+    Alphabet,
     GuaranteeConfig,
     Prior,
     SearchConfig,
+    SourceModel,
     TestTarget,
     constant_policy,
     exact_min_error,
@@ -155,6 +157,34 @@ class TestOptimizePolicy:
         assert e_util >= cfg.lam - 0.02
 
 
+class TestZeroParameterFamily:
+    # one-point Z and s = 0: every row has the identity output as its only
+    # feasible one, so the family is a single kernel with no parameters
+    @pytest.fixture(scope="class")
+    def forced(self):
+        x_alpha, z_alpha = Alphabet((0.0, 1.0)), Alphabet((0.0,))
+        rows = ((0.3, 0.7), (0.6, 0.4), (0.2, 0.8), (0.9, 0.1))
+        return SourceModel(
+            x_alphabet=x_alpha,
+            z_alphabet=z_alpha,
+            prior=UNIFORM,
+            cond={up: Pmf(labels=x_alpha.values, probs=r) for up, r in zip(UP_PAIRS, rows)},
+            noise=Pmf(labels=(0.0,), probs=(1.0,)),
+        )
+
+    def test_optimize_returns_the_only_kernel(self, forced):
+        assert policy_space(forced, s=0.0, k=1).dim == 0
+        point = optimize_policy(forced, GuaranteeConfig(lam=0.0, k=1, s=0.0))
+        assert point.params == ()
+        assert point.feasible
+        assert point.privacy_rate == 0.04771162891391715
+
+    def test_sweep_flags_the_floor(self, forced):
+        points = tradeoff_sweep(forced, [0.0, 0.1], [0.0])
+        assert [p.feasible for p in points] == [True, False]
+        assert [p.privacy_rate for p in points] == [0.04771162891391715] * 2
+
+
 class TestTieRule:
     def test_near_tie_goes_to_smallest_params(self, model):
         # privacy values 1e-16 apart sit on a flat face of the optimum: the
@@ -199,6 +229,21 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(s1, s1[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(s2, s2[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(s1, s2))
+
+
+@settings(max_examples=30)
+@given(small_models(), st.floats(0.0, 0.05))
+def test_sweep_point_equals_direct_search(drawn, lam):
+    # the sweep shares one grid evaluation across lambda; the point must be
+    # bit for bit the one a direct search finds
+    model, s = drawn
+    search = SearchConfig(grid_points_per_parameter=21, restarts=2, seed=0)
+    swept = tradeoff_sweep(model, [lam], [s], search=search)[0]
+    direct = optimize_policy(model, GuaranteeConfig(lam=lam, k=1, s=s), search)
+    assert swept.params == direct.params
+    assert swept.privacy_rate == direct.privacy_rate
+    assert swept.utility_rate == direct.utility_rate
+    assert swept.feasible == direct.feasible
 
 
 class TestMonotonicityCheck:

@@ -295,10 +295,10 @@ def _local_refine(
     probe beats an infeasible incumbent); the best such probe by
     :func:`_pick_best` becomes the new incumbent.
     """
-    x, privacy, utility, feasible = _pick_best(_evaluate(space, start[None, :]), threshold)
+    x, privacy, utility, feasible = _pick_best(_evaluate(space, start), threshold)
     moves = 0
     while step >= tol and moves < max_moves:
-        probes = np.clip(x[None, :] + step * directions, 0.0, 1.0)
+        probes = np.clip(x + step * directions, 0.0, 1.0)
         ev = _evaluate(space, probes[space.params_feasible(probes)])
         wins = ev.utility >= threshold
         if feasible:

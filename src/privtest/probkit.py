@@ -338,7 +338,9 @@ def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     symbols where both rows have mass, and rows with disjoint supports give
     +inf.  Equal rows give exactly 0.  Rows whose slope does not change sign
     on [0, 1] -- every row with a constant log-ratio among them -- take the
-    better endpoint at once; the rest go to :func:`_chernoff_newton`.  Each
+    better endpoint at once; the rest go to :func:`_chernoff_newton`, which
+    starts two-symbol rows at the exact root of ``L'`` (they then retire
+    after one moment evaluation) and longer rows at the secant root.  Each
     row's result depends on that row alone (sums run over the symbols in a
     fixed order), so splitting a batch changes no bit of the output.
     """
@@ -385,20 +387,29 @@ def _chernoff_newton(
     """``-min L`` for rows with ``L'(0) < 0 < L'(1)``, by safeguarded Newton.
 
     ``L(mu) = log sum exp(lq + mu * d)`` with ``lq`` and ``d`` of shape
-    (m, B).  Each row keeps a bracket around the root of ``L'``, starts from
-    the secant root of the endpoint slopes, and retires as soon as its raw
-    Newton step is below :data:`_NEWTON_TOL`.  That test comes before the
-    safeguard, which replaces a step leaving the bracket by bisection, so a
-    converged row is never sent back to bisection.  ``L`` is flat at its
-    minimum, so its value at the last iterate is exact to rounding.
+    (m, B).  Each row keeps a bracket around the root of ``L'`` and retires
+    as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Rows with
+    m > 2 start from the secant root of the endpoint slopes.  At m = 2 the
+    root is known in closed form, ``mu* = (log q_1 - log q_0 +
+    log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]: ``L'(0) < 0 < L'(1)``
+    makes ``d_0`` and ``d_1`` nonzero with opposite signs, so it is defined,
+    and the first step from it already meets the tolerance.  The tolerance
+    test comes before the safeguard, which replaces a step leaving the
+    bracket by bisection, so a converged row is never sent back to
+    bisection.  ``L`` is flat at its minimum, so its value at the last
+    iterate is exact to rounding.
     """
     m, n = lq.shape
     out = np.empty(n)
     rows = np.arange(n)
-    mu = slope0 / (slope0 - slope1)
     lo = np.zeros(n)
     hi = np.ones(n)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 2:
+            # L'(mu) = 0 is q0 d0 exp(mu d0) = -q1 d1 exp(mu d1), solved for mu
+            mu = np.clip((lq[1] - lq[0] + np.log(-d[1] / d[0])) / (d[0] - d[1]), 0.0, 1.0)
+        else:
+            mu = slope0 / (slope0 - slope1)
         for it in range(_NEWTON_MAX_ITER):
             # moments of d under the tilted weights w, summed in one pass
             terms = np.empty((3, m, mu.size))

@@ -4,14 +4,16 @@ The scalar golden-section ``chernoff_from_probs`` is the reference.  It
 evaluates an endpoint of [0, 1] whenever its final bracket touches it, so it
 is exact for optima there too; the agreement test therefore draws weights
 spanning twelve orders of magnitude (log-ratios up to about 30 nats) and
-still holds the two to 1e-9.
+still holds the two to 1e-9.  Two-symbol rows, which start Newton at the
+closed-form root, are also held to a 60-digit ``decimal`` evaluation.
 """
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privtest import demo_model, induced_output_laws, policy_space
@@ -59,6 +61,50 @@ def test_matches_scalar_reference_in_common_support_mode(pair):
             assert value == pytest.approx(expected, abs=1e-9)
 
 
+# a mass of a digit times 10^-e, e = 1..12, or one minus such a mass
+_MASS = st.builds(
+    lambda digit, e, flip: 1.0 - digit * 10.0**-e if flip else digit * 10.0**-e,
+    st.integers(1, 9), st.integers(1, 12), st.booleans(),
+)
+
+
+@st.composite
+def two_symbol_pair(draw):
+    """Two distinct two-symbol pmfs: independent, or 1e-1..1e-9 apart."""
+    a = draw(_MASS)
+    if draw(st.booleans()):
+        b = draw(_MASS)
+    else:
+        gap = draw(st.integers(1, 9)) * 10.0 ** -draw(st.integers(1, 9))
+        b = a + gap if a + gap < 1.0 else a - gap
+    assume(0.0 < b < 1.0 and b != a)
+    return (a, 1.0 - a), (b, 1.0 - b)
+
+
+def _decimal_chernoff(p, q) -> decimal.Decimal:
+    """``-log sum q_i exp(mu* d_i)``, ``d = log p/q``, at the exact root
+    ``mu* = (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)``, in 60 digits."""
+    ctx = decimal.Context(prec=60)
+    p0, p1, q0, q1 = (decimal.Decimal(float(v)) for v in (*p, *q))
+    d0, d1 = ctx.divide(p0, q0).ln(ctx), ctx.divide(p1, q1).ln(ctx)
+    mu = (q1.ln(ctx) - q0.ln(ctx) + ctx.divide(-d1, d0).ln(ctx)) / (d0 - d1)
+    total = q0 * ctx.multiply(mu, d0).exp(ctx) + q1 * ctx.multiply(mu, d1).exp(ctx)
+    return -total.ln(ctx)
+
+
+@PROPERTY
+@given(st.lists(two_symbol_pair(), min_size=1, max_size=8))
+def test_two_symbol_rows_match_a_high_precision_reference(pairs):
+    p = np.array([pq[0] for pq in pairs])
+    q = np.array([pq[1] for pq in pairs])
+    for value, pq in zip(chernoff_batch(p, q), pairs):
+        expected = _decimal_chernoff(*pq)
+        # 1e-15 plus the reference's own float spacing: opposite masses of
+        # 1e-11 give values near 12, which no float holds closer than 9e-16
+        bound = 1e-15 + math.ulp(float(expected))
+        assert abs(decimal.Decimal(float(value)) - expected) <= bound
+
+
 @PROPERTY
 @given(pmf_rows(zeros=False))
 def test_symmetric_and_below_both_divergences(pair):
@@ -87,6 +133,7 @@ def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
 
 @settings(max_examples=6)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@example(0, 2)  # two-symbol rows take the closed-form start
 def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m):
     rng = np.random.default_rng(seed)
     per_chunk = _CHUNK_ELEMENTS // (len(_FIRST) * m)

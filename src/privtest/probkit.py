@@ -443,8 +443,10 @@ def _chernoff_newton(
 
 
 def _composite_from_logs(l1, l2, l3, mu: float, nu: float) -> float:
-    # exponents can be large when nu is large, so shift by the max
-    ws = [(mu + nu) * a + (1.0 - mu) * b - nu * c for a, b, c in zip(l1, l2, l3)]
+    # the solver's form -G, G = log sum exp(l2 + mu a + nu b): its rounding
+    # stays near 1e-16 nu |b|, where (mu+nu) l1 + (1-mu) l2 - nu l3 adds
+    # 1e-16 nu |log q| and misranks points where nu is large
+    ws = [x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)]
     m = max(ws)
     if m == -math.inf:
         return math.inf

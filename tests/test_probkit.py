@@ -30,7 +30,11 @@ from privtest import (
     composite_chernoff_dual,
 )
 from privtest.model import UP_PAIRS
-from privtest.probkit import chernoff_from_probs, golden_section_max
+from privtest.probkit import (
+    chernoff_from_probs,
+    composite_chernoff_with_argmax,
+    golden_section_max,
+)
 
 
 def random_pmf(rng, size, floor=1e-3):
@@ -252,6 +256,20 @@ class TestCompositeChernoff:
             lambda nu: composite_chernoff_dual(q1, q2, q3, DualPoint(0.0, nu)), 0.0, ratio
         )
         assert composite_chernoff(q1, q2, q3) >= edge - 1e-15
+
+    def test_interior_optimum_outranks_its_neighbours(self):
+        # q3 within 5e-6 of q1 puts the optimum at nu = 5.1e4; evaluated as
+        # (mu+nu) l1 + (1-mu) l2 - nu l3 its neighbours came out 1.4e-11 higher
+        labels = (0, 1, 2)
+        q1 = Pmf(labels, (0.6917233443209908, 0.26158650572237163, 0.046690149956637554))
+        q2 = Pmf(labels, (0.02628037857600982, 0.12644642722059493, 0.8472731942033952))
+        q3 = Pmf(labels, (0.6917183443209909, 0.26159150572237166, 0.04669014995663756))
+        value, point = composite_chernoff_with_argmax(q1, q2, q3)
+        assert 0.0 < point.mu < 1.0 and point.nu > 5e4
+        steps = ((0.0, -5e-5), (0.0, 5e-5), (0.0, -5e-4), (0.0, 5e-4), (-1e-6, 0.0), (1e-6, 0.0))
+        for dmu, dnu in steps:
+            near = DualPoint(point.mu + dmu, point.nu + dnu)
+            assert composite_chernoff_dual(q1, q2, q3, near) <= value + 1e-15
 
     def test_near_degenerate_third_argument(self):
         # q3 almost equal to q1 makes the dual search region extremely

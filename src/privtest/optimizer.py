@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EnumerationCapError, ValidationError
 from .model import (
     UP_PAIRS,
     OutputLaws,
@@ -55,7 +55,7 @@ from .model import (
     policy_space,
 )
 from .bayes import TestTarget, grouped_pairs
-from .probkit import chernoff_batch
+from .probkit import DEFAULT_ENUM_CAP, chernoff_batch
 
 #: Largest free dimension searched by exhaustive grid.
 GRID_DIM_LIMIT = 4
@@ -392,9 +392,16 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
     reuse across many lambda values; at dim 0 the grid is one empty vector.
 
     The grid is built in one piece, ``points**dim`` rows, so callers keep
-    ``space.dim`` within :data:`GRID_DIM_LIMIT`.
+    ``space.dim`` within :data:`GRID_DIM_LIMIT`, and a grid of more than
+    :data:`~privtest.probkit.DEFAULT_ENUM_CAP` rows is refused before it is
+    built.
     """
     points = search.grid_points_per_parameter
+    if points**space.dim > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{points}^{space.dim} = {points**space.dim} grid points exceed the cap "
+            f"{DEFAULT_ENUM_CAP}; use fewer grid points per parameter (--grid-points)"
+        )
     axis = np.linspace(0.0, 1.0, points)
     grid = axis[np.indices((points,) * space.dim).reshape(space.dim, points**space.dim)].T
     return _evaluate(space, grid[space.params_feasible(grid)])

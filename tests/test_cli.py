@@ -261,6 +261,16 @@ class TestTradeoffCommand:
         )
         assert code == 6
 
+    def test_oversized_grid_exits_5(self, capsys, tmp_path):
+        # 200 points on each of the 3 axes of the s = 2 family: 8e6 rows
+        csv_path = tmp_path / "big.csv"
+        code, _, err = run(
+            capsys, "tradeoff", "--s", "2", "--grid-points", "200", "--out-csv", str(csv_path)
+        )
+        assert code == 5
+        assert "--grid-points" in err
+        assert not csv_path.exists()
+
     def test_comma_lambda_grid(self, capsys, tmp_path):
         csv_path = tmp_path / "c.csv"
         code, _, _ = run(

@@ -28,7 +28,9 @@ from privtest import (
     utility_rate,
     validate_policy,
 )
+from privtest.errors import EnumerationCapError
 from privtest.model import UP_PAIRS, OutputLaws
+from privtest.optimizer import grid_evaluation
 from privtest.probkit import Pmf
 
 from model_strategies import small_models
@@ -229,6 +231,15 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(s1, s1[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(s2, s2[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(s1, s2))
+
+
+class TestGridCap:
+    def test_oversized_grid_refused_before_it_is_built(self, model):
+        # 10^4 points on each of 3 axes is 10^12 rows, far past the cap
+        space = policy_space(model, s=2.0, k=1)
+        assert space.dim == 3
+        with pytest.raises(EnumerationCapError, match="--grid-points"):
+            grid_evaluation(space, SearchConfig(grid_points_per_parameter=10**4))
 
 
 @settings(max_examples=30)

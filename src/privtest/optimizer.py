@@ -397,13 +397,14 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
     built.
     """
     points = search.grid_points_per_parameter
-    if points**space.dim > DEFAULT_ENUM_CAP:
+    rows = points**space.dim
+    if rows > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{points}^{space.dim} = {points**space.dim} grid points exceed the cap "
+            f"{points}^{space.dim} = {rows} grid points exceed the cap "
             f"{DEFAULT_ENUM_CAP}; use fewer grid points per parameter (--grid-points)"
         )
     axis = np.linspace(0.0, 1.0, points)
-    grid = axis[np.indices((points,) * space.dim).reshape(space.dim, points**space.dim)].T
+    grid = axis[np.indices((points,) * space.dim).reshape(space.dim, rows)].T
     return _evaluate(space, grid[space.params_feasible(grid)])
 
 

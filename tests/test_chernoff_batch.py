@@ -84,12 +84,12 @@ def two_symbol_pair(draw):
 def _decimal_chernoff(p, q) -> decimal.Decimal:
     """``-log sum q_i exp(mu* d_i)``, ``d = log p/q``, at the exact root
     ``mu* = (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)``, in 60 digits."""
-    ctx = decimal.Context(prec=60)
-    p0, p1, q0, q1 = (decimal.Decimal(float(v)) for v in (*p, *q))
-    d0, d1 = ctx.divide(p0, q0).ln(ctx), ctx.divide(p1, q1).ln(ctx)
-    mu = (q1.ln(ctx) - q0.ln(ctx) + ctx.divide(-d1, d0).ln(ctx)) / (d0 - d1)
-    total = q0 * ctx.multiply(mu, d0).exp(ctx) + q1 * ctx.multiply(mu, d1).exp(ctx)
-    return -total.ln(ctx)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p0, p1, q0, q1 = (decimal.Decimal(float(v)) for v in (*p, *q))
+        d0, d1 = (p0 / q0).ln(), (p1 / q1).ln()
+        mu = (q1.ln() - q0.ln() + (-d1 / d0).ln()) / (d0 - d1)
+        return -(q0 * (mu * d0).exp() + q1 * (mu * d1).exp()).ln()
 
 
 @PROPERTY

@@ -394,8 +394,8 @@ def exponent_sanov(
 
 
 def exponent_lower_bound(
-    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int = 1
-) -> float:
+    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int | Sequence[int] = 1
+) -> float | list[float]:
     """Lower bound on the finite-horizon error exponent.
 
     For k-block laws repeated ``n_blocks`` times (horizon n = k * n_blocks):
@@ -405,13 +405,24 @@ def exponent_lower_bound(
     Chernoff information tensorizes over independent blocks, so the rate
     term does not depend on ``n_blocks``.  The bound can be negative at
     small n, where it is vacuous but still valid.
+
+    ``n_blocks`` is one block count, which gives one float, or a sequence of
+    them, which gives a list with one bound per entry in the same order.
+    The sequence form scores the rate once for all horizons; each of its
+    bounds equals the single-horizon call bit for bit.
     """
     _require_full_support_laws(laws)
-    if n_blocks < 1:
-        raise ValidationError("n_blocks must be >= 1")
+    single = np.ndim(n_blocks) == 0
+    horizons = [n_blocks] if single else list(n_blocks)
+    if not horizons:
+        raise ValidationError("n_blocks must name at least one horizon, got none")
+    for n in horizons:
+        if n < 1:
+            raise ValidationError(f"n_blocks must be >= 1, got {n!r}")
     arrays = _law_arrays(laws)
     rate = min(
         chernoff_from_probs(arrays[a], arrays[b])[0] for a, b in grouped_pairs(target)
     ) / laws.k
-    n = laws.k * n_blocks
-    return rate - math.log(8.0 * prior.p_max) / n
+    log_8p = math.log(8.0 * prior.p_max)
+    bounds = [rate - log_8p / (laws.k * n) for n in horizons]
+    return bounds[0] if single else bounds

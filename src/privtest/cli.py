@@ -462,7 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized verification suites")
     p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help="random instances per suite, at least 1 (default: each suite's "
+                        "own count); convergence and monotonic have fixed sizes and "
+                        "ignore it")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -29,6 +29,7 @@ from .bayes import (
     exponent_sanov,
     exponent_chernoff,
 )
+from .errors import ValidationError
 from .model import (
     UP_PAIRS,
     OutputLaws,
@@ -183,16 +184,18 @@ def suite_exponent_bound(
     for _ in range(trials):
         laws = random_kernel_laws(rng, model, s=2.0)
         for target in TestTarget:
-            for n in enum_horizons:
-                alpha = exact_min_error(laws, model.prior, target, n)
-                bound = exponent_lower_bound(laws, model.prior, target, n_blocks=n)
-                slack = math.log(1.0 / alpha) / n - bound
-                min_slack = min(min_slack, slack)
-                violations += slack < 0.0
-            for n in type_horizons:
-                log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
-                bound = exponent_lower_bound(laws, model.prior, target, n_blocks=n)
-                slack = -log_alpha / n - bound
+            exponents = [
+                math.log(1.0 / exact_min_error(laws, model.prior, target, n)) / n
+                for n in enum_horizons
+            ] + [
+                -exact_min_error_iid_log(laws, model.prior, target, n) / n
+                for n in type_horizons
+            ]
+            bounds = exponent_lower_bound(
+                laws, model.prior, target, n_blocks=[*enum_horizons, *type_horizons]
+            )
+            for exponent, bound in zip(exponents, bounds):
+                slack = exponent - bound
                 min_slack = min(min_slack, slack)
                 violations += slack < 0.0
     return SuiteResult(
@@ -285,6 +288,10 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(names: Sequence[str], seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
+    """Run the named suites in order; ``trials`` (at least 1) overrides each
+    suite's default count, and the fixed-size suites ignore it."""
+    if trials is not None and trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     results = []
     for name in names:
         if name not in SUITES:

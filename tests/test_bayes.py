@@ -32,7 +32,10 @@ from privtest import (
     type_test_decision,
     type_vectors,
 )
-from privtest.model import UP_PAIRS, OutputLaws
+from privtest import bayes
+from privtest.errors import ValidationError
+from privtest.model import UP_PAIRS, OutputLaws, product_laws
+from privtest.verify import random_kernel_laws, suite_exponent_bound
 
 UNIFORM = Prior.uniform()
 
@@ -318,3 +321,51 @@ class TestLowerBound:
                 log_alpha = exact_min_error_iid_log(identity_laws, UNIFORM, target, n)
                 bound = exponent_lower_bound(identity_laws, UNIFORM, target, n_blocks=n)
                 assert -log_alpha / n >= bound
+
+    def _law_sets(self, model, identity_laws):
+        rng = np.random.default_rng(11)
+        kernel_laws = [random_kernel_laws(rng, model) for _ in range(3)]
+        return [identity_laws, *kernel_laws, *(product_laws(laws, 2) for laws in kernel_laws)]
+
+    def test_horizon_sequence_matches_single_calls_bit_for_bit(self, model, identity_laws):
+        horizons = [*range(1, 13), 100, 800]
+        for laws in self._law_sets(model, identity_laws):
+            for target in TestTarget:
+                bounds = exponent_lower_bound(laws, model.prior, target, n_blocks=horizons)
+                assert isinstance(bounds, list)
+                single = [
+                    exponent_lower_bound(laws, model.prior, target, n_blocks=n)
+                    for n in horizons
+                ]
+                assert [b.hex() for b in bounds] == [b.hex() for b in single]
+
+    def test_int_horizon_gives_a_float(self, identity_laws):
+        bound = exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=3)
+        assert type(bound) is float
+        assert exponent_lower_bound(
+            identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=(3,)
+        ) == [bound]
+
+    def test_empty_horizon_sequence_refused(self, identity_laws):
+        with pytest.raises(ValidationError, match="at least one horizon"):
+            exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=[])
+
+    @pytest.mark.parametrize("horizons", [0, -3, [1, 0, 2], [5, -3]])
+    def test_horizon_below_one_refused_by_name(self, identity_laws, horizons):
+        bad = horizons if isinstance(horizons, int) else min(horizons)
+        with pytest.raises(ValidationError, match=f"got {bad}$"):
+            exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=horizons)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_suite_scores_each_rate_once(self, monkeypatch, trials):
+        # one rate per (laws, target): four grouped pairs for each of two targets
+        calls = []
+        original = bayes.chernoff_from_probs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "chernoff_from_probs", counting)
+        assert suite_exponent_bound(seed=0, trials=trials).passed
+        assert len(calls) == 8 * trials

@@ -2,12 +2,19 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from privtest import cli
 from privtest.cli import main
 from privtest.model import identity_policy, model_from_dict, policy_to_dict
+from privtest.verify import SUITES
+
+# every suite but ``monotonic`` (fixed size, about 3 s) at --trials 3
+# --seed 0, one line per suite in SUITES order, as printed before the
+# lower-bound suite scored its rate once per law set
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_trials3.txt"
 
 # a model whose X alphabet holds a value that six significant digits round
 MODEL_DOC = {
@@ -293,3 +300,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "tensorize")
         assert code == 0
         assert "[PASS]" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    @pytest.mark.parametrize("suite", ["lower-bound", "identity", "all"])
+    def test_trials_below_one_exits_2(self, capsys, suite, trials):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"trials must be >= 1, got {trials}" in err
+
+    def test_output_matches_golden_lines(self, capsys):
+        lines = []
+        for suite in SUITES:
+            if suite == "monotonic":
+                continue
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "3", "--seed", "0")
+            assert code == 0
+            lines += out.splitlines()
+        assert lines == VERIFY_GOLDEN.read_text().splitlines()

@@ -10,7 +10,11 @@ Search strategy: the kernel family's free parameters (one simplex per
 multi-output row) are enumerated on a per-axis grid when the total dimension
 is at most :data:`GRID_DIM_LIMIT`, and the grid winner is refined by a local
 pattern search; higher-dimensional families refine seeded random starts
-instead.  Results are deterministic given the search seed.
+instead.  All starts of one search are refined in lockstep: each
+pattern-search step stacks the probes of every start still moving into one
+feasibility check and one rate batch, and each start then moves or shrinks
+its step by itself, exactly as it would if refined alone.  Results are
+deterministic given the search seed.
 
 One selection rule decides every comparison, in :func:`_pick_best`: feasible
 candidates first, then the smallest privacy rate (or, when none is feasible,
@@ -21,9 +25,10 @@ the probes that beat the incumbent by more than the tolerance) and the final
 result among the refined starts.
 
 Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
-a whole candidate batch through the model as one stack of kernel matrices, and
-:func:`_batch_both_rates` stacks the six unordered cross-group law pairs of
-every candidate into one call of the Newton kernel
+a candidate batch through the model as one stack of kernel matrices, at most
+:data:`_LAW_CHUNK_ROWS` candidates at a time so that the grid's memory stays
+bounded, and :func:`_batch_both_rates` stacks the six unordered cross-group
+law pairs of every candidate into one call of the Newton kernel
 :func:`privtest.probkit.chernoff_batch`, chunk by chunk.  Both targets take
 the minimum over their four pairs; a pair with disjoint supports is +inf and
 so only decides the rate when all four are disjoint.
@@ -177,6 +182,11 @@ _FIRST, _SECOND, _COLUMNS = _unordered_pairs()
 #: candidate batches are scored in chunks of this size, so memory stays flat.
 _CHUNK_ELEMENTS = 8192
 
+#: Candidates pushed through the model at once by :func:`_evaluate`; a larger
+#: batch (the optimizer grid) is scored in chunks of this many rows, so its
+#: kernel matrices and laws never exist all at once.
+_LAW_CHUNK_ROWS = 4096
+
 
 def _batch_both_rates(laws: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
@@ -250,8 +260,14 @@ class _FamilyEval:
 
 
 def _evaluate(space: PolicySpace, params: np.ndarray) -> _FamilyEval:
+    """Rates of a candidate batch, pushed through the model
+    :data:`_LAW_CHUNK_ROWS` rows at a time; ``params`` is kept whole."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    utility, privacy = _batch_both_rates(space.batch_laws(params), space.k)
+    utility = np.empty(len(params))
+    privacy = np.empty(len(params))
+    for start in range(0, len(params), _LAW_CHUNK_ROWS):
+        rows = slice(start, start + _LAW_CHUNK_ROWS)
+        utility[rows], privacy[rows] = _batch_both_rates(space.batch_laws(params[rows]), space.k)
     return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
 
 
@@ -283,35 +299,56 @@ def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, fl
 def _local_refine(
     space: PolicySpace,
     threshold: float,
-    start: np.ndarray,
+    starts: np.ndarray,
     step: float,
     tol: float,
     directions: np.ndarray,
     max_moves: int = 2000,
-) -> tuple[np.ndarray, float, float, bool]:
-    """Pattern search from ``start``: probe scaled directions, shrink on failure.
+) -> _FamilyEval:
+    """Pattern search from every row of ``starts`` in lockstep: probe scaled
+    directions, shrink on failure; returns the refined starts, row for row.
 
-    A probe must beat the incumbent by more than :data:`_TIE_TOL` (a feasible
-    probe beats an infeasible incumbent); the best such probe by
-    :func:`_pick_best` becomes the new incumbent.
+    Each start keeps its own incumbent, step and move count, and retires
+    once its step falls below ``tol`` or it has made ``max_moves`` moves.
+    On every step the probes of all active starts are stacked: one
+    feasibility check and one :func:`_evaluate` call score them all, and the
+    results are split back per start.  A probe must beat its start's
+    incumbent by more than :data:`_TIE_TOL` (a feasible probe beats an
+    infeasible incumbent); the best such probe by :func:`_pick_best` becomes
+    the new incumbent.  Each row's rates depend on that row alone, so every
+    start follows the path it would follow if refined by itself.  Without
+    directions (a family with no parameters) the starts are returned as
+    evaluated.
     """
-    x, privacy, utility, feasible = _pick_best(_evaluate(space, start), threshold)
-    moves = 0
-    while step >= tol and moves < max_moves:
-        probes = np.clip(x + step * directions, 0.0, 1.0)
-        ev = _evaluate(space, probes[space.params_feasible(probes)])
-        wins = ev.utility >= threshold
-        if feasible:
-            wins &= ev.privacy < privacy - _TIE_TOL
-        else:
-            wins |= (threshold - ev.utility) < (threshold - utility) - _TIE_TOL
-        if wins.any():
-            winners = _FamilyEval(space, ev.params[wins], ev.utility[wins], ev.privacy[wins])
-            x, privacy, utility, feasible = _pick_best(winners, threshold)
-            moves += 1
-        else:
-            step *= 0.5
-    return x, privacy, utility, feasible
+    ev = _evaluate(space, starts)
+    x, utility, privacy = ev.params.copy(), ev.utility, ev.privacy  # starts stay untouched
+    steps = np.full(len(x), float(step))
+    moves = np.zeros(len(x), dtype=int)
+    active = np.arange(len(x) if len(directions) else 0)
+    while (active := active[(steps[active] >= tol) & (moves[active] < max_moves)]).size:
+        probes = np.clip(
+            x[active, None, :] + steps[active, None, None] * directions, 0.0, 1.0
+        ).reshape(-1, space.dim)
+        kept = space.params_feasible(probes)
+        ev = _evaluate(space, probes[kept])
+        owner = np.repeat(active, len(directions))[kept]
+        wins = np.where(
+            utility[owner] >= threshold,
+            (ev.utility >= threshold) & (ev.privacy < privacy[owner] - _TIE_TOL),
+            (ev.utility >= threshold)
+            | ((threshold - ev.utility) < (threshold - utility[owner]) - _TIE_TOL),
+        )
+        counts = kept.reshape(len(active), -1).sum(axis=1)
+        ends = np.cumsum(counts)
+        for i, begin, end in zip(active, ends - counts, ends):
+            mine = begin + np.flatnonzero(wins[begin:end])
+            if mine.size:
+                winners = _FamilyEval(space, ev.params[mine], ev.utility[mine], ev.privacy[mine])
+                x[i], privacy[i], utility[i], _ = _pick_best(winners, threshold)
+                moves[i] += 1
+            else:
+                steps[i] *= 0.5
+    return _FamilyEval(space, x, utility, privacy)
 
 
 def _pattern_directions(dim: int) -> np.ndarray:
@@ -346,9 +383,10 @@ def optimize_policy(
     winner of an exhaustive per-axis grid, starting at the grid step; larger
     families refine seeded random starts, starting at step 0.25.
     ``extra_starts`` adds deterministic warm starts (e.g. a block-extended
-    smaller-k optimum).  Every start is refined and :func:`_pick_best` ranks
-    the results.  When no candidate passes the guarantee the least-violating
-    kernel is returned with ``feasible=False``.
+    smaller-k optimum).  All starts are refined together by
+    :func:`_local_refine` and :func:`_pick_best` ranks the results.  When no
+    candidate passes the guarantee the least-violating kernel is returned
+    with ``feasible=False``.
 
     The returned kernel is re-validated and its rates recomputed from
     scratch, independently of the search bookkeeping.
@@ -363,12 +401,10 @@ def optimize_policy(
     else:
         starts.extend(space.random_params(np.random.default_rng(search.seed), search.restarts))
         step = 0.25
-    directions = _pattern_directions(space.dim)
-    params, privacy, utility, _ = zip(*(
-        _local_refine(space, threshold, start, step, search.local_step_tolerance, directions)
-        for start in starts
-    ))
-    refined = _FamilyEval(space, np.array(params), np.array(utility), np.array(privacy))
+    refined = _local_refine(
+        space, threshold, np.stack(starts), step, search.local_step_tolerance,
+        _pattern_directions(space.dim),
+    )
     best_params, _, _, best_feasible = _pick_best(refined, threshold)
 
     kernel = space.kernel_from_params(best_params)
@@ -391,10 +427,11 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
     """Rates of every feasible point of the per-axis grid over ``space``, for
     reuse across many lambda values; at dim 0 the grid is one empty vector.
 
-    The grid is built in one piece, ``points**dim`` rows, so callers keep
-    ``space.dim`` within :data:`GRID_DIM_LIMIT`, and a grid of more than
-    :data:`~privtest.probkit.DEFAULT_ENUM_CAP` rows is refused before it is
-    built.
+    The parameter grid is built in one piece, ``points**dim`` rows, so
+    callers keep ``space.dim`` within :data:`GRID_DIM_LIMIT`, and a grid of
+    more than :data:`~privtest.probkit.DEFAULT_ENUM_CAP` rows is refused
+    before it is built.  Its feasible rows are scored :data:`_LAW_CHUNK_ROWS`
+    at a time, so the laws add a fixed amount of memory, not one per row.
     """
     points = search.grid_points_per_parameter
     rows = points**space.dim
@@ -405,7 +442,8 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
         )
     axis = np.linspace(0.0, 1.0, points)
     grid = axis[np.indices((points,) * space.dim).reshape(space.dim, rows)].T
-    return _evaluate(space, grid[space.params_feasible(grid)])
+    grid = grid[space.params_feasible(grid)]
+    return _evaluate(space, grid)
 
 
 def tradeoff_sweep(

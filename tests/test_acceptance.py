@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, plus the pinned k = 2 curve.
 
 Each test enforces its stated tolerance and runtime budget and prints a
 single pass line (visible with ``pytest -s`` or in captured output).  Run
@@ -37,9 +37,26 @@ from privtest.verify import (
 
 SEED = 0
 
-# criterion 8's curve, pinned: a change to the search that moves any of its
-# points fails the test
+# criterion 8's curve and a k = 2 curve, pinned: a change to the search that
+# moves any of their points fails the test
 PINNED_CSV = Path(__file__).parent / "data" / "criterion8.csv"
+PINNED_K2_CSV = Path(__file__).parent / "data" / "tradeoff_k2.csv"
+
+
+def assert_matches_pinned(csv_text: str, pinned_path: Path):
+    """Same points as the pinned curve: rates within 1e-13, kernel_params within
+    1e-9 (a near-tie flip moves them by far more), so other BLAS builds pass."""
+    rows = list(csv.DictReader(csv_text.splitlines()))
+    pinned = list(csv.DictReader(pinned_path.read_text().splitlines()))
+    assert len(rows) == len(pinned)
+    for row, pin in zip(rows, pinned):
+        assert (row["lambda"], row["s"], row["k"]) == (pin["lambda"], pin["s"], pin["k"])
+        assert row["feasible"] == pin["feasible"]
+        for rate in ("privacy_rate", "utility_rate"):
+            assert float(row[rate]) == pytest.approx(float(pin[rate]), rel=0, abs=1e-13)
+        params = [float(v) for v in row["kernel_params"].split(";")]
+        pinned_params = [float(v) for v in pin["kernel_params"].split(";")]
+        assert params == pytest.approx(pinned_params, rel=0, abs=1e-9)
 
 
 def report(number: int, result_line: str, elapsed: float, budget: float):
@@ -158,18 +175,19 @@ def test_criterion_8_deterministic_csv(tmp_path, capsys):
     assert cli_main(args + ["--out-csv", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-    # the pinned curve: a near-tie flip moves kernel_params by far more than 1e-9
-    rows = list(csv.DictReader(a.read_text().splitlines()))
-    pinned = list(csv.DictReader(PINNED_CSV.read_text().splitlines()))
-    assert len(rows) == len(pinned)
-    for row, pin in zip(rows, pinned):
-        assert (row["lambda"], row["s"], row["k"]) == (pin["lambda"], pin["s"], pin["k"])
-        assert row["feasible"] == pin["feasible"]
-        for rate in ("privacy_rate", "utility_rate"):
-            assert float(row[rate]) == pytest.approx(float(pin[rate]), rel=0, abs=1e-13)
-        params = [float(v) for v in row["kernel_params"].split(";")]
-        pinned_params = [float(v) for v in pin["kernel_params"].split(";")]
-        assert params == pytest.approx(pinned_params, rel=0, abs=1e-9)
+    assert_matches_pinned(a.read_text(), PINNED_CSV)
     elapsed = time.time() - t0
     report(8, "[PASS] determinism: identical seeds give byte-identical CSV, "
            "matching the pinned curve", elapsed, budget=120.0)
+
+
+def test_pinned_k2_search_curve(tmp_path, capsys):
+    # the lockstep multistart pattern search at k = 2 (34 free parameters)
+    out = tmp_path / "k2.csv"
+    args = [
+        "tradeoff", "--k", "2", "--lambda-grid", "0.05,0.1", "--s", "1",
+        "--restarts", "4", "--seed", "0", "--out-csv", str(out),
+    ]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    assert_matches_pinned(out.read_text(), PINNED_K2_CSV)

@@ -1,10 +1,11 @@
 """Tests for the guarantee check and the constrained policy search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privtest import (
@@ -30,7 +31,7 @@ from privtest import (
 )
 from privtest.errors import EnumerationCapError
 from privtest.model import UP_PAIRS, OutputLaws
-from privtest.optimizer import grid_evaluation
+from privtest.optimizer import _local_refine, _pattern_directions, grid_evaluation
 from privtest.probkit import Pmf
 
 from model_strategies import small_models
@@ -240,6 +241,48 @@ class TestGridCap:
         assert space.dim == 3
         with pytest.raises(EnumerationCapError, match="--grid-points"):
             grid_evaluation(space, SearchConfig(grid_points_per_parameter=10**4))
+
+    def test_grid_laws_are_scored_in_chunks(self, model):
+        # the laws and kernel matrices of 61^3 rows take about 7x the grid's
+        # own bytes when built at once; chunked scoring stays near 2.4x
+        space = policy_space(model, s=2.0, k=1)
+        search = SearchConfig(grid_points_per_parameter=61)
+        grid_bytes = 61**space.dim * space.dim * 8
+        tracemalloc.start()
+        try:
+            ev = grid_evaluation(space, search)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ev.params) == 61**space.dim
+        assert peak < 4 * grid_bytes
+
+
+# lambda 1.0 is beyond every kernel's utility rate, so no start is feasible
+@settings(max_examples=6)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from([0.05, 0.1, 1.0]),
+    st.sampled_from([5, 40]),
+)
+# a converged start keeps halving its step after a fresh one made its 5 moves
+@example(seed=0, count=1, lam=0.1, max_moves=5)
+def test_lockstep_refine_equals_one_start_at_a_time(model, seed, count, lam, max_moves):
+    space = policy_space(model, s=1.0, k=2)
+    rng = np.random.default_rng(seed)
+    drawn = space.random_params(rng, count)
+    boundary = drawn[0] * (rng.random(space.dim) < 0.5)  # some params exactly 0
+    args = (0.25, 1e-5, _pattern_directions(space.dim), max_moves)
+    converged = _local_refine(space, lam, drawn[:1], *args[:-1]).params
+    starts = np.vstack([drawn, drawn[:1], boundary, converged])  # one duplicate
+
+    def result(ev, i):  # (params, privacy, utility, feasible), compared bit for bit
+        return ev.params[i].tolist(), ev.privacy[i], ev.utility[i], ev.utility[i] >= lam
+
+    stacked = _local_refine(space, lam, starts, *args)
+    for i, start in enumerate(starts):
+        assert result(stacked, i) == result(_local_refine(space, lam, start[None, :], *args), 0)
 
 
 @settings(max_examples=30)

@@ -430,6 +430,8 @@ class PolicySpace:
     free_slices: tuple[tuple[int, int, int], ...] = field(init=False)  # (row_idx, start, stop)
     entry_map: np.ndarray = field(init=False, repr=False)  # (dim, rows * outputs)
     entry_offset: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
+    # columns of the free slices of each length >= 2, one (slices, length) array per length
+    sum_groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = self.feasible.sum(axis=1)
@@ -445,22 +447,34 @@ class PolicySpace:
         entry_offset[last] = 1.0
         free = np.flatnonzero(counts >= 2)
         stops = np.cumsum(counts[free] - 1)
-        slices = zip(free.tolist(), (stops - counts[free] + 1).tolist(), stops.tolist())
+        starts = stops - counts[free] + 1
+        slices = zip(free.tolist(), starts.tolist(), stops.tolist())
+        groups = tuple(
+            starts[counts[free] - 1 == length, None] + np.arange(length)
+            for length in np.unique(counts[free] - 1)
+            if length >= 2
+        )
         object.__setattr__(self, "weights", _row_weights(self.model, self.k))
         object.__setattr__(self, "free_slices", tuple(slices))
         object.__setattr__(self, "entry_map", entry_map)
         object.__setattr__(self, "entry_offset", entry_offset)
+        object.__setattr__(self, "sum_groups", groups)
 
     @property
     def dim(self) -> int:
         return self.free_slices[-1][2] if self.free_slices else 0
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
-        """Boolean mask over a (G, dim) batch: in [0,1] with row sums <= 1."""
+        """Boolean mask over a (G, dim) batch: in [0,1] with row sums <= 1.
+
+        A one-parameter slice's sum is its parameter, which the box check
+        already bounds; the slices of each longer length are summed by one
+        gather, in the order a per-slice sum would add them.
+        """
         params = np.atleast_2d(params)
         ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
-        for _, start, stop in self.free_slices:
-            ok &= params[:, start:stop].sum(axis=1) <= 1.0 + 1e-12
+        for columns in self.sum_groups:
+            ok &= np.all(params[:, columns].sum(axis=2) <= 1.0 + 1e-12, axis=1)
         return ok
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:

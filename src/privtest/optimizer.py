@@ -27,11 +27,14 @@ result among the refined starts.
 Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a candidate batch through the model as one stack of kernel matrices, at most
 :data:`_LAW_CHUNK_ROWS` candidates at a time so that the grid's memory stays
-bounded, and :func:`_batch_both_rates` stacks the six unordered cross-group
-law pairs of every candidate into one call of the Newton kernel
-:func:`privtest.probkit.chernoff_batch`, chunk by chunk.  Both targets take
-the minimum over their four pairs; a pair with disjoint supports is +inf and
-so only decides the rate when all four are disjoint.
+bounded, and :func:`_batch_both_rates` gathers the six unordered
+cross-group law pairs of every candidate straight into the symbol-major
+``(m, 6g)`` layout of the Newton kernel behind
+:func:`privtest.probkit.chernoff_batch` and scores them in one call, chunk by
+chunk; the kernel skips its common-support masks and row selections on the
+chunks that need none (most grid chunks), bit for bit as if it did not.
+Both targets take the minimum over their four pairs; a pair with disjoint
+supports is +inf and so only decides the rate when all four are disjoint.
 
 The per-block optimum at any finite k is only an upper bound on the
 asymptotic minimum privacy exponent (the true quantity is an infimum over
@@ -60,7 +63,7 @@ from .model import (
     policy_space,
 )
 from .bayes import TestTarget, grouped_pairs
-from .probkit import DEFAULT_ENUM_CAP, chernoff_batch
+from .probkit import DEFAULT_ENUM_CAP, _chernoff_symbol_major
 
 #: Largest free dimension searched by exhaustive grid.
 GRID_DIM_LIMIT = 4
@@ -178,7 +181,7 @@ def _unordered_pairs() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, list[in
 
 _FIRST, _SECOND, _COLUMNS = _unordered_pairs()
 
-#: Probabilities per stacked array in one :func:`chernoff_batch` call; larger
+#: Probabilities per stacked array in one Chernoff kernel call; larger
 #: candidate batches are scored in chunks of this size, so memory stays flat.
 _CHUNK_ELEMENTS = 8192
 
@@ -192,19 +195,22 @@ def _batch_both_rates(laws: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
 
     The six unordered cross-group pairs of a chunk of candidates are
-    stacked into one ``(6g, m)`` kernel call.  Each target's rate is the
-    minimum over its four pairs; a pair with disjoint supports is perfectly
-    distinguishable (+inf), so the rate is +inf only when all four are.
+    gathered straight into two symbol-major ``(m, 6g)`` arrays, one index on
+    the transposed law view per side, and scored by one call of the Newton
+    kernel.  Each target's rate is the minimum over its four pairs; a pair
+    with disjoint supports is perfectly distinguishable (+inf), so the rate
+    is +inf only when all four are.
     """
     G, _, m = laws.shape
     pairs = len(_FIRST)
     utility = np.empty(G)
     privacy = np.empty(G)
     size = max(1, _CHUNK_ELEMENTS // (pairs * m))
+    by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
     for start in range(0, G, size):
-        chunk = laws[start : start + size]
-        rates = chernoff_batch(
-            chunk[:, _FIRST].reshape(-1, m), chunk[:, _SECOND].reshape(-1, m)
+        chunk = by_symbol[:, start : start + size]
+        rates = _chernoff_symbol_major(
+            chunk[:, :, _FIRST].reshape(m, -1), chunk[:, :, _SECOND].reshape(m, -1)
         ).reshape(-1, pairs)
         utility[start : start + size] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
         privacy[start : start + size] = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)

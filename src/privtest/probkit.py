@@ -343,34 +343,58 @@ def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     after one moment evaluation) and longer rows at the secant root.  Each
     row's result depends on that row alone (sums run over the symbols in a
     fixed order), so splitting a batch changes no bit of the output.
+
+    The rows are transposed into the symbol-major ``(m, B)`` layout of
+    :func:`_chernoff_symbol_major`, which callers holding that layout
+    already (the policy optimizer) use directly.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape:
         raise ValidationError(f"expected two equal (B, m) arrays, got {p.shape} and {q.shape}")
-    # symbol-major (m, B) layout: per-row sums become m - 1 vector additions
-    p = np.ascontiguousarray(p.T)
-    q = np.ascontiguousarray(q.T)
-    common = (p > 0.0) & (q > 0.0)
-    pc = np.where(common, p, 0.0)
-    qc = np.where(common, q, 0.0)
+    return _chernoff_symbol_major(np.ascontiguousarray(p.T), np.ascontiguousarray(q.T))
+
+
+def _chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` arrays, one
+    column per pair; per-column sums are then m - 1 vector additions.
+
+    Selections that would select every column are skipped, which changes no
+    bit: a batch without zero masses needs no common-support masks, a batch
+    whose columns all have ``L'(0) < 0 < L'(1)`` goes to Newton whole, and
+    only the other columns are searched for equal rows (equal rows have
+    zero slopes, so they are never inner).
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lq = np.log(qc)  # -inf off the common support
-        d = np.where(common, np.log(pc) - lq, 0.0)
+        if p.size and p.min() > 0.0 and q.min() > 0.0:
+            pc, qc = p, q
+            lq = np.log(q)
+            d = np.log(p) - lq
+        else:
+            common = (p > 0.0) & (q > 0.0)
+            pc = np.where(common, p, 0.0)
+            qc = np.where(common, q, 0.0)
+            lq = np.log(qc)  # -inf off the common support
+            d = np.where(common, np.log(pc) - lq, 0.0)
         sp = _symbol_sum(pc)
         sq = _symbol_sum(qc)
         slope0 = _symbol_sum(qc * d) / sq  # L'(0); nan for disjoint rows
         slope1 = _symbol_sum(pc * d) / sp  # L'(1)
         # the better endpoint; log 0 = -inf makes disjoint rows +inf
         out = -np.minimum(np.log(sq), np.log(sp))
-    inner = np.flatnonzero((slope0 < 0.0) & (slope1 > 0.0))
-    if inner.size:
-        out[inner] = np.maximum(
-            out[inner],
-            _chernoff_newton(lq[:, inner], d[:, inner], slope0[inner], slope1[inner]),
-        )
-    out[np.all(p == q, axis=0)] = 0.0
-    return np.maximum(out, 0.0)
+    inner = (slope0 < 0.0) & (slope1 > 0.0)
+    if inner.all():
+        np.maximum(out, _chernoff_newton(lq, d, slope0, slope1), out=out)
+    else:
+        outer = np.flatnonzero(~inner)
+        inner = np.flatnonzero(inner)
+        if inner.size:
+            out[inner] = np.maximum(
+                out[inner],
+                _chernoff_newton(lq[:, inner], d[:, inner], slope0[inner], slope1[inner]),
+            )
+        out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
+    return np.maximum(out, 0.0, out=out)
 
 
 def _symbol_sum(a: np.ndarray) -> np.ndarray:
@@ -398,10 +422,14 @@ def _chernoff_newton(
     bracket by bisection, so a converged row is never sent back to
     bisection.  ``L`` is flat at its minimum, so its value at the last
     iterate is exact to rounding.
+
+    Retiring rows are dropped with ``compress``; when every remaining row
+    retires at once (at m = 2, on the first evaluation) their values are
+    written in one piece, and a batch that retires whole needs no row
+    bookkeeping at all.
     """
     m, n = lq.shape
-    out = np.empty(n)
-    rows = np.arange(n)
+    out = None  # allocated when the first rows retire before the rest
     lo = np.zeros(n)
     hi = np.ones(n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -420,15 +448,21 @@ def _chernoff_newton(
             grad = first / total
             step = grad / (second / total - grad * grad)
             done = (np.abs(step) <= _NEWTON_TOL) | (hi - lo <= _NEWTON_TOL)
-            if it == _NEWTON_MAX_ITER - 1:
-                done[:] = True
+            if it == _NEWTON_MAX_ITER - 1 or done.all():
+                if out is None:
+                    return -np.log(total)
+                out[rows] = -np.log(total)
+                return out
             if done.any():
+                if out is None:
+                    out = np.empty(n)
+                    rows = np.arange(n)
                 out[rows[done]] = -np.log(total[done])
-                if done.all():
-                    break
                 keep = ~done
-                rows, lq, d = rows[keep], lq[:, keep], d[:, keep]
-                mu, lo, hi, grad, step = mu[keep], lo[keep], hi[keep], grad[keep], step[keep]
+                rows = rows.compress(keep)
+                lq, d = lq.compress(keep, axis=1), d.compress(keep, axis=1)
+                mu, lo, hi = mu.compress(keep), lo.compress(keep), hi.compress(keep)
+                grad, step = grad.compress(keep), step.compress(keep)
             right = grad > 0.0
             hi = np.where(right, mu, hi)
             lo = np.where(right, lo, mu)

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privtest import demo_model, induced_output_laws, policy_space
-from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _batch_both_rates
+from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _SECOND, _batch_both_rates
 from privtest.probkit import chernoff_batch, chernoff_from_probs, kl_from_probs
 
 PROPERTY = settings(max_examples=80)
@@ -132,15 +132,30 @@ def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
 
 
 @settings(max_examples=6)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
-@example(0, 2)  # two-symbol rows take the closed-form start
-def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.sampled_from(["zeros", "full", "disjoint_and_equal"]),
+)
+@example(0, 2, "zeros")  # two-symbol rows take the closed-form start
+@example(1, 3, "full")  # every chunk has full support and only inner pairs
+@example(2, 2, "disjoint_and_equal")  # one disjoint and one equal pair among inner ones
+@example(3, 4, "disjoint_and_equal")
+def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
+    """A chunk and its rows one at a time take different branches of the
+    kernel (masked or not, all pairs inner or not) and agree bit for bit."""
     rng = np.random.default_rng(seed)
     per_chunk = _CHUNK_ELEMENTS // (len(_FIRST) * m)
     count = 2 * per_chunk + int(rng.integers(1, per_chunk))
     laws = rng.dirichlet(np.ones(m), size=(count, 4))
-    laws[rng.random(laws.shape) < 0.1] = 0.0  # common-support rows, some disjoint
-    laws[laws.sum(axis=2) == 0.0] = 1.0 / m
+    if layout == "zeros":  # common-support rows, some disjoint
+        laws[rng.random(laws.shape) < 0.1] = 0.0
+        laws[laws.sum(axis=2) == 0.0] = 1.0 / m
+    elif layout == "disjoint_and_equal":  # both in the first chunk
+        disjoint, equal = rng.choice(per_chunk, size=2, replace=False)
+        laws[disjoint, _FIRST[0], m // 2 :] = 0.0
+        laws[disjoint, _SECOND[0], : m // 2] = 0.0
+        laws[equal, _SECOND[1]] = laws[equal, _FIRST[1]]
     laws /= laws.sum(axis=2, keepdims=True)
     utility, privacy = _batch_both_rates(laws, 2)
     for g in range(count):

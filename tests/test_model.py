@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from privtest import (
     Alphabet,
+    demo_model,
     AlphabetError,
     FeasibilityError,
     Pmf,
@@ -371,3 +372,41 @@ def test_policy_json_roundtrip_is_bit_exact(drawn, k, seed):
     loaded = policy_from_dict(json.loads(json.dumps(policy_to_dict(kernel))), model)
     assert (loaded.k, loaded.s) == (kernel.k, kernel.s)
     assert loaded.matrix.tobytes() == kernel.matrix.tobytes()
+
+
+def _params_feasible_per_slice(space, params):
+    """The box check plus one sum per free slice: the reference mask."""
+    ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
+    for _, start, stop in space.free_slices:
+        ok &= params[:, start:stop].sum(axis=1) <= 1.0 + 1e-12
+    return ok
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 2.0]), st.integers(0, 2**32 - 1))
+@example(3, 1.0, 0)
+def test_params_feasible_matches_the_per_slice_loop(k, s, seed):
+    """Demo families at k = 1..3 (free slices of 1 to 7 parameters); each
+    slice of each row is drawn uniform, summing to exactly 1.0, summing to
+    within 1e-14 of the bound 1 + 1e-12 or to the bound itself, or nudged
+    below 0."""
+    space = policy_space(demo_model(), s=s, k=k)
+    rng = np.random.default_rng(seed)
+    rows = 64
+    params = space.random_params(rng, rows)
+    bound = 1.0 + 1e-12
+    for _, start, stop in space.free_slices:
+        n = stop - start
+        for row, kind in enumerate(rng.integers(0, 5, size=rows)):
+            if kind == 1:  # dyadic masses, so every partial sum is exact
+                params[row, start:stop] = rng.multinomial(64, np.full(n, 1.0 / n)) / 64.0
+            elif kind == 2:
+                w = rng.dirichlet(np.ones(n))
+                params[row, start:stop] = w * (bound + rng.uniform(-1e-14, 1e-14)) / w.sum()
+            elif kind == 3:
+                params[row, start + rng.integers(n)] = -rng.uniform(0.0, 2e-12)
+            elif kind == 4:  # (bound - 0.5) + 0.5 is the bound exactly
+                params[row, start:stop] = 0.0
+                params[row, start] = bound - 0.5 if n > 1 else bound
+                params[row, stop - 1] += 0.5 if n > 1 else 0.0
+    assert np.array_equal(space.params_feasible(params), _params_feasible_per_slice(space, params))

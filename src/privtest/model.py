@@ -447,11 +447,12 @@ class PolicySpace:
         entry_offset[last] = 1.0
         free = np.flatnonzero(counts >= 2)
         stops = np.cumsum(counts[free] - 1)
-        starts = stops - counts[free] + 1
+        lengths = counts[free] - 1
+        starts = stops - lengths
         slices = zip(free.tolist(), starts.tolist(), stops.tolist())
         groups = tuple(
-            starts[counts[free] - 1 == length, None] + np.arange(length)
-            for length in np.unique(counts[free] - 1)
+            starts[lengths == length, None] + np.arange(length)
+            for length in sorted(set(lengths.tolist()))
             if length >= 2
         )
         object.__setattr__(self, "weights", _row_weights(self.model, self.k))

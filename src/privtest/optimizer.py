@@ -29,9 +29,10 @@ a candidate batch through the model as one stack of kernel matrices, at most
 :data:`_LAW_CHUNK_ROWS` candidates at a time so that the grid's memory stays
 bounded, and :func:`_batch_both_rates` gathers the six unordered
 cross-group law pairs of every candidate straight into the symbol-major
-``(m, 6g)`` layout of the Newton kernel behind
-:func:`privtest.probkit.chernoff_batch` and scores them in one call, chunk by
-chunk; the kernel skips its common-support masks and row selections on the
+``(m, 6g)`` layout of the Newton kernel
+:func:`privtest.probkit.chernoff_symbol_major` (the core of
+:func:`~privtest.probkit.chernoff_batch`) and scores them in one call, chunk
+by chunk; the kernel skips its common-support masks and row selections on the
 chunks that need none (most grid chunks), bit for bit as if it did not.
 Both targets take the minimum over their four pairs; a pair with disjoint
 supports is +inf and so only decides the rate when all four are disjoint.
@@ -63,7 +64,7 @@ from .model import (
     policy_space,
 )
 from .bayes import TestTarget, grouped_pairs
-from .probkit import DEFAULT_ENUM_CAP, _chernoff_symbol_major
+from .probkit import DEFAULT_ENUM_CAP, chernoff_symbol_major
 
 #: Largest free dimension searched by exhaustive grid.
 GRID_DIM_LIMIT = 4
@@ -209,7 +210,7 @@ def _batch_both_rates(laws: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
     for start in range(0, G, size):
         chunk = by_symbol[:, start : start + size]
-        rates = _chernoff_symbol_major(
+        rates = chernoff_symbol_major(
             chunk[:, :, _FIRST].reshape(m, -1), chunk[:, :, _SECOND].reshape(m, -1)
         ).reshape(-1, pairs)
         utility[start : start + size] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)

@@ -12,7 +12,8 @@ The four computational kernels are
   path is the reference the batched kernel is tested against,
 * ``chernoff_batch`` -- the same quantity for every row of two ``(B, m)``
   arrays at once, by safeguarded Newton iteration on the derivative of the
-  log-moment function (used by the policy optimizer),
+  log-moment function; its core ``chernoff_symbol_major`` takes the
+  transposed ``(m, B)`` layout, which the policy optimizer fills directly,
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
@@ -345,19 +346,20 @@ def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     fixed order), so splitting a batch changes no bit of the output.
 
     The rows are transposed into the symbol-major ``(m, B)`` layout of
-    :func:`_chernoff_symbol_major`, which callers holding that layout
-    already (the policy optimizer) use directly.
+    :func:`chernoff_symbol_major`, which callers holding that layout
+    already (the policy optimizer) call directly.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape:
         raise ValidationError(f"expected two equal (B, m) arrays, got {p.shape} and {q.shape}")
-    return _chernoff_symbol_major(np.ascontiguousarray(p.T), np.ascontiguousarray(q.T))
+    return chernoff_symbol_major(np.ascontiguousarray(p.T), np.ascontiguousarray(q.T))
 
 
-def _chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` arrays, one
-    column per pair; per-column sums are then m - 1 vector additions.
+def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` float arrays,
+    one column per pair, bit for bit; per-column sums are then m - 1 vector
+    additions.
 
     Selections that would select every column are skipped, which changes no
     bit: a batch without zero masses needs no common-support masks, a batch
@@ -365,6 +367,8 @@ def _chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     only the other columns are searched for equal rows (equal rows have
     zero slopes, so they are never inner).
     """
+    if p.ndim != 2 or p.shape != q.shape:
+        raise ValidationError(f"expected two equal (m, B) arrays, got {p.shape} and {q.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.size and p.min() > 0.0 and q.min() > 0.0:
             pc, qc = p, q

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from privtest import demo_model, induced_output_laws, policy_space
 from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _SECOND, _batch_both_rates
-from privtest.probkit import chernoff_batch, chernoff_from_probs, kl_from_probs
+from privtest.errors import ValidationError
+from privtest.probkit import (
+    chernoff_batch,
+    chernoff_from_probs,
+    chernoff_symbol_major,
+    kl_from_probs,
+)
 
 PROPERTY = settings(max_examples=80)
 
@@ -129,6 +135,13 @@ def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
     assert math.isinf(chernoff_batch(p[None], q[None])[0])
     assert chernoff_batch(p[None], p[None])[0] == 0.0
     assert chernoff_batch(q[None], q[None])[0] == 0.0
+
+
+def test_symbol_major_core_rejects_unequal_or_flat_arrays():
+    with pytest.raises(ValidationError, match=r"\(m, B\)"):
+        chernoff_symbol_major(np.full((2, 3), 0.5), np.full((3, 2), 0.5))
+    with pytest.raises(ValidationError, match=r"\(m, B\)"):
+        chernoff_symbol_major(np.full(2, 0.5), np.full(2, 0.5))
 
 
 @settings(max_examples=6)

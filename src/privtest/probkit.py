@@ -357,9 +357,9 @@ def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` float arrays,
-    one column per pair, bit for bit; per-column sums are then m - 1 vector
-    additions.
+    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` probability
+    arrays, one column per pair, bit for bit; per-column sums are then
+    m - 1 vector additions.
 
     Selections that would select every column are skipped, which changes no
     bit: a batch without zero masses needs no common-support masks, a batch
@@ -367,6 +367,8 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     only the other columns are searched for equal rows (equal rows have
     zero slopes, so they are never inner).
     """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape:
         raise ValidationError(f"expected two equal (m, B) arrays, got {p.shape} and {q.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):

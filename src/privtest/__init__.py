@@ -43,7 +43,6 @@ from .model import (
     blockwise_extend,
     constant_policy,
     demo_model,
-    feasible_outputs,
     identity_policy,
     induced_output_laws,
     load_model,

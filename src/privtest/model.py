@@ -16,8 +16,11 @@ primitives carry the module: a row-wise k-fold outer product (source and
 product laws, the row weights W and, with addition, the block sums of the
 supply constraint), the supply mask of (alphabets, s, k), and the
 push-forward W^T Q behind both :func:`induced_output_laws` and
-:meth:`PolicySpace.batch_laws`.  Dicts keyed by blocks appear only in the
-JSON policy files, which are read against a model.
+:meth:`PolicySpace.batch_laws`.  A :class:`PolicySpace` describes every
+feasible kernel by flat indices into Q taken from the supply mask; kernels
+are built from parameters, and parameters read back from kernels, by
+gathers and scatters through them.  Dicts keyed by blocks appear only in
+the JSON policy files, which are read against a model.
 """
 
 from __future__ import annotations
@@ -266,22 +269,6 @@ def _output_laws(k: int, labels: tuple, arrays: np.ndarray) -> OutputLaws:
     )
 
 
-def feasible_outputs(
-    x_alphabet: Alphabet, x_block: Sequence[float], z_block: Sequence[float], s: float
-) -> tuple[Block, ...]:
-    """All output blocks satisfying the supply constraint for this input pair.
-
-    May be empty.  Blocks are returned in lexicographic order.
-    """
-    k = len(x_block)
-    if k != len(z_block):
-        raise ValidationError(f"input block length {k} != noise block length {len(z_block)}")
-    y_sums = _row_outer([np.array(x_alphabet.values)] * k, np.add)
-    net = ((y_sums - sum(x_block)) + sum(z_block)) / k
-    blocks = x_alphabet.blocks(k)
-    return tuple(blocks[i] for i in np.flatnonzero(_within_supply(net, s)))
-
-
 def validate_policy(policy: PolicyKernel) -> PolicyReport:
     """Check every row for nonnegative mass, supply-constraint support and
     normalization; each violation names the row's x- and z-block."""
@@ -415,11 +402,16 @@ class PolicySpace:
     ``feasible`` is the supply mask over the kernel matrix.  Rows with one
     feasible output are forced; a row with f >= 2 feasible outputs
     contributes f-1 free parameters (the probabilities of all but its last
-    output).  A parameter vector is feasible when each row's slice is
-    nonnegative with sum <= 1.
+    output, which takes 1 minus their sum).  A parameter vector is feasible
+    when each row's slice is nonnegative with sum <= 1.
 
-    The flattened kernel matrix is ``params @ entry_map + entry_offset``,
-    clipped at 0, for one parameter vector or a whole batch.
+    The family is held as flat indices into the kernel matrix: each
+    parameter's head entry, each row's last feasible entry and, per slice
+    length, the (length, slices) parameter columns of those slices with
+    their rows' last entries.  ``head_params`` inverts ``heads``: it names
+    the parameter at each entry, or ``dim`` where there is none.  A kernel
+    is built from these indices alone, and its parameters are a gather of
+    its heads.
     """
 
     model: SourceModel
@@ -428,54 +420,54 @@ class PolicySpace:
     feasible: np.ndarray = field(repr=False)  # (rows, outputs)
     weights: np.ndarray = field(init=False, repr=False)  # (rows, 4)
     free_slices: tuple[tuple[int, int, int], ...] = field(init=False)  # (row_idx, start, stop)
-    entry_map: np.ndarray = field(init=False, repr=False)  # (dim, rows * outputs)
-    entry_offset: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
-    # columns of the free slices of each length >= 2, one (slices, length) array per length
-    sum_groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    heads: np.ndarray = field(init=False, repr=False)  # (dim,)
+    head_params: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
+    lasts: np.ndarray = field(init=False, repr=False)  # (rows,)
+    slice_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = self.feasible.sum(axis=1)
         is_last = self.feasible & (np.cumsum(self.feasible, axis=1) == counts[:, None])
-        last = np.flatnonzero(is_last)  # each row's last feasible entry
-        # every other feasible entry is a parameter; the last is 1 minus their sum
+        lasts = np.flatnonzero(is_last)
         heads = np.flatnonzero(self.feasible & ~is_last)
-        params = np.arange(len(heads))
-        entry_map = np.zeros((len(heads), self.feasible.size))
-        entry_map[params, heads] = 1.0
-        entry_map[params, last[heads // self.feasible.shape[1]]] = -1.0
-        entry_offset = np.zeros(self.feasible.size)
-        entry_offset[last] = 1.0
+        head_params = np.full(self.feasible.size, len(heads))
+        head_params[heads] = np.arange(len(heads))
         free = np.flatnonzero(counts >= 2)
-        stops = np.cumsum(counts[free] - 1)
         lengths = counts[free] - 1
+        stops = np.cumsum(lengths)
         starts = stops - lengths
         slices = zip(free.tolist(), starts.tolist(), stops.tolist())
         groups = tuple(
-            starts[lengths == length, None] + np.arange(length)
+            (np.arange(length)[:, None] + starts[lengths == length], lasts[free[lengths == length]])
             for length in sorted(set(lengths.tolist()))
-            if length >= 2
         )
         object.__setattr__(self, "weights", _row_weights(self.model, self.k))
         object.__setattr__(self, "free_slices", tuple(slices))
-        object.__setattr__(self, "entry_map", entry_map)
-        object.__setattr__(self, "entry_offset", entry_offset)
-        object.__setattr__(self, "sum_groups", groups)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "head_params", head_params)
+        object.__setattr__(self, "lasts", lasts)
+        object.__setattr__(self, "slice_groups", groups)
 
     @property
     def dim(self) -> int:
-        return self.free_slices[-1][2] if self.free_slices else 0
+        return len(self.heads)
+
+    def _slice_sums(self, params: np.ndarray):
+        """Each free slice's sum over a (G, dim) batch, one (G, slices) array
+        per entry of ``slice_groups``.  It is added first to last, one
+        parameter column at a time, so a row's sums depend on that row alone."""
+        for columns, _ in self.slice_groups:
+            total = params[:, columns[0]]
+            for column in columns[1:]:
+                total += params[:, column]
+            yield total
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
-        """Boolean mask over a (G, dim) batch: in [0,1] with row sums <= 1.
-
-        A one-parameter slice's sum is its parameter, which the box check
-        already bounds; the slices of each longer length are summed by one
-        gather, in the order a per-slice sum would add them.
-        """
+        """Boolean mask over a (G, dim) batch: in [0,1] with slice sums <= 1."""
         params = np.atleast_2d(params)
         ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
-        for columns in self.sum_groups:
-            ok &= np.all(params[:, columns].sum(axis=2) <= 1.0 + 1e-12, axis=1)
+        for total in self._slice_sums(params):
+            ok &= np.all(total <= 1.0 + 1e-12, axis=1)
         return ok
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -486,9 +478,18 @@ class PolicySpace:
         return out
 
     def _matrices(self, params: np.ndarray) -> np.ndarray:
-        """Kernel matrices of a (G, dim) parameter batch, shape (G, rows, outputs)."""
-        entries = params @ self.entry_map
-        entries += self.entry_offset
+        """Kernel matrices of a (G, dim) parameter batch, shape (G, rows, outputs):
+        each parameter at its head and 0 elsewhere, then 1 at each row's last
+        entry, or 1 minus the slice sum for a free row, clipped at 0."""
+        padded = np.zeros((len(params), self.dim + 1))
+        padded[:, :-1] = params
+        # numpy lays a column gather out entry-major, so it and the column
+        # writes below move whole runs of G values (a scatter of the
+        # parameters would not)
+        entries = padded[:, self.head_params]
+        entries[:, self.lasts] = 1.0
+        for (_, lasts), total in zip(self.slice_groups, self._slice_sums(params)):
+            entries[:, lasts] = 1.0 - total
         np.maximum(entries, 0.0, out=entries)
         return entries.reshape((-1,) + self.feasible.shape)
 
@@ -515,8 +516,7 @@ class PolicySpace:
                     *_input_pair(kernel, self.k, outside[0])
                 )
             )
-        # each parameter is the entry its column of entry_map selects with +1
-        return kernel.matrix.ravel()[self.entry_map.argmax(axis=1)]
+        return kernel.matrix.ravel()[self.heads]
 
     def batch_laws(self, params: np.ndarray) -> np.ndarray:
         """Induced laws for a (G, dim) parameter batch; shape (G, 4, |Y|)."""
@@ -527,7 +527,7 @@ class PolicySpace:
 def policy_space(
     model: SourceModel, s: float, k: int = 1, cap: int = DEFAULT_BLOCK_CAP
 ) -> PolicySpace:
-    """Build the dense kernel family for (model, s, k).
+    """Build the kernel family for (model, s, k).
 
     Raises :class:`FeasibilityError` naming the first input pair whose
     feasible output set is empty (the combination then admits no policy).

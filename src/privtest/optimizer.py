@@ -322,8 +322,10 @@ def _local_refine(
     results are split back per start.  A probe must beat its start's
     incumbent by more than :data:`_TIE_TOL` (a feasible probe beats an
     infeasible incumbent); the best such probe by :func:`_pick_best` becomes
-    the new incumbent.  Each row's rates depend on that row alone, so every
-    start follows the path it would follow if refined by itself.  Without
+    the new incumbent.  Each row's kernel, laws and rates depend on that row
+    alone, whatever the batch, so every start follows the path it would
+    follow if refined by itself, and :meth:`PolicySpace.kernel_from_params`
+    rebuilds, bit for bit, the kernel that the search scored.  Without
     directions (a family with no parameters) the starts are returned as
     evaluated.
     """

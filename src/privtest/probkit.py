@@ -382,10 +382,12 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             qc = np.where(common, q, 0.0)
             lq = np.log(qc)  # -inf off the common support
             d = np.where(common, np.log(pc) - lq, 0.0)
-        sp = _symbol_sum(pc)
-        sq = _symbol_sum(qc)
-        slope0 = _symbol_sum(qc * d) / sq  # L'(0); nan for disjoint rows
-        slope1 = _symbol_sum(pc * d) / sp  # L'(1)
+        # summed over the outer axis of one (m, 4, B) array, whole rows add
+        # first symbol to last, even for a single column (B = 1)
+        sums = np.concatenate((pc, qc, qc * d, pc * d), axis=1).reshape(len(p), 4, -1)
+        sp, sq, qd, pd = sums.sum(axis=0)
+        slope0 = qd / sq  # L'(0); nan for disjoint rows
+        slope1 = pd / sp  # L'(1)
         # the better endpoint; log 0 = -inf makes disjoint rows +inf
         out = -np.minimum(np.log(sq), np.log(sp))
     inner = (slope0 < 0.0) & (slope1 > 0.0)
@@ -401,14 +403,6 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             )
         out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
     return np.maximum(out, 0.0, out=out)
-
-
-def _symbol_sum(a: np.ndarray) -> np.ndarray:
-    """Sum an (m, ...) array over its first axis, first to last symbol."""
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
 
 
 def _chernoff_newton(
@@ -445,12 +439,13 @@ def _chernoff_newton(
         else:
             mu = slope0 / (slope0 - slope1)
         for it in range(_NEWTON_MAX_ITER):
-            # moments of d under the tilted weights w, summed in one pass
-            terms = np.empty((3, m, mu.size))
-            w = np.exp(lq + mu * d, out=terms[0])
-            wd = np.multiply(w, d, out=terms[1])
-            np.multiply(wd, d, out=terms[2])
-            total, first, second = _symbol_sum(terms.swapaxes(0, 1))
+            # moments of d under the tilted weights w, summed in one pass; the
+            # (m, 3, B) layout keeps the symbol order when one column is left
+            terms = np.empty((m, 3, mu.size))
+            w = np.exp(lq + mu * d, out=terms[:, 0])
+            wd = np.multiply(w, d, out=terms[:, 1])
+            np.multiply(wd, d, out=terms[:, 2])
+            total, first, second = terms.sum(axis=0)
             grad = first / total
             step = grad / (second / total - grad * grad)
             done = (np.abs(step) <= _NEWTON_TOL) | (hi - lo <= _NEWTON_TOL)

@@ -176,6 +176,19 @@ def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
         assert (u[0], v[0]) == (utility[g], privacy[g])
 
 
+@pytest.mark.parametrize("m", [8, 9])
+def test_single_pairs_match_their_batch_bit_for_bit(m):
+    """From 8 symbols on numpy's sum of a lone column stops adding first
+    to last; the kernel's symbol sums still do, for a one-pair call as for
+    the last pair left in Newton."""
+    rng = np.random.default_rng(m)
+    p = rng.dirichlet(np.ones(m), size=64)
+    q = rng.dirichlet(np.ones(m), size=64)
+    rates = chernoff_batch(p, q)
+    for i in range(len(p)):
+        assert chernoff_batch(p[i : i + 1], q[i : i + 1])[0] == rates[i]
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([1.0, 2.0]))
 def test_batch_laws_match_induced_output_laws(seed, k, s):

@@ -1,8 +1,12 @@
 """Tests for alphabets, policies, induced laws, and block extension."""
 
+import functools
 import json
 import math
+import operator
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from privtest import (
     ValidationError,
     blockwise_extend,
     constant_policy,
-    feasible_outputs,
     identity_policy,
     induced_output_laws,
     policy_space,
@@ -31,7 +34,15 @@ from privtest import (
     source_laws,
     validate_policy,
 )
-from privtest.model import UP_PAIRS, load_policy, model_from_dict, policy_from_dict, policy_to_dict
+from privtest.model import (
+    UP_PAIRS,
+    _supply_net,
+    _within_supply,
+    load_policy,
+    model_from_dict,
+    policy_from_dict,
+    policy_to_dict,
+)
 
 from model_strategies import small_models
 
@@ -74,28 +85,26 @@ class TestTypes:
 
 
 class TestFeasibleOutputs:
-    def test_single_slot_forced(self):
-        alpha = Alphabet((0.0, 1.0))
-        assert feasible_outputs(alpha, (1.0,), (0.0,), s=1.0) == ((1.0,),)
+    """Rows of the supply mask; a row is (x-block, z-block), x-blocks outer."""
 
-    def test_single_slot_both(self):
-        alpha = Alphabet((0.0, 1.0))
-        assert feasible_outputs(alpha, (0.0,), (1.0,), s=2.0) == ((0.0,), (1.0,))
+    def test_single_slot_forced(self, model):
+        # x = 1, z = 0 leaves only y = 1
+        assert policy_space(model, s=1.0, k=1).feasible[2].tolist() == [False, True]
 
-    def test_two_slot_average(self):
-        # enumerating the 4 candidate blocks against the average constraint
-        # leaves only (1, 1)
-        alpha = Alphabet((0.0, 1.0))
-        assert feasible_outputs(alpha, (1.0, 1.0), (0.0, 0.0), s=1.0) == ((1.0, 1.0),)
+    def test_single_slot_both(self, model):
+        # x = 0, z = 1 at s = 2 admits both outputs
+        assert policy_space(model, s=2.0, k=1).feasible[1].tolist() == [True, True]
+
+    def test_two_slot_average(self, model):
+        # x = (1, 1), z = (0, 0): of the 4 candidate blocks the average
+        # constraint leaves only (1, 1)
+        feasible = policy_space(model, s=1.0, k=2).feasible
+        assert feasible[3 * 4 + 0].tolist() == [False, False, False, True]
 
     def test_may_be_empty(self):
-        alpha = Alphabet((0.0, 1.0))
-        assert feasible_outputs(alpha, (0.0,), (5.0,), s=0.5) == ()
-
-    def test_length_mismatch(self):
-        alpha = Alphabet((0.0, 1.0))
-        with pytest.raises(ValidationError):
-            feasible_outputs(alpha, (1.0, 0.0), (0.0,), s=1.0)
+        # x = 0, z = 5 overshoots s = 0.5 whatever the output
+        alphabets = SimpleNamespace(x_alphabet=Alphabet((0.0, 1.0)), z_alphabet=Alphabet((5.0,)))
+        assert not _within_supply(_supply_net(alphabets, 1), 0.5)[0].any()
 
 
 class TestInducedLaws:
@@ -410,3 +419,55 @@ def test_params_feasible_matches_the_per_slice_loop(k, s, seed):
                 params[row, start] = bound - 0.5 if n > 1 else bound
                 params[row, stop - 1] += 0.5 if n > 1 else 0.0
     assert np.array_equal(space.params_feasible(params), _params_feasible_per_slice(space, params))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_kernel_does_not_depend_on_its_batch(model, k):
+    """Each row's laws are the same bits alone as inside a batch of 64, and
+    its parameters come back exactly from its kernel."""
+    space = policy_space(model, s=1.0, k=k)
+    params = space.random_params(np.random.default_rng(k), 64)
+    laws = space.batch_laws(params)
+    for i, x in enumerate(params):
+        assert space.batch_laws(x)[0].tobytes() == laws[i].tobytes()
+        assert space.params_from_kernel(space.kernel_from_params(x)).tobytes() == x.tobytes()
+
+
+def test_k4_space_is_small():
+    """The k = 4 family (dim 3,242) is index arrays over a 256 x 16 kernel."""
+    tracemalloc.start()
+    try:
+        space = policy_space(demo_model(), 1.0, 4, cap=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 3242
+    assert peak < 8 * 2**20
+    x = space.random_params(np.random.default_rng(4), 1)[0]
+    assert space.params_from_kernel(space.kernel_from_params(x)).tobytes() == x.tobytes()
+
+
+def test_long_slices_are_summed_first_to_last():
+    """A 3-symbol X alphabet at k = 2, s = 2 has slices of 8 parameters, the
+    length from which numpy's own row sum stops adding first to last.  The
+    feasibility mask and each free row's last kernel entry use the same
+    first-to-last sum."""
+    space = policy_space(_model_on((0.0, 1.0, 2.0), (0.0, 1.0)), s=2.0, k=2)
+    start, stop = next((a, b) for _, a, b in space.free_slices if b - a >= 8)
+    bound = 1.0 + 1e-12
+    params = space.random_params(np.random.default_rng(0), 8)
+    # a head at the bound, then terms below half its ulp: added first to
+    # last each rounds away, summed apart first they carry it past the bound
+    params[:4, start:stop] = 0.4 * np.spacing(bound)
+    params[:4, start] = bound
+    matrices = space._matrices(params)
+    ok = space.params_feasible(params)
+    assert ok[:4].all()
+    for g, x in enumerate(params):
+        expected = bool(np.all((x >= -1e-12) & (x <= bound)))
+        for row, a, b in space.free_slices:
+            total = functools.reduce(operator.add, x[a:b].tolist())
+            expected &= total <= bound
+            last = np.flatnonzero(space.feasible[row])[-1]
+            assert matrices[g, row, last] == max(1.0 - total, 0.0)
+        assert ok[g] == expected

@@ -25,10 +25,8 @@ from .probkit import (
     Pmf,
     chernoff_information,
     chernoff_information_with_argmax,
-    golden_section_max,
     kl_divergence,
     composite_chernoff_primal_oracle,
-    simplex_grid,
     composite_chernoff,
     composite_chernoff_with_argmax,
     composite_chernoff_dual,
@@ -56,18 +54,12 @@ from .bayes import (
     ExponentMethod,
     ExponentReport,
     TestTarget,
-    TypeVector,
     exact_min_error,
-    exact_min_error_iid,
     exact_min_error_iid_log,
     exponent_composite,
     exponent_lower_bound,
     exponent_sanov,
     exponent_chernoff,
-    map_decision,
-    map_decision_for_type,
-    type_test_decision,
-    type_vectors,
 )
 from .optimizer import (
     GuaranteeConfig,

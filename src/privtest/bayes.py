@@ -17,7 +17,8 @@ for i.i.d. (k = 1) laws:
 
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
 Finite-horizon quantities are exact: ``exact_min_error`` enumerates output
-sequences, ``exact_min_error_iid`` enumerates type classes in log space.
+sequences, ``exact_min_error_iid_log`` enumerates type classes in log space;
+both check their result against [0, 1] and the best constant decision.
 Type classes and Sanov grid points both come from the chunked numpy lattice
 :func:`privtest.probkit.composition_lattice` and are scored a chunk at a
 time (millions of type classes per second; the count grows like n^(m-1)
@@ -29,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .probkit import (
     chernoff_from_probs,
     composite_chernoff,
     composition_lattice,
-    kl_from_probs,
     kl_rows,
 )
 
@@ -59,23 +59,6 @@ class ExponentMethod(enum.Enum):
     CHERNOFF = "chernoff"
     COMPOSITE = "composite"
     SANOV = "sanov"
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Occurrence counts per block symbol; the empirical type of a sequence."""
-
-    counts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValidationError("type counts must be >= 0")
-        if sum(self.counts) != self.n:
-            raise ValidationError(f"counts sum to {sum(self.counts)}, expected n={self.n}")
-
-    def empirical(self) -> tuple[float, ...]:
-        return tuple(c / self.n for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -120,86 +103,6 @@ def _require_full_support_laws(laws: OutputLaws) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Decision rules
-# ---------------------------------------------------------------------------
-
-
-def _grouped_log_likelihoods(
-    log_lik: dict[tuple[int, int], float], prior: Prior, target: TestTarget
-) -> tuple[float, float]:
-    """Log of sum_{side} exp(log_lik) * prior for hypothesis values 0 and 1."""
-    out = []
-    for h in (0, 1):
-        terms = []
-        for up in _side_laws(target, h):
-            w = prior.prob(*up)
-            if w > 0.0 and log_lik[up] > -math.inf:
-                terms.append(log_lik[up] + math.log(w))
-        if not terms:
-            out.append(-math.inf)
-        else:
-            m = max(terms)
-            out.append(m + math.log(math.fsum(math.exp(t - m) for t in terms)))
-    return out[0], out[1]
-
-
-def map_decision(
-    y_seq: Sequence, laws: OutputLaws, prior: Prior, target: TestTarget
-) -> int:
-    """Bayes-optimal decision from an observed symbol sequence.
-
-    The sequence is consumed in blocks of ``laws.k``; its length must be a
-    multiple of k.  Decides 0 when the grouped posterior weight of
-    hypothesis 0 is at least that of hypothesis 1 (ties go to 0).
-    """
-    seq = tuple(y_seq)
-    k = laws.k
-    if len(seq) % k != 0:
-        raise ValidationError(f"sequence length {len(seq)} is not a multiple of k={k}")
-    log_lik = {up: 0.0 for up in UP_PAIRS}
-    for i in range(0, len(seq), k):
-        block = tuple(float(v) for v in seq[i : i + k])
-        for up in UP_PAIRS:
-            p = laws.laws[up].prob(block)  # raises AlphabetError on bad symbols
-            log_lik[up] += math.log(p) if p > 0.0 else -math.inf
-    g0, g1 = _grouped_log_likelihoods(log_lik, prior, target)
-    return 0 if g0 >= g1 else 1
-
-
-def map_decision_for_type(
-    t: TypeVector, block_laws: OutputLaws, prior: Prior, target: TestTarget
-) -> int:
-    """The MAP decision shared by all sequences of type ``t`` (k = 1 laws)."""
-    _require_iid(block_laws)
-    arrays = _law_arrays(block_laws)
-    log_lik = {}
-    for up in UP_PAIRS:
-        law = arrays[up]
-        total = 0.0
-        for count, prob in zip(t.counts, law):
-            if count:
-                total += count * math.log(prob) if prob > 0.0 else -math.inf
-        log_lik[up] = total
-    g0, g1 = _grouped_log_likelihoods(log_lik, prior, target)
-    return 0 if g0 >= g1 else 1
-
-
-def type_test_decision(t: TypeVector, block_laws: OutputLaws, target: TestTarget) -> int:
-    """The prior-free asymptotic test based on the empirical type alone.
-
-    Decides 1 exactly when min over side-0 laws of D(t_hat || law) strictly
-    exceeds the side-1 minimum; ties go to 0.
-    """
-    _require_iid(block_laws)
-    _require_full_support_laws(block_laws)
-    emp = t.empirical()
-    arrays = _law_arrays(block_laws)
-    m0 = min(kl_from_probs(emp, arrays[up], allow_zeros=True) for up in _side_laws(target, 0))
-    m1 = min(kl_from_probs(emp, arrays[up], allow_zeros=True) for up in _side_laws(target, 1))
-    return 1 if m0 > m1 else 0
-
-
-# ---------------------------------------------------------------------------
 # Exact minimal error probabilities
 # ---------------------------------------------------------------------------
 
@@ -210,25 +113,21 @@ def _constant_decision_errors(prior: Prior, target: TestTarget) -> tuple[float, 
 
 
 def exact_min_error(
-    laws: OutputLaws,
-    prior: Prior,
-    target: TestTarget,
-    n_blocks: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int
 ) -> float:
     """Exact Bayes error over ``n_blocks`` i.i.d. blocks, by full enumeration.
 
     alpha = sum over output sequences of min_h (grouped likelihood * prior).
-    Refuses to enumerate more than ``cap`` sequences; use
-    :func:`exact_min_error_iid` for long horizons with k = 1 laws.
+    Refuses to enumerate more than :data:`DEFAULT_ENUM_CAP` sequences; use
+    :func:`exact_min_error_iid_log` for long horizons with k = 1 laws.
     """
     if n_blocks < 1:
         raise ValidationError("n_blocks must be >= 1")
     m = len(laws.block_labels)
-    if m**n_blocks > cap:
+    if m**n_blocks > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{m}**{n_blocks} output sequences exceed the cap {cap}; "
-            "use exact_min_error_iid for long i.i.d. horizons"
+            f"{m}**{n_blocks} output sequences exceed the cap {DEFAULT_ENUM_CAP}; "
+            "use exact_min_error_iid_log for long i.i.d. horizons"
         )
     lik = dict(zip(UP_PAIRS, _row_outer([laws.arrays()] * n_blocks)))
     g0 = sum(prior.prob(*up) * lik[up] for up in _side_laws(target, 0))
@@ -248,13 +147,6 @@ def _check_error_bounds(alpha: float, prior: Prior, target: TestTarget) -> None:
         )
 
 
-def type_vectors(n: int, size: int) -> Iterator[TypeVector]:
-    """All types of length-n sequences over ``size`` symbols, in lexicographic order."""
-    for counts in composition_lattice(n, size):
-        for row in counts.tolist():
-            yield TypeVector(counts=tuple(row), n=n)
-
-
 def exact_min_error_iid_log(
     block_laws: OutputLaws, prior: Prior, target: TestTarget, n: int
 ) -> float:
@@ -267,7 +159,8 @@ def exact_min_error_iid_log(
     come from a table of log-factorials, the four class log-likelihoods from
     one matrix product, and the chunk's log-sum-exp joins a running one, so
     memory stays flat however many classes there are.  Refuses to enumerate
-    more than :data:`DEFAULT_ENUM_CAP` type classes.
+    more than :data:`DEFAULT_ENUM_CAP` type classes, and checks
+    ``exp(log_alpha)`` as :func:`exact_min_error` checks its alpha.
     """
     _require_iid(block_laws)
     if n < 1:
@@ -301,17 +194,9 @@ def exact_min_error_iid_log(
             scaled *= math.exp(top - chunk_top)
             top = chunk_top
         scaled += float(np.exp(loser - top).sum())
-    return top + math.log(scaled) if scaled > 0.0 else -math.inf
-
-
-def exact_min_error_iid(
-    block_laws: OutputLaws, prior: Prior, target: TestTarget, n: int
-) -> float:
-    """Exact Bayes error over n i.i.d. slots via type-class enumeration."""
-    log_alpha = exact_min_error_iid_log(block_laws, prior, target, n)
-    alpha = math.exp(log_alpha) if log_alpha > -math.inf else 0.0
-    _check_error_bounds(alpha, prior, target)
-    return alpha
+    log_alpha = top + math.log(scaled) if scaled > 0.0 else -math.inf
+    _check_error_bounds(math.exp(log_alpha), prior, target)
+    return log_alpha
 
 
 # ---------------------------------------------------------------------------

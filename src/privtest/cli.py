@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bayes import (
     TestTarget,
-    _check_error_bounds,
     exact_min_error,
     exact_min_error_iid_log,
     exponent_composite,
@@ -76,10 +75,13 @@ def _parse_pmf(spec: str) -> Pmf:
         raise ValidationError(f"pmf file not found: {spec}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"pmf file {spec} is not valid JSON: {exc}") from exc
-    if isinstance(doc, list):
-        return Pmf(labels=tuple(range(len(doc))), probs=tuple(float(v) for v in doc))
-    if isinstance(doc, dict) and "labels" in doc and "probs" in doc:
-        return Pmf(labels=tuple(doc["labels"]), probs=tuple(float(v) for v in doc["probs"]))
+    try:
+        if isinstance(doc, list):
+            return Pmf(labels=tuple(range(len(doc))), probs=tuple(float(v) for v in doc))
+        if isinstance(doc, dict) and "labels" in doc and "probs" in doc:
+            return Pmf(labels=tuple(doc["labels"]), probs=tuple(float(v) for v in doc["probs"]))
+    except TypeError as exc:  # e.g. unhashable labels, or a nested weight
+        raise ValidationError(f"malformed pmf file {spec}: {exc}") from exc
     raise ValidationError(f"pmf file {spec} must be an array or a labels/probs object")
 
 
@@ -104,6 +106,14 @@ def _parse_target(name: str) -> TestTarget:
         raise ValidationError(f"target must be 'utility' or 'privacy', got {name!r}") from None
 
 
+def _parse_list(spec: str, what: str) -> list[float]:
+    """A comma list of at least one number."""
+    values = [float(p) for p in spec.split(",") if p.strip()]
+    if not values:
+        raise ValidationError(f"{what} names no values: {spec!r}")
+    return values
+
+
 def _parse_lambda_grid(spec: str) -> list[float]:
     """``start:stop:step`` (inclusive, within half a step) or a comma list."""
     if ":" in spec:
@@ -111,15 +121,11 @@ def _parse_lambda_grid(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValidationError("lambda grid must be start:stop:step or a comma list")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop and math.isfinite(stop - start)):
             raise ValidationError(f"bad lambda grid {spec!r}")
         count = int(round((stop - start) / step))
         return [round(start + i * step, 12) for i in range(count + 1)]
-    return [float(p) for p in spec.split(",") if p.strip()]
-
-
-def _parse_s_values(spec: str) -> list[float]:
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return _parse_list(spec, "--lambda-grid")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,6 @@ def cmd_exact_error(args) -> int:
             raise ValidationError("method 'types' needs a k=1 policy")
         log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
         alpha = math.exp(log_alpha)
-        _check_error_bounds(alpha, model.prior, target)
     exponent = -log_alpha / n
     bound = exponent_lower_bound(laws, model.prior, target, n_blocks=n_blocks)
     ok = exponent >= bound
@@ -371,7 +376,7 @@ def cmd_tradeoff(args) -> int:
     else:
         manifest.add_input_file(f"model:{args.model}", args.model)
     lambdas = _parse_lambda_grid(args.lambda_grid)
-    s_values = _parse_s_values(args.s)
+    s_values = _parse_list(args.s, "--s")
     cfg = GuaranteeConfig(
         lam=0.0, k=args.k, s=s_values[0], include_correction=args.correction == "on"
     )
@@ -484,13 +489,7 @@ def main(argv=None) -> int:
     except (SizeCapError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrivtestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PrivtestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -355,19 +355,20 @@ def source_laws(model: SourceModel, k: int = 1) -> OutputLaws:
     return _output_laws(k, model.x_alphabet.blocks(k), _row_outer([cond] * k))
 
 
-def blockwise_extend(policy: PolicyKernel, l: int, cap: int = DEFAULT_BLOCK_CAP) -> PolicyKernel:
+def blockwise_extend(policy: PolicyKernel, l: int) -> PolicyKernel:
     """The (k*l)-slot kernel applying ``policy`` independently per sub-block.
 
     Each sub-block satisfies the supply constraint, hence so does their
-    average; the induced (k*l)-laws are l-fold products of the k-laws.
+    average; the induced (k*l)-laws are l-fold products of the k-laws.  A
+    block length above :data:`DEFAULT_BLOCK_CAP` is refused.
     """
     if l < 1:
         raise ValidationError("l must be >= 1")
     if l == 1:
         return policy
     k_new = policy.k * l
-    if k_new > cap:
-        raise SizeCapError(f"extended block length {k_new} exceeds cap {cap}")
+    if k_new > DEFAULT_BLOCK_CAP:
+        raise SizeCapError(f"extended block length {k_new} exceeds cap {DEFAULT_BLOCK_CAP}")
     matrix = policy.matrix
     for _ in range(l - 1):
         matrix = np.kron(matrix, policy.matrix)
@@ -561,17 +562,14 @@ def model_from_dict(doc: dict) -> SourceModel:
         x_alpha = Alphabet(tuple(doc["x_alphabet"]))
         z_alpha = Alphabet(tuple(doc["z_alphabet"]))
         prior = Prior(tuple(doc["prior"]))
-        cond_rows = list(doc["cond"])
-        noise_row = list(doc["noise"])
-    except (KeyError, TypeError) as exc:
+        cond_rows = [tuple(float(v) for v in row) for row in doc["cond"]]
+        noise_row = tuple(float(v) for v in doc["noise"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model document: {exc!r}") from exc
     if len(cond_rows) != 4:
         raise ValidationError("cond must contain exactly 4 arrays")
-    cond = {
-        up: Pmf(labels=x_alpha.values, probs=tuple(float(v) for v in row))
-        for up, row in zip(UP_PAIRS, cond_rows)
-    }
-    noise = Pmf(labels=z_alpha.values, probs=tuple(float(v) for v in noise_row))
+    cond = {up: Pmf(labels=x_alpha.values, probs=row) for up, row in zip(UP_PAIRS, cond_rows)}
+    noise = Pmf(labels=z_alpha.values, probs=noise_row)
     return SourceModel(
         x_alphabet=x_alpha, z_alphabet=z_alpha, prior=prior, cond=cond, noise=noise
     )

@@ -73,6 +73,13 @@ GRID_DIM_LIMIT = 4
 #: requires margin >= 0, so re-verification can never flip a result).
 MARGIN_SLACK = 1e-9
 
+#: Step size below which the pattern search of :func:`optimize_policy` stops.
+_LOCAL_STEP_TOL = 1e-9
+
+#: How far the rate at block length n = k*l may exceed the rate at k before
+#: :class:`MonotonicityReport` counts a failure.
+MONOTONICITY_SLACK = 1e-3
+
 #: Privacy rates (or guarantee violations) closer than this are ties, broken
 #: by the lexicographically smallest parameter vector.  Rates on a flat face
 #: of the optimum differ only in their last bits, so an exact-equality rule
@@ -96,12 +103,12 @@ class GuaranteeConfig:
     include_correction: bool = False
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValidationError("lambda must be >= 0")
+        if not self.lam >= 0.0:  # also refuses NaN
+            raise ValidationError(f"lambda must be >= 0, got {self.lam!r}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        if self.s < 0.0:
-            raise ValidationError("s must be >= 0")
+        if not self.s >= 0.0:
+            raise ValidationError(f"s must be >= 0, got {self.s!r}")
 
     def effective_threshold(self, prior: Prior) -> float:
         extra = math.log(8.0 * prior.p_max) / self.k if self.include_correction else 0.0
@@ -114,21 +121,19 @@ class SearchConfig:
 
     ``restarts`` and ``seed`` draw the random starts, so they act only on
     families with more than :data:`GRID_DIM_LIMIT` free parameters; smaller
-    families are searched from their grid winner.
+    families are searched from their grid winner.  Every search refines
+    until its step falls below :data:`_LOCAL_STEP_TOL`.
     """
 
     grid_points_per_parameter: int = 101
     restarts: int = 16
     seed: int = 0
-    local_step_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.grid_points_per_parameter < 2:
             raise ValidationError("need at least 2 grid points per parameter")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if not 0.0 < self.local_step_tolerance < 1.0:
-            raise ValidationError("local_step_tolerance must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -411,7 +416,7 @@ def optimize_policy(
         starts.extend(space.random_params(np.random.default_rng(search.seed), search.restarts))
         step = 0.25
     refined = _local_refine(
-        space, threshold, np.stack(starts), step, search.local_step_tolerance,
+        space, threshold, np.stack(starts), step, _LOCAL_STEP_TOL,
         _pattern_directions(space.dim),
     )
     best_params, _, _, best_feasible = _pick_best(refined, threshold)
@@ -493,11 +498,10 @@ class MonotonicityReport:
     point_n: TradeoffPoint
     extended_rate: float
     extended_feasible: bool
-    slack: float
 
     @property
     def holds(self) -> bool:
-        return self.point_k.privacy_rate >= self.point_n.privacy_rate - self.slack
+        return self.point_k.privacy_rate >= self.point_n.privacy_rate - MONOTONICITY_SLACK
 
 
 def monotonicity_check(
@@ -505,7 +509,6 @@ def monotonicity_check(
     cfg: GuaranteeConfig,
     l: int,
     search: SearchConfig = SearchConfig(),
-    slack: float = 1e-3,
 ) -> MonotonicityReport:
     """Verify that the optimized rate cannot increase with the block length.
 
@@ -514,7 +517,7 @@ def monotonicity_check(
     k-optimum is both a warm start for the n-level search and an explicit
     feasibility witness, so the check can only fail by more than float noise
     if the n-level search is broken.  The n-level search is heuristic, hence
-    the default slack.
+    :data:`MONOTONICITY_SLACK`.
     """
     point_k = optimize_policy(model, cfg, search)
     extended = blockwise_extend(point_k.kernel, l)
@@ -535,7 +538,6 @@ def monotonicity_check(
         point_n=point_n,
         extended_rate=ext_rate,
         extended_feasible=ext_ok,
-        slack=slack,
     )
 
 

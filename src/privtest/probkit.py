@@ -29,8 +29,8 @@ two can cross-check each other.
 
 ``composition_lattice`` is the one enumerator of integer compositions: it
 yields them in lexicographic order as int64 arrays of bounded size, and the
-simplex grid here as well as the type classes and Sanov grid of
-:mod:`privtest.bayes` are built on it.  ``kl_rows`` scores such a chunk of
+primal oracle's simplex grid here as well as the type classes and Sanov grid
+of :mod:`privtest.bayes` are built on it.  ``kl_rows`` scores such a chunk of
 grid pmfs against a few laws in one numpy pass.
 
 All functions are pure and safe to call concurrently.
@@ -57,6 +57,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Golden-section bracket width per unit of interior-point spacing, 1 / (2 phi' - 1).
 _BRACKET_PER_TOL = 1.0 / (2.0 * _INVPHI - 1.0)
+
+#: Spacing of the golden-section interior points at which the search stops.
+_GOLDEN_TOL = 1e-10
 
 #: Sums more negative than this raise NumericalError instead of being clamped.
 CLAMP_TOL = 1e-12
@@ -184,6 +187,13 @@ def _require_full_support(p: Pmf, role: str) -> None:
         raise SupportError(f"{role} has zero-mass symbols; full support required")
 
 
+def _require_triple(q1: Pmf, q2: Pmf, q3: Pmf) -> None:
+    """The composite divergence's inputs: one alphabet, full support each."""
+    _common_alphabet(q1, q2, q3)
+    for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
+        _require_full_support(q, role)
+
+
 def _clamp_nonnegative(value: float) -> float:
     """Round tiny negative results up to 0; reject anything more negative."""
     if value >= 0.0:
@@ -193,14 +203,13 @@ def _clamp_nonnegative(value: float) -> float:
     raise NumericalError(f"value {value!r} negative beyond clamping tolerance")
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Maximize a concave function on [lo, hi] by golden-section search.
 
     Returns ``(x, f(x))`` where x is the midpoint of the final bracket.  The
-    search stops once its two interior points are at most ``tol`` apart, so
-    the bracket is then at most ``_BRACKET_PER_TOL * tol`` wide.
+    search stops once its two interior points are at most :data:`_GOLDEN_TOL`
+    apart, so the bracket is then at most ``_BRACKET_PER_TOL * _GOLDEN_TOL``
+    wide.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -208,7 +217,7 @@ def golden_section_max(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (d - c) > tol:
+    while (d - c) > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -263,7 +272,7 @@ def kl_divergence(p: Pmf, q: Pmf, *, allow_zeros: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float], tol: float) -> tuple[float, float]:
+def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float]) -> tuple[float, float]:
     def objective(mu: float) -> float:
         one_minus = 1.0 - mu
         acc = 0.0
@@ -273,11 +282,11 @@ def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float], tol: float) ->
             return math.inf
         return -math.log(acc)
 
-    mu, value = golden_section_max(objective, 0.0, 1.0, tol)
+    mu, value = golden_section_max(objective, 0.0, 1.0)
     # The midpoint of a final bracket that touches 0 or 1 misses an optimum
     # at that endpoint by the slope there times half the bracket width.
     for end in (0.0, 1.0):
-        if abs(mu - end) <= _BRACKET_PER_TOL * tol:
+        if abs(mu - end) <= _BRACKET_PER_TOL * _GOLDEN_TOL:
             end_value = objective(end)
             if end_value > value:
                 mu, value = end, end_value
@@ -285,7 +294,7 @@ def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float], tol: float) ->
 
 
 def chernoff_from_probs(
-    p: Sequence[float], q: Sequence[float], *, allow_zeros: bool = False, tol: float = 1e-10
+    p: Sequence[float], q: Sequence[float], *, allow_zeros: bool = False
 ) -> tuple[float, float]:
     """Chernoff information of raw probability sequences.
 
@@ -304,7 +313,7 @@ def chernoff_from_probs(
                                    "(pass allow_zeros=True for common-support mode)")
     l1 = [math.log(a) for a, _ in pairs]
     l2 = [math.log(b) for _, b in pairs]
-    mu, value = _chernoff_from_logs(l1, l2, tol)
+    mu, value = _chernoff_from_logs(l1, l2)
     return _clamp_nonnegative(value), mu
 
 
@@ -490,9 +499,7 @@ def _composite_from_logs(l1, l2, l3, mu: float, nu: float) -> float:
 
 def composite_chernoff_dual(q1: Pmf, q2: Pmf, q3: Pmf, point: DualPoint) -> float:
     """Evaluate ``-log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` exactly."""
-    _common_alphabet(q1, q2, q3)
-    for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
-        _require_full_support(q, role)
+    _require_triple(q1, q2, q3)
     l1 = [math.log(x) for x in q1.probs]
     l2 = [math.log(x) for x in q2.probs]
     l3 = [math.log(x) for x in q3.probs]
@@ -668,18 +675,12 @@ def composite_chernoff(q1: Pmf, q2: Pmf, q3: Pmf) -> float:
     t that are at least as close (in KL) to q1 as to both q2 and q3.
     Asymmetric in (q2, q3); clamped to be nonnegative.
     """
-    _common_alphabet(q1, q2, q3)
-    for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
-        _require_full_support(q, role)
-    value, _ = _composite_maximize(q1, q2, q3)
-    return _clamp_nonnegative(value)
+    return composite_chernoff_with_argmax(q1, q2, q3)[0]
 
 
 def composite_chernoff_with_argmax(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     """Like :func:`composite_chernoff` but also returns the maximizing (mu, nu)."""
-    _common_alphabet(q1, q2, q3)
-    for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
-        _require_full_support(q, role)
+    _require_triple(q1, q2, q3)
     value, point = _composite_maximize(q1, q2, q3)
     return _clamp_nonnegative(value), point
 
@@ -688,7 +689,7 @@ def composite_chernoff_with_argmax(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, Du
 # Brute-force primal oracle
 # ---------------------------------------------------------------------------
 
-#: Largest alphabet simplex_grid / composite_chernoff_primal_oracle will enumerate.
+#: Largest alphabet whose simplex grid the Sanov exponent and the primal oracle enumerate.
 MAX_GRID_ALPHABET = 4
 
 #: Default cap on the number of enumerated output sequences, type classes
@@ -760,19 +761,6 @@ def _grid_steps(size: int, grid_step: float) -> int:
     return n
 
 
-def simplex_grid(size: int, grid_step: float) -> Iterator[tuple[float, ...]]:
-    """Yield all pmfs on ``size`` symbols with weights that are multiples of
-    (approximately) ``grid_step``.
-
-    The step is rounded to 1/N for N = round(1/grid_step); a binary alphabet
-    with grid_step 0.5 therefore yields exactly the 3 points (0, .5, 1).
-    Points come in the lexicographic order of :func:`composition_lattice`.
-    """
-    n = _grid_steps(size, grid_step)
-    for counts in composition_lattice(n, size):
-        yield from map(tuple, (counts / n).tolist())
-
-
 def kl_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(t_i || q_j) for every row of ``t`` (T, m) and of ``q`` (L, m): a (T, L) array.
 
@@ -799,9 +787,7 @@ def composite_chernoff_primal_oracle(q1: Pmf, q2: Pmf, q3: Pmf, grid_step: float
     :func:`composite_chernoff`; alphabets larger than 4, and grids of more
     than :data:`DEFAULT_ENUM_CAP` points, are refused.
     """
-    _common_alphabet(q1, q2, q3)
-    for role, q in (("q1", q1), ("q2", q2), ("q3", q3)):
-        _require_full_support(q, role)
+    _require_triple(q1, q2, q3)
     n = _grid_steps(q1.size, grid_step)
     laws = np.array([q1.probs, q2.probs, q3.probs])
     best = math.inf

@@ -4,6 +4,9 @@ Each suite checks one identity or inequality with an independent oracle
 (simplex grids, exhaustive enumeration, exact finite-horizon errors) against
 the fast analytical path, over seeded random instances.  The command-line
 ``verify`` subcommand runs them; the acceptance test module reuses them.
+A suite takes at most a seed and a trial count: its tolerance, grid step
+and horizons are the module constants below, and each result reports the
+tolerance it was held to.
 
 Where a suite compares against a grid oracle, the random instances are drawn
 with moderate divergences so that the oracle's own resolution bias
@@ -42,12 +45,31 @@ from .model import (
     source_laws,
 )
 from .optimizer import (
+    MONOTONICITY_SLACK,
     GuaranteeConfig,
     SearchConfig,
     monotonicity_check,
     privacy_objective,
 )
 from .probkit import Pmf, chernoff_information, composite_chernoff_primal_oracle, composite_chernoff
+
+#: The suites' fixed settings: the oracles' simplex grid step, each
+#: comparison's tolerance, the horizons of the lower-bound suite (by sequence
+#: enumeration, then by type classes) and of the convergence suite, the
+#: supply slack of the random kernels, the monotonicity suite's lambda and
+#: the floor of :func:`random_pmf`.
+_GRID_STEP = 1e-3
+_IDENTITY_TOL = 1e-6
+_PRIMAL_DUAL_TOL = 1e-3
+_THREE_WAY_TOL = 2e-3
+_CONVERGENCE_TOL = 0.02
+_TENSORIZE_TOL = 1e-9
+_ENUM_HORIZONS = tuple(range(1, 11))
+_TYPE_HORIZONS = (100, 400)
+_CONVERGENCE_HORIZONS = (100, 200, 400, 800)
+_KERNEL_S = 2.0
+_MONOTONIC_LAMBDA = 0.1
+_PMF_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -73,9 +95,9 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def random_pmf(rng: np.random.Generator, size: int, floor: float = 1e-3) -> Pmf:
+def random_pmf(rng: np.random.Generator, size: int) -> Pmf:
     """A full-support pmf: Dirichlet(1) with a small floor, renormalized."""
-    w = np.maximum(rng.dirichlet(np.ones(size)), floor)
+    w = np.maximum(rng.dirichlet(np.ones(size)), _PMF_FLOOR)
     return Pmf(labels=tuple(range(size)), probs=tuple(w / w.sum()))
 
 
@@ -99,11 +121,9 @@ def random_binary_laws(rng: np.random.Generator) -> OutputLaws:
     return OutputLaws(k=1, laws=laws)
 
 
-def random_kernel_laws(
-    rng: np.random.Generator, model: SourceModel, s: float = 2.0
-) -> OutputLaws:
+def random_kernel_laws(rng: np.random.Generator, model: SourceModel) -> OutputLaws:
     """Induced laws of a random feasible k=1 kernel on ``model``."""
-    space = policy_space(model, s, 1)
+    space = policy_space(model, _KERNEL_S, 1)
     return induced_output_laws(model, space.kernel_from_params(space.random_params(rng, 1)[0]))
 
 
@@ -112,7 +132,7 @@ def random_kernel_laws(
 # ---------------------------------------------------------------------------
 
 
-def suite_composite_identity(seed: int = 0, trials: int = 200, tolerance: float = 1e-6) -> SuiteResult:
+def suite_composite_identity(seed: int = 0, trials: int = 200) -> SuiteResult:
     """The min over both composite-divergence orders of (a; b, c) must equal
     the smaller of the two plain Chernoff informations C(a||b), C(a||c)."""
     rng = np.random.default_rng(seed)
@@ -123,55 +143,48 @@ def suite_composite_identity(seed: int = 0, trials: int = 200, tolerance: float 
         lhs = min(composite_chernoff(a, b, c), composite_chernoff(a, c, b))
         rhs = min(chernoff_information(a, b), chernoff_information(a, c))
         worst = max(worst, abs(lhs - rhs))
-    return SuiteResult("composite-identity", worst <= tolerance, trials, worst, tolerance)
+    return SuiteResult("composite-identity", worst <= _IDENTITY_TOL, trials, worst, _IDENTITY_TOL)
 
 
-def suite_primal_dual(
-    seed: int = 0, trials: int = 50, grid_step: float = 1e-3, tolerance: float = 1e-3
-) -> SuiteResult:
+def suite_primal_dual(seed: int = 0, trials: int = 50) -> SuiteResult:
     """The dual maximization must match the brute-force primal grid oracle."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         a, b, c = random_binary_triple(rng)
         dual = composite_chernoff(a, b, c)
-        primal = composite_chernoff_primal_oracle(a, b, c, grid_step)
+        primal = composite_chernoff_primal_oracle(a, b, c, _GRID_STEP)
         worst = max(worst, abs(dual - primal))
-    return SuiteResult("composite-primal-dual", worst <= tolerance, trials, worst, tolerance)
+    return SuiteResult(
+        "composite-primal-dual", worst <= _PRIMAL_DUAL_TOL, trials, worst, _PRIMAL_DUAL_TOL
+    )
 
 
-def _three_way_worst(laws: OutputLaws, grid_step: float) -> float:
+def _three_way_worst(laws: OutputLaws) -> float:
     worst = 0.0
     for target in TestTarget:
         reports = (
             exponent_chernoff(laws, target),
             exponent_composite(laws, target),
-            exponent_sanov(laws, target, grid_step),
+            exponent_sanov(laws, target, _GRID_STEP),
         )
         values = [r.value for r in reports]
         worst = max(worst, max(values) - min(values))
     return worst
 
 
-def suite_exponent_consistency(
-    seed: int = 0, trials: int = 20, grid_step: float = 1e-3, tolerance: float = 2e-3
-) -> SuiteResult:
+def suite_exponent_consistency(seed: int = 0, trials: int = 20) -> SuiteResult:
     """Chernoff, composite, and Sanov exponent forms agree on both targets."""
     rng = np.random.default_rng(seed)
-    worst = _three_way_worst(source_laws(demo_model()), grid_step)
+    worst = _three_way_worst(source_laws(demo_model()))
     for _ in range(trials):
-        worst = max(worst, _three_way_worst(random_binary_laws(rng), grid_step))
+        worst = max(worst, _three_way_worst(random_binary_laws(rng)))
     return SuiteResult(
-        "exponent-three-way", worst <= tolerance, trials + 1, worst, tolerance
+        "exponent-three-way", worst <= _THREE_WAY_TOL, trials + 1, worst, _THREE_WAY_TOL
     )
 
 
-def suite_exponent_bound(
-    seed: int = 0,
-    trials: int = 50,
-    enum_horizons: Sequence[int] = tuple(range(1, 11)),
-    type_horizons: Sequence[int] = (100, 400),
-) -> SuiteResult:
+def suite_exponent_bound(seed: int = 0, trials: int = 50) -> SuiteResult:
     """(1/n) log(1/alpha) >= rate - log(8 p_max)/n for random kernels.
 
     The inequality must hold with zero violations; ``worst`` reports the
@@ -182,17 +195,17 @@ def suite_exponent_bound(
     min_slack = math.inf
     violations = 0
     for _ in range(trials):
-        laws = random_kernel_laws(rng, model, s=2.0)
+        laws = random_kernel_laws(rng, model)
         for target in TestTarget:
             exponents = [
                 math.log(1.0 / exact_min_error(laws, model.prior, target, n)) / n
-                for n in enum_horizons
+                for n in _ENUM_HORIZONS
             ] + [
                 -exact_min_error_iid_log(laws, model.prior, target, n) / n
-                for n in type_horizons
+                for n in _TYPE_HORIZONS
             ]
             bounds = exponent_lower_bound(
-                laws, model.prior, target, n_blocks=[*enum_horizons, *type_horizons]
+                laws, model.prior, target, n_blocks=[*_ENUM_HORIZONS, *_TYPE_HORIZONS]
             )
             for exponent, bound in zip(exponents, bounds):
                 slack = exponent - bound
@@ -208,9 +221,7 @@ def suite_exponent_bound(
     )
 
 
-def suite_convergence(
-    horizons: Sequence[int] = (100, 200, 400, 800), final_tolerance: float = 0.02
-) -> SuiteResult:
+def suite_convergence() -> SuiteResult:
     """Empirical exponents approach the Chernoff-form limit on the demo model."""
     model = demo_model()
     laws = source_laws(model)
@@ -219,26 +230,26 @@ def suite_convergence(
     for target in TestTarget:
         limit = exponent_chernoff(laws, target).value
         gaps = []
-        for n in horizons:
+        for n in _CONVERGENCE_HORIZONS:
             log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
             gaps.append(abs(-log_alpha / n - limit))
         monotone &= all(b < a for a, b in zip(gaps, gaps[1:]))
         worst_final = max(worst_final, gaps[-1])
     return SuiteResult(
         "exponent-convergence",
-        monotone and worst_final <= final_tolerance,
-        len(horizons) * 2,
+        monotone and worst_final <= _CONVERGENCE_TOL,
+        len(_CONVERGENCE_HORIZONS) * 2,
         worst_final,
-        final_tolerance,
+        _CONVERGENCE_TOL,
         detail=f"gaps decreasing: {monotone}",
     )
 
 
-def suite_tensorization(seed: int = 0, trials: int = 10, tolerance: float = 1e-9) -> SuiteResult:
+def suite_tensorization(seed: int = 0, trials: int = 10) -> SuiteResult:
     """Block-wise extension: product laws and preserved per-slot Chernoff rate."""
     rng = np.random.default_rng(seed)
     model = demo_model()
-    space = policy_space(model, 2.0, 1)
+    space = policy_space(model, _KERNEL_S, 1)
     worst = 0.0
     for _ in range(trials):
         kernel = space.kernel_from_params(space.random_params(rng, 1)[0])
@@ -249,16 +260,16 @@ def suite_tensorization(seed: int = 0, trials: int = 10, tolerance: float = 1e-9
         law_delta = float(np.abs(ext_laws.arrays() - expect.arrays()).max())
         rate_delta = abs(privacy_objective(ext_laws) - privacy_objective(laws))
         worst = max(worst, law_delta, rate_delta)
-    return SuiteResult("blockwise-tensorization", worst <= tolerance, trials, worst, tolerance)
+    return SuiteResult(
+        "blockwise-tensorization", worst <= _TENSORIZE_TOL, trials, worst, _TENSORIZE_TOL
+    )
 
 
-def suite_monotonicity(
-    seed: int = 0, lam: float = 0.1, slack: float = 1e-3
-) -> SuiteResult:
+def suite_monotonicity(seed: int = 0) -> SuiteResult:
     """Optimized rate at k=1 dominates the optimized rate at n=2."""
     model = demo_model()
-    cfg = GuaranteeConfig(lam=lam, k=1, s=1.0, include_correction=False)
-    report = monotonicity_check(model, cfg, l=2, search=SearchConfig(seed=seed), slack=slack)
+    cfg = GuaranteeConfig(lam=_MONOTONIC_LAMBDA, k=1, s=1.0, include_correction=False)
+    report = monotonicity_check(model, cfg, l=2, search=SearchConfig(seed=seed))
     excess = report.point_n.privacy_rate - report.point_k.privacy_rate
     ext_gap = abs(report.extended_rate - report.point_k.privacy_rate)
     ok = report.holds and report.extended_feasible and ext_gap <= 1e-9
@@ -267,7 +278,7 @@ def suite_monotonicity(
         ok,
         1,
         excess,
-        slack,
+        MONOTONICITY_SLACK,
         detail=(
             f"opt_k={report.point_k.privacy_rate:.6f} "
             f"opt_n={report.point_n.privacy_rate:.6f} "

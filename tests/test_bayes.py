@@ -1,14 +1,17 @@
-"""Tests for decision rules, exact error probabilities, and error exponents.
+"""Tests for the reference decision rules, exact error probabilities, and error exponents.
 
 The frozen exponent constants below were cross-confirmed with a dense 1-D
 grid over the Chernoff objective; the n=1 error values are two-symbol hand
 evaluations of the defining sum.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privtest import (
     EnumerationCapError,
@@ -16,26 +19,23 @@ from privtest import (
     Pmf,
     Prior,
     TestTarget,
-    TypeVector,
     chernoff_information,
     exact_min_error,
-    exact_min_error_iid,
     exact_min_error_iid_log,
     exponent_composite,
     exponent_lower_bound,
     exponent_sanov,
     exponent_chernoff,
-    map_decision,
-    map_decision_for_type,
     source_laws,
     composite_chernoff,
-    type_test_decision,
-    type_vectors,
 )
 from privtest import bayes
+from privtest.bayes import _side_laws
 from privtest.errors import ValidationError
 from privtest.model import UP_PAIRS, OutputLaws, product_laws
+from privtest.probkit import composition_lattice
 from privtest.verify import random_kernel_laws, suite_exponent_bound
+from reference import map_decision, map_decision_for_type, type_test_decision
 
 UNIFORM = Prior.uniform()
 
@@ -80,7 +80,38 @@ def ternary_laws(rng):
     return OutputLaws(k=1, laws=laws)
 
 
+priors = (
+    st.lists(st.integers(0, 9), min_size=4, max_size=4)
+    .filter(any)
+    .map(lambda w: Prior(tuple(x / sum(w) for x in w)))
+)
+
+
+@st.composite
+def laws_and_horizon(draw):
+    """k = 1 laws with up to 5 blocks, or k = 2 laws with up to 2, on 2 or 3
+    symbols; zero masses allowed."""
+    k = draw(st.sampled_from([1, 2]))
+    labels = tuple(itertools.product(map(float, range(draw(st.integers(2, 3)))), repeat=k))
+    masses = st.lists(st.integers(0, 9), min_size=len(labels), max_size=len(labels)).filter(any)
+    laws = OutputLaws(k=k, laws={up: Pmf.from_weights(labels, draw(masses)) for up in UP_PAIRS})
+    return laws, draw(st.integers(1, 5 if k == 1 else 2))
+
+
 class TestMapDecision:
+    @settings(max_examples=40)
+    @given(laws_and_horizon(), priors, st.sampled_from(list(TestTarget)))
+    def test_misclassified_mass_equals_exact_min_error(self, drawn, prior, target):
+        # the reference MAP rule as an oracle: the prior mass it misclassifies,
+        # summed over every output sequence, is the exact Bayes error
+        laws, n = drawn
+        mass = 0.0
+        for blocks in itertools.product(laws.block_labels, repeat=n):
+            decision = map_decision(itertools.chain(*blocks), laws, prior, target)
+            for up in _side_laws(target, 1 - decision):
+                mass += prior.prob(*up) * math.prod(laws.laws[up].prob(b) for b in blocks)
+        assert mass == pytest.approx(exact_min_error(laws, prior, target, n), rel=0, abs=1e-12)
+
     def test_equal_laws_tie_goes_to_zero(self):
         laws = equal_laws()
         for seq in ((0.0,), (1.0,), (0.0, 1.0, 1.0)):
@@ -143,7 +174,7 @@ class TestExactMinError:
         for target in TestTarget:
             for n in (1, 2, 3, 4):
                 enum = exact_min_error(identity_laws, UNIFORM, target, n)
-                types = exact_min_error_iid(identity_laws, UNIFORM, target, n)
+                types = math.exp(exact_min_error_iid_log(identity_laws, UNIFORM, target, n))
                 assert types == pytest.approx(enum, abs=1e-12)
 
     def test_never_beats_constant_decision(self, identity_laws):
@@ -156,7 +187,7 @@ class TestExactMinError:
         for target in TestTarget:
             previous = math.inf
             for n in (1, 2, 4, 8, 16, 50, 100, 200, 400, 800):
-                alpha = exact_min_error_iid(identity_laws, UNIFORM, target, n)
+                alpha = math.exp(exact_min_error_iid_log(identity_laws, UNIFORM, target, n))
                 assert alpha <= previous + 1e-15
                 previous = alpha
 
@@ -165,17 +196,17 @@ class TestExactMinError:
         laws2 = source_laws(model, k=2)
         for target in TestTarget:
             a = exact_min_error(laws2, UNIFORM, target, 2)
-            b = exact_min_error_iid(identity_laws, UNIFORM, target, 4)
+            b = math.exp(exact_min_error_iid_log(identity_laws, UNIFORM, target, 4))
             assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestTypeTest:
     def test_law_types_classified_to_their_side(self, identity_laws):
         # a type equal to a u=0 law has zero divergence to its own side
-        t = TypeVector(counts=(1, 9), n=10)  # empirical (0.1, 0.9) = law(0,0)
-        assert type_test_decision(t, identity_laws, TestTarget.UTILITY) == 0
-        t = TypeVector(counts=(9, 1), n=10)  # empirical (0.9, 0.1) = law(1,1)
-        assert type_test_decision(t, identity_laws, TestTarget.UTILITY) == 1
+        # counts (1, 9): empirical (0.1, 0.9) = law(0,0)
+        assert type_test_decision((1, 9), identity_laws, TestTarget.UTILITY) == 0
+        # counts (9, 1): empirical (0.9, 0.1) = law(1,1)
+        assert type_test_decision((9, 1), identity_laws, TestTarget.UTILITY) == 1
 
     def test_disagreement_with_map_vanishes(self, identity_laws):
         # total mixture probability of types where the asymptotic test and
@@ -184,16 +215,14 @@ class TestTypeTest:
         arrays = {up: identity_laws.laws[up].array() for up in UP_PAIRS}
         for target in TestTarget:
             mass = 0.0
-            for t in type_vectors(n, 2):
-                if type_test_decision(t, identity_laws, target) != map_decision_for_type(
-                    t, identity_laws, UNIFORM, target
+            for counts in np.concatenate(list(composition_lattice(n, 2))).tolist():
+                if type_test_decision(counts, identity_laws, target) != map_decision_for_type(
+                    counts, identity_laws, UNIFORM, target
                 ):
-                    log_coef = math.lgamma(n + 1) - sum(
-                        math.lgamma(c + 1) for c in t.counts
-                    )
+                    log_coef = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
                     for up in UP_PAIRS:
                         log_p = log_coef + sum(
-                            c * math.log(q) for c, q in zip(t.counts, arrays[up])
+                            c * math.log(q) for c, q in zip(counts, arrays[up])
                         )
                         mass += 0.25 * math.exp(log_p)
             assert mass <= 1e-3

@@ -1,12 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
-import math
 from pathlib import Path
 
 import pytest
 
-from privtest import cli
+from privtest import bayes
 from privtest.cli import main
 from privtest.model import identity_policy, model_from_dict, policy_to_dict
 from privtest.verify import SUITES
@@ -65,6 +64,13 @@ class TestDivergenceCommand:
         assert code == 2
         assert "error" in err
 
+    def test_unhashable_pmf_labels_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"labels": [[1], [2]], "probs": [0.5, 0.5]}))
+        code, out, err = run(capsys, "divergence", str(bad), "bern:0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed pmf file")
+
     def test_support_violation_exits_3(self, capsys):
         code, _, err = run(capsys, "divergence", "--kl", "bern:0.5", "bern:1.0")
         assert code == 3
@@ -104,6 +110,13 @@ class TestExponentCommand:
         code, _, err = run(capsys, "exponent", "--model", str(bad))
         assert code == 2
 
+    def test_model_rows_not_arrays_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(dict(MODEL_DOC, cond=[1, 2, 3, 4])))
+        code, out, err = run(capsys, "exponent", "--model", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed model document")
+
 
 class TestExactErrorCommand:
     def test_single_slot_hand_value(self, capsys):
@@ -130,8 +143,9 @@ class TestExactErrorCommand:
         assert alpha_a == pytest.approx(alpha_b, abs=1e-12)
 
     def test_types_error_above_constant_decision_exits_2(self, capsys, monkeypatch):
-        # both paths check 0 <= alpha <= the best constant decision (1/2 here)
-        monkeypatch.setattr(cli, "exact_min_error_iid_log", lambda *args: math.log(0.9))
+        # both paths check 0 <= alpha <= the best constant decision; with that
+        # decision made free, the type-class path's own check must refuse
+        monkeypatch.setattr(bayes, "_constant_decision_errors", lambda prior, target: (0.0, 0.0))
         code, out, err = run(
             capsys, "exact-error", "--target", "utility", "--n", "4", "--method", "types",
         )
@@ -277,6 +291,24 @@ class TestTradeoffCommand:
         assert code == 5
         assert "--grid-points" in err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--s", ","), "--s names no values"),
+            (("--s", "1", "--lambda-grid", ","), "--lambda-grid names no values"),
+            (("--s", "1", "--lambda-grid", "nan"), "lambda must be >= 0, got nan"),
+        ],
+        ids=["empty-s", "empty-lambda-grid", "nan-lambda"],
+    )
+    def test_bad_lists_exit_2_before_any_output(self, capsys, tmp_path, argv, message):
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        code, out, err = run(
+            capsys, "tradeoff", *argv, "--out-csv", str(csv_path), "--out-svg", str(svg_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_comma_lambda_grid(self, capsys, tmp_path):
         csv_path = tmp_path / "c.csv"

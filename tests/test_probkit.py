@@ -25,14 +25,15 @@ from privtest import (
     composite_chernoff_primal_oracle,
     OutputLaws,
     product_laws,
-    simplex_grid,
     composite_chernoff,
     composite_chernoff_dual,
 )
 from privtest.model import UP_PAIRS
 from privtest.probkit import (
+    _grid_steps,
     chernoff_from_probs,
     composite_chernoff_with_argmax,
+    composition_lattice,
     golden_section_max,
 )
 
@@ -288,9 +289,12 @@ class TestPrimalOracle:
         assert composite_chernoff_primal_oracle(q, q, r, 0.01) == 0.0
 
     def test_grid_point_count(self):
-        assert len(list(simplex_grid(2, 0.5))) == 3
-        assert len(list(simplex_grid(2, 1e-3))) == 1001
-        assert len(list(simplex_grid(3, 0.5))) == 6
+        def points(size, grid_step):
+            return sum(len(c) for c in composition_lattice(_grid_steps(size, grid_step), size))
+
+        assert points(2, 0.5) == 3
+        assert points(2, 1e-3) == 1001
+        assert points(3, 0.5) == 6
 
     def test_infeasible_returns_inf_sentinel(self):
         # on the 3-point binary grid at step 0.5 no point satisfies both

@@ -54,6 +54,10 @@ from .verify import SUITES, run_suites
 
 CROSS_CHECK_TOL = 2e-3
 
+#: Most points a ``start:stop:step`` lambda grid may hold; each point is a
+#: full policy optimization.
+MAX_LAMBDA_POINTS = 1001
+
 
 # ---------------------------------------------------------------------------
 # Input parsing helpers
@@ -123,8 +127,13 @@ def _parse_lambda_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if not (step > 0 and start <= stop and math.isfinite(stop - start)):
             raise ValidationError(f"bad lambda grid {spec!r}")
-        count = int(round((stop - start) / step))
-        return [round(start + i * step, 12) for i in range(count + 1)]
+        steps = (stop - start) / step  # +inf for a subnormal step
+        if not steps < MAX_LAMBDA_POINTS - 0.5:
+            raise SizeCapError(
+                f"lambda grid {spec!r} holds more than {MAX_LAMBDA_POINTS} points; "
+                "use a larger step"
+            )
+        return [round(start + i * step, 12) for i in range(round(steps) + 1)]
     return _parse_list(spec, "--lambda-grid")
 
 

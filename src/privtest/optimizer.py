@@ -36,6 +36,12 @@ by chunk; the kernel skips its common-support masks and row selections on the
 chunks that need none (most grid chunks), bit for bit as if it did not.
 Both targets take the minimum over their four pairs; a pair with disjoint
 supports is +inf and so only decides the rate when all four are disjoint.
+The grid is screened: a kernel is admissible only if every utility pair
+clears the threshold, so :func:`grid_evaluation` scores one utility pair,
+law (0, 1) against law (1, 0), on every row first, and the other five only
+on the rows where that pair clears the smallest threshold the grid is
+ranked at.  The kernel scores each pair by itself, so a row scored in full
+gets the same bits either way.
 
 The per-block optimum at any finite k is only an upper bound on the
 asymptotic minimum privacy exponent (the true quantity is an infimum over
@@ -187,6 +193,15 @@ def _unordered_pairs() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, list[in
 
 _FIRST, _SECOND, _COLUMNS = _unordered_pairs()
 
+#: The pair a screened batch scores first: law (0, 1) against law (1, 0), a
+#: utility pair that the privacy target shares.  On its own it rules out most
+#: grid rows below a utility floor.
+_SCREEN = next(
+    i for i, pair in enumerate(zip(_FIRST, _SECOND))
+    if pair == (_UP_INDEX[(0, 1)], _UP_INDEX[(1, 0)])
+)
+_REST = np.array([i for i in range(len(_FIRST)) if i != _SCREEN])
+
 #: Probabilities per stacked array in one Chernoff kernel call; larger
 #: candidate batches are scored in chunks of this size, so memory stays flat.
 _CHUNK_ELEMENTS = 8192
@@ -197,29 +212,56 @@ _CHUNK_ELEMENTS = 8192
 _LAW_CHUNK_ROWS = 4096
 
 
-def _batch_both_rates(laws: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
+def _pair_rates(by_symbol: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Chernoff informations of the given unordered pairs of every row, as a
+    ``(G, len(pairs))`` array; ``by_symbol`` is the ``(m, G, 4)`` law view.
 
-    The six unordered cross-group pairs of a chunk of candidates are
-    gathered straight into two symbol-major ``(m, 6g)`` arrays, one index on
-    the transposed law view per side, and scored by one call of the Newton
-    kernel.  Each target's rate is the minimum over its four pairs; a pair
-    with disjoint supports is perfectly distinguishable (+inf), so the rate
-    is +inf only when all four are.
+    The pairs of a chunk of rows are gathered straight into two
+    symbol-major ``(m, len(pairs) g)`` arrays, one index per side, and
+    scored by one call of the Newton kernel.
     """
-    G, _, m = laws.shape
-    pairs = len(_FIRST)
-    utility = np.empty(G)
-    privacy = np.empty(G)
-    size = max(1, _CHUNK_ELEMENTS // (pairs * m))
-    by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
+    m, G, _ = by_symbol.shape
+    first, second = _FIRST[pairs], _SECOND[pairs]
+    rates = np.empty((G, len(pairs)))
+    size = max(1, _CHUNK_ELEMENTS // (len(pairs) * m))
     for start in range(0, G, size):
         chunk = by_symbol[:, start : start + size]
-        rates = chernoff_symbol_major(
-            chunk[:, :, _FIRST].reshape(m, -1), chunk[:, :, _SECOND].reshape(m, -1)
-        ).reshape(-1, pairs)
-        utility[start : start + size] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
-        privacy[start : start + size] = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
+        rates[start : start + size] = chernoff_symbol_major(
+            chunk[:, :, first].reshape(m, -1), chunk[:, :, second].reshape(m, -1)
+        ).reshape(-1, len(pairs))
+    return rates
+
+
+def _batch_both_rates(
+    laws: np.ndarray, k: int, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
+
+    Each target's rate is the minimum over its four pairs, divided by k; a
+    pair with disjoint supports is perfectly distinguishable (+inf), so the
+    rate is +inf only when all four are.  Without a ``floor`` above 0 all
+    six unordered pairs are scored together.  With one, the :data:`_SCREEN`
+    pair is scored first, and the other five only on the rows whose
+    screening rate / k is at least ``floor - _TIE_TOL``; every other row
+    keeps that rate as its utility, which is below the floor, and gets
+    privacy +inf.  The kernel scores each pair by itself, so a scored row
+    gets the same bits either way.
+    """
+    by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
+    if floor > 0.0:
+        screen = _pair_rates(by_symbol, np.array([_SCREEN]))[:, 0]
+        utility = screen / k
+        privacy = np.full(len(screen), np.inf)
+        kept = np.flatnonzero(utility >= floor - _TIE_TOL)
+        rates = np.empty((len(kept), len(_FIRST)))
+        rates[:, _SCREEN] = screen[kept]
+        rates[:, _REST] = _pair_rates(by_symbol[:, kept], _REST)
+        utility[kept] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1) / k
+        privacy[kept] = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1) / k
+        return utility, privacy
+    rates = _pair_rates(by_symbol, np.arange(len(_FIRST)))
+    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
+    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
     return utility / k, privacy / k
 
 
@@ -271,15 +313,18 @@ class _FamilyEval:
     privacy: np.ndarray  # (G,)
 
 
-def _evaluate(space: PolicySpace, params: np.ndarray) -> _FamilyEval:
+def _evaluate(space: PolicySpace, params: np.ndarray, floor: float = 0.0) -> _FamilyEval:
     """Rates of a candidate batch, pushed through the model
-    :data:`_LAW_CHUNK_ROWS` rows at a time; ``params`` is kept whole."""
+    :data:`_LAW_CHUNK_ROWS` rows at a time and screened against ``floor``
+    by :func:`_batch_both_rates`; ``params`` is kept whole."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     utility = np.empty(len(params))
     privacy = np.empty(len(params))
     for start in range(0, len(params), _LAW_CHUNK_ROWS):
         rows = slice(start, start + _LAW_CHUNK_ROWS)
-        utility[rows], privacy[rows] = _batch_both_rates(space.batch_laws(params[rows]), space.k)
+        utility[rows], privacy[rows] = _batch_both_rates(
+            space.batch_laws(params[rows]), space.k, floor
+        )
     return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
 
 
@@ -409,7 +454,7 @@ def optimize_policy(
     threshold = cfg.effective_threshold(model.prior)
     starts = [np.asarray(s, dtype=float) for s in extra_starts]
     if space.dim <= GRID_DIM_LIMIT:
-        grid = _grid_eval if _grid_eval is not None else grid_evaluation(space, search)
+        grid = _grid_eval if _grid_eval is not None else grid_evaluation(space, search, threshold)
         starts.insert(0, _pick_best(grid, threshold)[0])
         step = 1.0 / (search.grid_points_per_parameter - 1)
     else:
@@ -437,7 +482,7 @@ def optimize_policy(
     )
 
 
-def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
+def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0) -> _FamilyEval:
     """Rates of every feasible point of the per-axis grid over ``space``, for
     reuse across many lambda values; at dim 0 the grid is one empty vector.
 
@@ -446,6 +491,16 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
     more than :data:`~privtest.probkit.DEFAULT_ENUM_CAP` rows is refused
     before it is built.  Its feasible rows are scored :data:`_LAW_CHUNK_ROWS`
     at a time, so the laws add a fixed amount of memory, not one per row.
+
+    ``floor`` is the smallest effective threshold the grid will be ranked
+    at.  Above 0, a row whose screening utility pair already falls below it
+    (see :func:`_batch_both_rates`) keeps that pair's rate as its utility
+    and gets privacy +inf.  :func:`_pick_best` at any threshold at or above
+    the floor then picks what it picks on the unscreened grid: a dropped
+    row is infeasible there, and its violation exceeds that of a row
+    clearing the floor by more than :data:`_TIE_TOL`.  If no row clears
+    the floor, the grid is scored again without one, so that the
+    least-violation winner stays exact.
     """
     points = search.grid_points_per_parameter
     rows = points**space.dim
@@ -457,7 +512,10 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig) -> _FamilyEval:
     axis = np.linspace(0.0, 1.0, points)
     grid = axis[np.indices((points,) * space.dim).reshape(space.dim, rows)].T
     grid = grid[space.params_feasible(grid)]
-    return _evaluate(space, grid)
+    ev = _evaluate(space, grid, floor)
+    if floor > 0.0 and not (ev.utility >= floor).any():
+        ev = _evaluate(space, grid)
+    return ev
 
 
 def tradeoff_sweep(
@@ -473,15 +531,18 @@ def tradeoff_sweep(
     dropped.  Per-point seeds derive deterministically from the base seed and
     the pair's indices, so sweeps can be partitioned without changing
     results.  The family's grid rates are computed once per s and shared by
-    every lambda.
+    every lambda, screened against the threshold of the smallest lambda.
     """
     points = []
     for s_idx, s in enumerate(s_values):
         cfg_s = replace(cfg_template, s=float(s))
+        cfgs = [replace(cfg_s, lam=float(lam)) for lam in lambdas]
         space = policy_space(model, cfg_s.s, cfg_s.k)
-        cache = grid_evaluation(space, search) if space.dim <= GRID_DIM_LIMIT else None
-        for lam_idx, lam in enumerate(lambdas):
-            cfg = replace(cfg_s, lam=float(lam))
+        cache = None
+        if space.dim <= GRID_DIM_LIMIT:
+            floor = min((cfg.effective_threshold(model.prior) for cfg in cfgs), default=0.0)
+            cache = grid_evaluation(space, search, floor)
+        for lam_idx, cfg in enumerate(cfgs):
             point_seed = int(search.seed) * 1_000_003 + lam_idx * 1009 + s_idx
             point = optimize_policy(
                 model, cfg, replace(search, seed=point_seed), _grid_eval=cache

@@ -371,10 +371,11 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     m - 1 vector additions.
 
     Selections that would select every column are skipped, which changes no
-    bit: a batch without zero masses needs no common-support masks, a batch
-    whose columns all have ``L'(0) < 0 < L'(1)`` goes to Newton whole, and
-    only the other columns are searched for equal rows (equal rows have
-    zero slopes, so they are never inner).
+    bit: a batch without zero masses needs no common-support masks, every
+    batch with a column that has ``L'(0) < 0 < L'(1)`` goes to Newton whole
+    (each column's result depends on that column alone), and only the other
+    columns are searched for equal rows (equal rows have zero slopes, so
+    they are never inner).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -404,12 +405,15 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.maximum(out, _chernoff_newton(lq, d, slope0, slope1), out=out)
     else:
         outer = np.flatnonzero(~inner)
-        inner = np.flatnonzero(inner)
-        if inner.size:
-            out[inner] = np.maximum(
-                out[inner],
-                _chernoff_newton(lq[:, inner], d[:, inner], slope0[inner], slope1[inner]),
-            )
+        if inner.any():
+            # Newton takes the whole batch, with the other columns copied
+            # from the first inner one (an equal column would give a 0/0
+            # step) and their results dropped
+            fill = np.argmax(inner)
+            for a in (lq, d):
+                a[:, outer] = a[:, fill, None]
+            slope0[outer], slope1[outer] = slope0[fill], slope1[fill]
+            np.maximum(out, _chernoff_newton(lq, d, slope0, slope1), out=out, where=inner)
         out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
     return np.maximum(out, 0.0, out=out)
 

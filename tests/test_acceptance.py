@@ -42,6 +42,9 @@ SEED = 0
 # moves any of their points fails the test
 PINNED_CSV = Path(__file__).parent / "data" / "criterion8.csv"
 PINNED_K2_CSV = Path(__file__).parent / "data" / "tradeoff_k2.csv"
+# a sweep at lambda 0.1 and 0.3 (above every kernel's utility) on a grid
+# screened against 0.1, pinned from the unscreened scan
+PINNED_SCREENED_CSV = Path(__file__).parent / "data" / "tradeoff_screened.csv"
 
 
 def assert_matches_pinned(csv_text: str, pinned_path: Path):
@@ -189,3 +192,18 @@ def test_pinned_k2_search_curve(tmp_path, capsys):
     assert cli_main(args) == 0
     capsys.readouterr()
     assert_matches_pinned(out.read_text(), PINNED_K2_CSV)
+
+
+def test_pinned_screened_grid_curve(tmp_path, capsys):
+    # the grid is screened against lambda 0.1; lambda 0.3 alone screens it
+    # against 0.3, which no kernel reaches, so its grid is scored again whole
+    args = ["tradeoff", "--s", "1,2", "--grid-points", "41", "--seed", "0"]
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert cli_main(args + ["--lambda-grid", "0.1,0.3", "--out-csv", str(both)]) == 0
+    assert cli_main(args + ["--lambda-grid", "0.3", "--out-csv", str(alone)]) == 0
+    capsys.readouterr()
+    assert both.read_bytes() == PINNED_SCREENED_CSV.read_bytes()
+    header, *rows = both.read_text().splitlines()
+    assert [header] + [row for row in rows if row.startswith("0.3,")] == (
+        alone.read_text().splitlines()
+    )

@@ -156,7 +156,8 @@ def test_symbol_major_core_rejects_unequal_or_flat_arrays():
 @example(3, 4, "disjoint_and_equal")
 def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
     """A chunk and its rows one at a time take different branches of the
-    kernel (masked or not, all pairs inner or not) and agree bit for bit."""
+    kernel (masked or not, all pairs inner or not) and agree bit for bit;
+    so does a screened batch on the rows it scores in full."""
     rng = np.random.default_rng(seed)
     per_chunk = _CHUNK_ELEMENTS // (len(_FIRST) * m)
     count = 2 * per_chunk + int(rng.integers(1, per_chunk))
@@ -174,6 +175,16 @@ def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
     for g in range(count):
         u, v = _batch_both_rates(laws[g : g + 1], 2)
         assert (u[0], v[0]) == (utility[g], privacy[g])
+    # screened against a floor, a row keeps its bits, or it is dropped with
+    # privacy +inf and a utility from one of its pairs, below the floor
+    floor = float(np.median(utility))
+    screened_utility, screened_privacy = _batch_both_rates(laws, 2, floor)
+    kept = (screened_utility == utility) & (screened_privacy == privacy)
+    assert kept[utility >= floor].all()
+    dropped = ~kept
+    assert np.isinf(screened_privacy[dropped]).all()
+    assert (utility[dropped] <= screened_utility[dropped]).all()
+    assert (screened_utility[dropped] < floor).all()
 
 
 @pytest.mark.parametrize("m", [8, 9])

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from privtest import bayes
-from privtest.cli import main
+from privtest.cli import _parse_lambda_grid, main
+from privtest.errors import SizeCapError
 from privtest.model import identity_policy, model_from_dict, policy_to_dict
 from privtest.verify import SUITES
 
@@ -291,6 +292,20 @@ class TestTradeoffCommand:
         assert code == 5
         assert "--grid-points" in err
         assert not csv_path.exists()
+
+    def test_oversized_lambda_grid_exits_5_before_any_output(self, capsys, tmp_path):
+        # 0:0.16:1e-6 would be 160,001 optimizations; the parser check comes
+        # first, so a parser without the cap fails here instead of running them
+        with pytest.raises(SizeCapError, match="1001 points"):
+            _parse_lambda_grid("0:0.16:1e-6")
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        code, out, err = run(
+            capsys, "tradeoff", "--lambda-grid", "0:0.16:1e-6",
+            "--out-csv", str(csv_path), "--out-svg", str(svg_path),
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("error: lambda grid '0:0.16:1e-6' holds more than 1001 points")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",

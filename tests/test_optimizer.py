@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privtest import (
@@ -31,7 +31,13 @@ from privtest import (
 )
 from privtest.errors import EnumerationCapError
 from privtest.model import UP_PAIRS, OutputLaws
-from privtest.optimizer import _local_refine, _pattern_directions, grid_evaluation
+from privtest.optimizer import (
+    GRID_DIM_LIMIT,
+    _local_refine,
+    _pattern_directions,
+    _pick_best,
+    grid_evaluation,
+)
 from privtest.probkit import Pmf
 
 from model_strategies import small_models
@@ -283,6 +289,49 @@ def test_lockstep_refine_equals_one_start_at_a_time(model, seed, count, lam, max
     stacked = _local_refine(space, lam, starts, *args)
     for i, start in enumerate(starts):
         assert result(stacked, i) == result(_local_refine(space, lam, start[None, :], *args), 0)
+
+
+def assert_screen_keeps_winner(space, whole, floor):
+    # _pick_best on the grid screened against floor, bit for bit as on the
+    # whole grid: at the floor, between it and the best utility, and above
+    # every utility (the least-violation winner)
+    screened = grid_evaluation(space, SearchConfig(grid_points_per_parameter=21), floor)
+    best = whole.utility.max()
+    thresholds = [floor, max(best, floor) + 0.01]
+    if best > floor:
+        thresholds.append(floor + 0.5 * (best - floor))
+    for t in thresholds:
+        params, privacy, utility, feasible = _pick_best(screened, t)
+        expected = _pick_best(whole, t)
+        assert (params.tolist(), privacy, utility, feasible) == (
+            expected[0].tolist(), *expected[1:]
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_models().filter(lambda drawn: drawn[1] in (1.0, 2.0)), st.data())
+def test_screened_grid_picks_the_unscreened_winner(drawn, data):
+    model, s = drawn
+    space = policy_space(model, s, 1)
+    assume(1 <= space.dim <= GRID_DIM_LIMIT)
+    whole = grid_evaluation(space, SearchConfig(grid_points_per_parameter=21))
+    # a floor anywhere in (0, 0.2] mostly lies above every row's utility, so
+    # the grid is scored again whole; one at a row's own utility screens it
+    floors = st.floats(0.0, 0.2, exclude_min=True)
+    levels = np.unique(whole.utility[(whole.utility > 0.0) & (whole.utility <= 0.2)])
+    if levels.size:
+        floors |= st.integers(0, levels.size - 1).map(lambda i: float(levels[i]))
+    assert_screen_keeps_winner(space, whole, data.draw(floors, label="floor"))
+
+
+# the demo model's kernels reach utility 0.181 at most: floor 0.1 screens
+# both grids, floor 0.2 makes the s = 2 grid fall back to the whole one
+@pytest.mark.parametrize("s, floor", [(1.0, 0.1), (2.0, 0.1), (2.0, 0.2)])
+def test_screened_demo_grid_picks_the_unscreened_winner(model, s, floor):
+    space = policy_space(model, s, 1)
+    assert_screen_keeps_winner(
+        space, grid_evaluation(space, SearchConfig(grid_points_per_parameter=21)), floor
+    )
 
 
 @settings(max_examples=30)

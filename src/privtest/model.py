@@ -412,7 +412,15 @@ class PolicySpace:
     their rows' last entries.  ``head_params`` inverts ``heads``: it names
     the parameter at each entry, or ``dim`` where there is none.  A kernel
     is built from these indices alone, and its parameters are a gather of
-    its heads.
+    its heads.  ``param_slices`` names each parameter's slice, an index
+    into ``free_slices``.
+
+    The induced laws are affine in the parameters: parameter j moves mass
+    from its row's last entry to its head, so raising it by t adds
+    ``t * law_map[j]`` to the laws, with ``law_map[j] = W[row_j] ⊗ (e_head_j
+    - e_last_j)`` of shape (4, outputs) and W the row weights.  The policy
+    search scores its probes this way; :meth:`batch_laws` builds the
+    kernels and stays the reference.
     """
 
     model: SourceModel
@@ -425,6 +433,8 @@ class PolicySpace:
     head_params: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
     lasts: np.ndarray = field(init=False, repr=False)  # (rows,)
     slice_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    param_slices: np.ndarray = field(init=False, repr=False)  # (dim,)
+    law_map: np.ndarray = field(init=False, repr=False)  # (dim, 4, outputs)
 
     def __post_init__(self):
         counts = self.feasible.sum(axis=1)
@@ -442,7 +452,15 @@ class PolicySpace:
             (np.arange(length)[:, None] + starts[lengths == length], lasts[free[lengths == length]])
             for length in sorted(set(lengths.tolist()))
         )
-        object.__setattr__(self, "weights", _row_weights(self.model, self.k))
+        weights = _row_weights(self.model, self.k)
+        outputs = self.feasible.shape[1]
+        rows, head_cols = np.divmod(heads, outputs)
+        law_map = np.zeros((len(heads), 4, outputs))
+        law_map[np.arange(len(heads)), :, head_cols] = weights[rows]
+        law_map[np.arange(len(heads)), :, lasts[rows] % outputs] = -weights[rows]
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "param_slices", np.repeat(np.arange(len(free)), lengths))
+        object.__setattr__(self, "law_map", law_map)
         object.__setattr__(self, "free_slices", tuple(slices))
         object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "head_params", head_params)
@@ -470,6 +488,15 @@ class PolicySpace:
         for total in self._slice_sums(params):
             ok &= np.all(total <= 1.0 + 1e-12, axis=1)
         return ok
+
+    def slice_slack(self, params: np.ndarray) -> np.ndarray:
+        """1 minus each free slice's sum over a (G, dim) batch, shape
+        (G, slices) in ``free_slices`` order, summed as
+        :meth:`params_feasible` sums it."""
+        slack = np.empty((len(params), len(self.free_slices)))
+        for (columns, _), total in zip(self.slice_groups, self._slice_sums(params)):
+            slack[:, self.param_slices[columns[0]]] = 1.0 - total
+        return slack
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` parameter vectors, each row's output simplex drawn uniformly."""

@@ -12,11 +12,19 @@ is at most :data:`GRID_DIM_LIMIT`, and the grid winner is refined by a local
 pattern search; higher-dimensional families refine seeded random starts
 instead.  All starts of one search are refined in lockstep: each
 pattern-search step stacks the probes of every start still moving into one
-feasibility check and one rate batch, and each start then moves or shrinks
-its step by itself, exactly as it would if refined alone.  Results are
-deterministic given the search seed.
+rate batch, and each start then moves or shrinks its step by itself,
+exactly as it would if refined alone.  Results are deterministic given the
+search seed.
 
-One selection rule decides every comparison, in :func:`_pick_best`: feasible
+The search works in law space.  The induced laws are affine in the
+parameters (:attr:`PolicySpace.law_map`), so a probe's laws are its start's
+laws plus a rank-one update per moved parameter, its feasibility follows
+from the slack of the simplex slices it touches, and Newton starts each of
+its six pairs at the tilt mu* its start was scored with.  Only the starts
+and the moves build kernel matrices; the reported point is built and
+scored again from scratch.
+
+One selection rule decides every comparison, in :func:`_best`: feasible
 candidates first, then the smallest privacy rate (or, when none is feasible,
 the smallest guarantee violation), where values within :data:`_TIE_TOL` of
 the best are tied and the lexicographically smallest parameter vector among
@@ -24,7 +32,7 @@ the tied wins.  It picks the grid winner, each pattern-search move (among
 the probes that beat the incumbent by more than the tolerance) and the final
 result among the refined starts.
 
-Rate evaluation is batched end to end: :meth:`PolicySpace.batch_laws` pushes
+Grid rates are batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a candidate batch through the model as one stack of kernel matrices, at most
 :data:`_LAW_CHUNK_ROWS` candidates at a time so that the grid's memory stays
 bounded, and :func:`_batch_both_rates` gathers the six unordered
@@ -40,8 +48,9 @@ The grid is screened: a kernel is admissible only if every utility pair
 clears the threshold, so :func:`grid_evaluation` scores one utility pair,
 law (0, 1) against law (1, 0), on every row first, and the other five only
 on the rows where that pair clears the smallest threshold the grid is
-ranked at.  The kernel scores each pair by itself, so a row scored in full
-gets the same bits either way.
+ranked at (and, when no row clears it, only the rows that can still have
+the largest utility).  The kernel scores each pair by itself, so a row
+scored in full gets the same bits either way.
 
 The per-block optimum at any finite k is only an upper bound on the
 asymptotic minimum privacy exponent (the true quantity is an infimum over
@@ -201,6 +210,7 @@ _SCREEN = next(
     if pair == (_UP_INDEX[(0, 1)], _UP_INDEX[(1, 0)])
 )
 _REST = np.array([i for i in range(len(_FIRST)) if i != _SCREEN])
+_ALL = np.arange(len(_FIRST))
 
 #: Probabilities per stacked array in one Chernoff kernel call; larger
 #: candidate batches are scored in chunks of this size, so memory stays flat.
@@ -212,9 +222,13 @@ _CHUNK_ELEMENTS = 8192
 _LAW_CHUNK_ROWS = 4096
 
 
-def _pair_rates(by_symbol: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Chernoff informations of the given unordered pairs of every row, as a
-    ``(G, len(pairs))`` array; ``by_symbol`` is the ``(m, G, 4)`` law view.
+def _pair_rates(
+    by_symbol: np.ndarray, pairs: np.ndarray, tilts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chernoff informations of the given unordered pairs of every row and
+    their tilts mu*, two ``(G, len(pairs))`` arrays; ``by_symbol`` is the
+    ``(m, G, 4)`` law view and ``tilts``, if given, Newton's starting tilts
+    in the same layout.
 
     The pairs of a chunk of rows are gathered straight into two
     symbol-major ``(m, len(pairs) g)`` arrays, one index per side, and
@@ -223,13 +237,27 @@ def _pair_rates(by_symbol: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     m, G, _ = by_symbol.shape
     first, second = _FIRST[pairs], _SECOND[pairs]
     rates = np.empty((G, len(pairs)))
+    mus = np.empty((G, len(pairs)))
     size = max(1, _CHUNK_ELEMENTS // (len(pairs) * m))
     for start in range(0, G, size):
-        chunk = by_symbol[:, start : start + size]
-        rates[start : start + size] = chernoff_symbol_major(
-            chunk[:, :, first].reshape(m, -1), chunk[:, :, second].reshape(m, -1)
-        ).reshape(-1, len(pairs))
-    return rates
+        rows = slice(start, start + size)
+        chunk = by_symbol[:, rows]
+        rate, mu = chernoff_symbol_major(
+            chunk[:, :, first].reshape(m, -1),
+            chunk[:, :, second].reshape(m, -1),
+            None if tilts is None else tilts[rows].ravel(),
+            return_tilt=True,
+        )
+        rates[rows] = rate.reshape(-1, len(pairs))
+        mus[rows] = mu.reshape(-1, len(pairs))
+    return rates, mus
+
+
+def _target_rates(rates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Utility and privacy rates from all six pair rates of each row."""
+    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
+    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
+    return utility / k, privacy / k
 
 
 def _batch_both_rates(
@@ -249,20 +277,16 @@ def _batch_both_rates(
     """
     by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
     if floor > 0.0:
-        screen = _pair_rates(by_symbol, np.array([_SCREEN]))[:, 0]
+        screen = _pair_rates(by_symbol, np.array([_SCREEN]))[0][:, 0]
         utility = screen / k
         privacy = np.full(len(screen), np.inf)
         kept = np.flatnonzero(utility >= floor - _TIE_TOL)
         rates = np.empty((len(kept), len(_FIRST)))
         rates[:, _SCREEN] = screen[kept]
-        rates[:, _REST] = _pair_rates(by_symbol[:, kept], _REST)
-        utility[kept] = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1) / k
-        privacy[kept] = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1) / k
+        rates[:, _REST] = _pair_rates(by_symbol[:, kept], _REST)[0]
+        utility[kept], privacy[kept] = _target_rates(rates, k)
         return utility, privacy
-    rates = _pair_rates(by_symbol, np.arange(len(_FIRST)))
-    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
-    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
-    return utility / k, privacy / k
+    return _target_rates(_pair_rates(by_symbol, _ALL)[0], k)
 
 
 def utility_rate(laws: OutputLaws) -> float:
@@ -328,29 +352,110 @@ def _evaluate(space: PolicySpace, params: np.ndarray, floor: float = 0.0) -> _Fa
     return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
 
 
-def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
-    """Best candidate in a batch: min privacy among feasible, else min violation.
-
-    Every candidate within :data:`_TIE_TOL` of the best value is tied, and
-    the lexicographically smallest parameter vector among them wins.  This is
-    the optimizer's only ranking of candidates.
-    """
-    feasible = ev.utility >= threshold
+def _tied(utility: np.ndarray, privacy: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the candidates tied for best: the feasible ones within
+    :data:`_TIE_TOL` of the smallest privacy rate or, when none is
+    feasible, those within it of the smallest guarantee violation."""
+    feasible = utility >= threshold
     if feasible.any():
         pool = np.flatnonzero(feasible)
-        vals = ev.privacy[pool]
+        vals = privacy[pool]
     else:
         pool = np.arange(len(feasible))
-        vals = threshold - ev.utility
-    tied = pool[vals <= vals.min() + _TIE_TOL]
-    # the row index is the least significant key, so there is a key at dim 0
-    choice = tied[np.lexsort((tied, *ev.params[tied].T[::-1]))[0]]
+        vals = threshold - utility
+    return pool[vals <= vals.min() + _TIE_TOL]
+
+
+def _best(ev: _FamilyEval, threshold: float) -> int:
+    """Index of the best candidate in a batch: among the :func:`_tied` ones,
+    the lexicographically smallest parameter vector.  This is the
+    optimizer's only ranking of candidates."""
+    tied = _tied(ev.utility, ev.privacy, threshold)
+    if len(tied) == 1:
+        return int(tied[0])
+    # columns on which all tied rows agree do not order them; the row index
+    # is the least significant key, so there is a key when all agree
+    params = ev.params[tied]
+    keys = params[:, (params != params[0]).any(axis=0)]
+    return int(tied[np.lexsort((tied, *keys.T[::-1]))[0]])
+
+
+def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
+    """Params, privacy, utility and feasibility of the :func:`_best` candidate."""
+    choice = _best(ev, threshold)
     return (
         ev.params[choice].copy(),
         float(ev.privacy[choice]),
         float(ev.utility[choice]),
-        bool(feasible[choice]),
+        bool(ev.utility[choice] >= threshold),
     )
+
+
+def _probes(
+    space: PolicySpace,
+    x: np.ndarray,
+    slack: np.ndarray,
+    steps: np.ndarray,
+    exact: np.ndarray,
+    columns: np.ndarray,
+    signs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probes of each row of ``x`` along each direction of
+    :func:`_pattern_directions`, scaled by the row's step and clipped to
+    [0, 1]: their moved values and moves, ``(G, D, t)`` arrays, and whether
+    each is in the simplex, a ``(G, D)`` mask.
+
+    ``slack`` holds each row's :meth:`PolicySpace.slice_slack`.  A probe's
+    moves lower the slack of the slices they touch, and the probe is in the
+    simplex when every new slack is at least -1e-12, as
+    :meth:`PolicySpace.params_feasible` decides from its own sums.  The two
+    differ only by rounding, at most one unit of 2.2e-16 per addition, so a
+    probe whose slack lies that close to the bound, and every probe of a
+    row that ``exact`` marks (a start outside the simplex), is decided by
+    :meth:`PolicySpace.params_feasible` itself.  A column of -1 is no move.
+    """
+    value = np.clip(x[:, columns] + steps[:, None, None] * signs, 0.0, 1.0)
+    move = value - x[:, columns]
+    slices = space.param_slices[columns]
+    margin = slack[:, slices] - move  # (G, D, t)
+    if columns.shape[1] > 1:  # diagonals
+        second = columns[:, 1] >= 0
+        shared = second & (slices[:, 0] == slices[:, 1])
+        margin[:, shared, 0] -= move[:, shared, 1]
+        margin = np.where(second & ~shared, margin.min(axis=2), margin[..., 0])
+    else:
+        margin = margin[..., 0]
+    margin += 1e-12
+    kept = margin >= 0.0
+    longest = len(space.slice_groups[-1][0])
+    unsure = (np.abs(margin) <= (2 * longest + 4) * np.finfo(float).eps) | exact[:, None]
+    if unsure.any():
+        a, d = np.nonzero(unsure)
+        kept[a, d] = space.params_feasible(_probe_params(x[a], columns[d], value[a, d]))
+    return value, move, kept
+
+
+def _probe_params(base: np.ndarray, columns: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Parameter vectors of probes: ``base`` (one row per probe, or one for
+    all) with each probe's ``columns`` set to its ``value``, both (n, t)."""
+    params = np.array(np.broadcast_to(base, (len(columns), base.shape[-1])))
+    for t in range(columns.shape[1]):
+        rows = np.flatnonzero(columns[:, t] >= 0)
+        params[rows, columns[rows, t]] = value[rows, t]
+    return params
+
+
+def _probe_laws(
+    space: PolicySpace, laws: np.ndarray, columns: np.ndarray, move: np.ndarray
+) -> np.ndarray:
+    """Laws of probes in law space: each probe's incumbent laws, a row of
+    ``laws`` (n, 4, m), plus ``move * law_map[column]`` for each of its
+    (column, move) pairs (n, t), clipped at 0; a column of -1 is no move.
+    Only elementwise updates, so a probe's laws depend on its row alone."""
+    out = laws + move[:, 0, None, None] * space.law_map[columns[:, 0]]
+    if columns.shape[1] > 1 and (two := np.flatnonzero(columns[:, 1] >= 0)).size:
+        out[two] += move[two, 1, None, None] * space.law_map[columns[two, 1]]
+    return np.maximum(out, 0.0, out=out)
 
 
 def _local_refine(
@@ -359,74 +464,110 @@ def _local_refine(
     starts: np.ndarray,
     step: float,
     tol: float,
-    directions: np.ndarray,
+    directions: tuple[np.ndarray, np.ndarray],
     max_moves: int = 2000,
 ) -> _FamilyEval:
     """Pattern search from every row of ``starts`` in lockstep: probe scaled
     directions, shrink on failure; returns the refined starts, row for row.
 
-    Each start keeps its own incumbent, step and move count, and retires
+    Each start keeps its own incumbent x, step and move count, and retires
     once its step falls below ``tol`` or it has made ``max_moves`` moves.
-    On every step the probes of all active starts are stacked: one
-    feasibility check and one :func:`_evaluate` call score them all, and the
-    results are split back per start.  A probe must beat its start's
-    incumbent by more than :data:`_TIE_TOL` (a feasible probe beats an
-    infeasible incumbent); the best such probe by :func:`_pick_best` becomes
-    the new incumbent.  Each row's kernel, laws and rates depend on that row
+    Probes are built and scored in law space (:func:`_probes`): each start
+    keeps its incumbent's laws, the slack of each free slice and the tilt
+    mu* of each of its six Chernoff pairs.  A probe that moves parameter j
+    by t has laws ``laws(x) + t * law_map[j]`` (plus the second term of a
+    diagonal), clipped at 0, and its slack decides whether it is in the
+    simplex.  Newton starts each of its pairs at the incumbent's tilt.  Only
+    a start that moved has its laws and slack rebuilt, from its new
+    parameters by :meth:`PolicySpace.batch_laws`.
+
+    On every step the probes of all active starts are stacked and scored
+    by one rate batch, and the results are split back per start.  A probe
+    must beat its start's incumbent by more than :data:`_TIE_TOL` (a
+    feasible probe beats an infeasible incumbent); the best such probe by
+    :func:`_best` becomes the new incumbent, with the rates and tilts it
+    was scored with.  Each probe's laws and rates depend on its own start
     alone, whatever the batch, so every start follows the path it would
-    follow if refined by itself, and :meth:`PolicySpace.kernel_from_params`
-    rebuilds, bit for bit, the kernel that the search scored.  Without
-    directions (a family with no parameters) the starts are returned as
-    evaluated.
+    follow if refined by itself.  The laws a probe was scored on equal
+    those :meth:`PolicySpace.kernel_from_params` builds from its parameters
+    only to rounding, so the caller re-verifies the point it reports from
+    scratch.  Without directions (a family with no parameters) the starts
+    are returned as evaluated.
     """
-    ev = _evaluate(space, starts)
-    x, utility, privacy = ev.params.copy(), ev.utility, ev.privacy  # starts stay untouched
+    columns, signs = directions
+    if not (columns[:, 1:] >= 0).any():  # no diagonals: one move per probe
+        columns, signs = columns[:, :1], signs[:, :1]
+    x = np.array(starts, dtype=float)  # the starts stay untouched
+    laws = space.batch_laws(x)
+    slack = space.slice_slack(x)
+    rates, tilts = _pair_rates(laws.transpose(2, 0, 1), _ALL)
+    utility, privacy = _target_rates(rates, space.k)
+    exact = ~space.params_feasible(x)
     steps = np.full(len(x), float(step))
     moves = np.zeros(len(x), dtype=int)
-    active = np.arange(len(x) if len(directions) else 0)
+    active = np.arange(len(x) if len(columns) else 0)
     while (active := active[(steps[active] >= tol) & (moves[active] < max_moves)]).size:
-        probes = np.clip(
-            x[active, None, :] + steps[active, None, None] * directions, 0.0, 1.0
-        ).reshape(-1, space.dim)
-        kept = space.params_feasible(probes)
-        ev = _evaluate(space, probes[kept])
-        owner = np.repeat(active, len(directions))[kept]
+        value, move, kept = _probes(
+            space, x[active], slack[active], steps[active], exact[active], columns, signs
+        )
+        a, d = np.nonzero(kept)
+        owner = active[a]
+        probe_laws = _probe_laws(space, laws[owner], columns[d], move[a, d])
+        probe_rates, probe_tilts = _pair_rates(probe_laws.transpose(2, 0, 1), _ALL, tilts[owner])
+        probe_utility, probe_privacy = _target_rates(probe_rates, space.k)
         wins = np.where(
             utility[owner] >= threshold,
-            (ev.utility >= threshold) & (ev.privacy < privacy[owner] - _TIE_TOL),
-            (ev.utility >= threshold)
-            | ((threshold - ev.utility) < (threshold - utility[owner]) - _TIE_TOL),
+            (probe_utility >= threshold) & (probe_privacy < privacy[owner] - _TIE_TOL),
+            (probe_utility >= threshold)
+            | ((threshold - probe_utility) < (threshold - utility[owner]) - _TIE_TOL),
         )
-        counts = kept.reshape(len(active), -1).sum(axis=1)
-        ends = np.cumsum(counts)
-        for i, begin, end in zip(active, ends - counts, ends):
-            mine = begin + np.flatnonzero(wins[begin:end])
-            if mine.size:
-                winners = _FamilyEval(space, ev.params[mine], ev.utility[mine], ev.privacy[mine])
-                x[i], privacy[i], utility[i], _ = _pick_best(winners, threshold)
-                moves[i] += 1
-            else:
-                steps[i] *= 0.5
+        # each active start's winning probes are one run of ``won``
+        won = np.flatnonzero(wins)
+        bounds = np.searchsorted(a[won], np.arange(len(active) + 1))
+        steps[active[bounds[1:] == bounds[:-1]]] *= 0.5
+        movers = np.flatnonzero(bounds[1:] > bounds[:-1])
+        for pos in movers:
+            i = active[pos]
+            mine = won[bounds[pos] : bounds[pos + 1]]
+            # only the tied probes need their parameter vectors
+            mine = mine[_tied(probe_utility[mine], probe_privacy[mine], threshold)]
+            params = _probe_params(x[i], columns[d[mine]], value[a[mine], d[mine]])
+            pick = _best(
+                _FamilyEval(space, params, probe_utility[mine], probe_privacy[mine]), threshold
+            )
+            choice = mine[pick]
+            x[i] = params[pick]
+            utility[i], privacy[i] = probe_utility[choice], probe_privacy[choice]
+            tilts[i] = probe_tilts[choice]
+        if movers.size:
+            moved = active[movers]
+            moves[moved] += 1
+            laws[moved] = space.batch_laws(x[moved])
+            slack[moved] = space.slice_slack(x[moved])
+            exact[moved] = False
     return _FamilyEval(space, x, utility, privacy)
 
 
-def _pattern_directions(dim: int) -> np.ndarray:
-    """+-1 coordinate moves, plus all two-coordinate diagonals for small dims."""
-    dirs = []
-    for j in range(dim):
-        for sgn in (1.0, -1.0):
-            v = np.zeros(dim)
-            v[j] = sgn
-            dirs.append(v)
+def _pattern_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """+-1 coordinate moves, plus all two-coordinate diagonals for small dims.
+
+    Each direction is two (column, sign) pairs, as a ``(D, 2)`` array of
+    columns and one of signs; a coordinate move has column -1 and sign 0 in
+    its second pair.
+    """
+    columns = [(j, -1) for j in range(dim) for _ in (1.0, -1.0)]
+    signs = [(sgn, 0.0) for _ in range(dim) for sgn in (1.0, -1.0)]
     if dim <= GRID_DIM_LIMIT:
         for j in range(dim):
             for jj in range(j + 1, dim):
                 for s1 in (1.0, -1.0):
                     for s2 in (1.0, -1.0):
-                        v = np.zeros(dim)
-                        v[j], v[jj] = s1, s2
-                        dirs.append(v)
-    return np.stack(dirs) if dirs else np.zeros((0, dim))
+                        columns.append((j, jj))
+                        signs.append((s1, s2))
+    return (
+        np.array(columns, dtype=int).reshape(-1, 2),
+        np.array(signs, dtype=float).reshape(-1, 2),
+    )
 
 
 def optimize_policy(
@@ -499,8 +640,11 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     the floor then picks what it picks on the unscreened grid: a dropped
     row is infeasible there, and its violation exceeds that of a row
     clearing the floor by more than :data:`_TIE_TOL`.  If no row clears
-    the floor, the grid is scored again without one, so that the
-    least-violation winner stays exact.
+    the floor, the winner is the row of largest utility, and a row's
+    screening rate bounds its utility from above: the rows whose screening
+    rate reaches the best fully scored utility are scored in full, until
+    none is left, and every other row keeps its screening rate, below the
+    winner's utility by more than the tolerance.
     """
     points = search.grid_points_per_parameter
     rows = points**space.dim
@@ -514,7 +658,19 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     grid = grid[space.params_feasible(grid)]
     ev = _evaluate(space, grid, floor)
     if floor > 0.0 and not (ev.utility >= floor).any():
-        ev = _evaluate(space, grid)
+        # every threshold now ranks by the largest utility; a screened row's
+        # utility is its screening rate, an upper bound, so only rows whose
+        # rate reaches the best fully scored utility can win or tie
+        scored = np.zeros(len(grid), dtype=bool)
+        best = -np.inf
+        pending = np.array([np.argmax(ev.utility)])
+        while pending.size:
+            full = _evaluate(space, grid[pending])
+            ev.utility[pending], ev.privacy[pending] = full.utility, full.privacy
+            scored[pending] = True
+            best = max(best, full.utility.max())
+            # twice the tolerance covers the rounding of threshold - utility
+            pending = np.flatnonzero(~scored & (ev.utility >= best - 2 * _TIE_TOL))
     return ev
 
 

@@ -14,6 +14,7 @@ The four computational kernels are
   arrays at once, by safeguarded Newton iteration on the derivative of the
   log-moment function; its core ``chernoff_symbol_major`` takes the
   transposed ``(m, B)`` layout, which the policy optimizer fills directly,
+  and can start Newton at given tilts and return each row's tilt mu*,
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
@@ -365,10 +366,23 @@ def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return chernoff_symbol_major(np.ascontiguousarray(p.T), np.ascontiguousarray(q.T))
 
 
-def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def chernoff_symbol_major(
+    p: np.ndarray, q: np.ndarray, start: np.ndarray | None = None, return_tilt: bool = False
+):
     """:func:`chernoff_batch` of two symbol-major ``(m, B)`` probability
     arrays, one column per pair, bit for bit; per-column sums are then
     m - 1 vector additions.
+
+    ``start`` optionally gives each column's starting tilt in [0, 1] for
+    Newton (a nearby column's mu*, say), in place of the secant root; at
+    m = 2 the closed-form root is used regardless.  A column's value then
+    differs from its cold value only by rounding, since ``L`` is flat at its
+    minimum.  With ``return_tilt`` the result is ``(rates, tilts)``, where a
+    column's tilt is the mu* at which its rate was evaluated: Newton's last
+    iterate for an inner column and the better endpoint, 0 or 1, for any
+    other (an equal or disjoint column takes 0 or 1 as well, though every mu
+    is optimal there).  The tilted law ``p^mu* q^(1-mu*) / Z`` gives the
+    envelope gradient of the rate (Cover & Thomas, section 11.9).
 
     Selections that would select every column are skipped, which changes no
     bit: a batch without zero masses needs no common-support masks, every
@@ -381,6 +395,10 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape:
         raise ValidationError(f"expected two equal (m, B) arrays, got {p.shape} and {q.shape}")
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != p.shape[1:]:
+            raise ValidationError(f"expected {p.shape[1]} starting tilts, got {start.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         if p.size and p.min() > 0.0 and q.min() > 0.0:
             pc, qc = p, q
@@ -400,9 +418,11 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         slope1 = pd / sp  # L'(1)
         # the better endpoint; log 0 = -inf makes disjoint rows +inf
         out = -np.minimum(np.log(sq), np.log(sp))
+    tilt = (sp < sq).astype(float)  # L(1) = log sp, L(0) = log sq
     inner = (slope0 < 0.0) & (slope1 > 0.0)
     if inner.all():
-        np.maximum(out, _chernoff_newton(lq, d, slope0, slope1), out=out)
+        rate, tilt = _chernoff_newton(lq, d, slope0, slope1, start)
+        np.maximum(out, rate, out=out)
     else:
         outer = np.flatnonzero(~inner)
         if inner.any():
@@ -410,51 +430,59 @@ def chernoff_symbol_major(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             # from the first inner one (an equal column would give a 0/0
             # step) and their results dropped
             fill = np.argmax(inner)
-            for a in (lq, d):
-                a[:, outer] = a[:, fill, None]
+            for a in (lq, d) if start is None else (lq, d, start):
+                a[..., outer] = a[..., fill, None]
             slope0[outer], slope1[outer] = slope0[fill], slope1[fill]
-            np.maximum(out, _chernoff_newton(lq, d, slope0, slope1), out=out, where=inner)
+            rate, mu = _chernoff_newton(lq, d, slope0, slope1, start)
+            np.maximum(out, rate, out=out, where=inner)
+            np.copyto(tilt, mu, where=inner)
         out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
-    return np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    return (out, tilt) if return_tilt else out
 
 
 def _chernoff_newton(
-    lq: np.ndarray, d: np.ndarray, slope0: np.ndarray, slope1: np.ndarray
-) -> np.ndarray:
-    """``-min L`` for rows with ``L'(0) < 0 < L'(1)``, by safeguarded Newton.
+    lq: np.ndarray,
+    d: np.ndarray,
+    slope0: np.ndarray,
+    slope1: np.ndarray,
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``-min L`` and its argmin for rows with ``L'(0) < 0 < L'(1)``, by
+    safeguarded Newton.
 
     ``L(mu) = log sum exp(lq + mu * d)`` with ``lq`` and ``d`` of shape
-    (m, B).  Each row keeps a bracket around the root of ``L'`` and retires
+    (m, B).  Each row keeps a bracket around the root of ``L'`` and is done
     as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Rows with
-    m > 2 start from the secant root of the endpoint slopes.  At m = 2 the
-    root is known in closed form, ``mu* = (log q_1 - log q_0 +
-    log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]: ``L'(0) < 0 < L'(1)``
-    makes ``d_0`` and ``d_1`` nonzero with opposite signs, so it is defined,
-    and the first step from it already meets the tolerance.  The tolerance
-    test comes before the safeguard, which replaces a step leaving the
-    bracket by bisection, so a converged row is never sent back to
-    bisection.  ``L`` is flat at its minimum, so its value at the last
-    iterate is exact to rounding.
+    m > 2 start from ``start`` when given, else from the secant root of the
+    endpoint slopes.  At m = 2 the root is known in closed form, ``mu* =
+    (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]:
+    ``L'(0) < 0 < L'(1)`` makes ``d_0`` and ``d_1`` nonzero with opposite
+    signs, so it is defined, and the first step from it already meets the
+    tolerance.  The tolerance test comes before the safeguard, which
+    replaces a step leaving the bracket by bisection, so a converged row is
+    never sent back to bisection.  ``L`` is flat at its minimum, so its
+    value at the last iterate is exact to rounding.
 
-    Retiring rows are dropped with ``compress``; when every remaining row
-    retires at once (at m = 2, on the first evaluation) their values are
-    written in one piece, and a batch that retires whole needs no row
-    bookkeeping at all.
+    The batch keeps its shape: a row that is done keeps its iterate, so
+    every later pass recomputes its moments at the same point, bit for bit,
+    and the values of the last pass are every row's result.
     """
     m, n = lq.shape
-    out = None  # allocated when the first rows retire before the rest
     lo = np.zeros(n)
     hi = np.ones(n)
+    terms = np.empty((m, 3, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 2:
             # L'(mu) = 0 is q0 d0 exp(mu d0) = -q1 d1 exp(mu d1), solved for mu
             mu = np.clip((lq[1] - lq[0] + np.log(-d[1] / d[0])) / (d[0] - d[1]), 0.0, 1.0)
+        elif start is not None:
+            mu = np.clip(start, 0.0, 1.0)
         else:
             mu = slope0 / (slope0 - slope1)
         for it in range(_NEWTON_MAX_ITER):
             # moments of d under the tilted weights w, summed in one pass; the
             # (m, 3, B) layout keeps the symbol order when one column is left
-            terms = np.empty((m, 3, mu.size))
             w = np.exp(lq + mu * d, out=terms[:, 0])
             wd = np.multiply(w, d, out=terms[:, 1])
             np.multiply(wd, d, out=terms[:, 2])
@@ -462,27 +490,15 @@ def _chernoff_newton(
             grad = first / total
             step = grad / (second / total - grad * grad)
             done = (np.abs(step) <= _NEWTON_TOL) | (hi - lo <= _NEWTON_TOL)
-            if it == _NEWTON_MAX_ITER - 1 or done.all():
-                if out is None:
-                    return -np.log(total)
-                out[rows] = -np.log(total)
-                return out
-            if done.any():
-                if out is None:
-                    out = np.empty(n)
-                    rows = np.arange(n)
-                out[rows[done]] = -np.log(total[done])
-                keep = ~done
-                rows = rows.compress(keep)
-                lq, d = lq.compress(keep, axis=1), d.compress(keep, axis=1)
-                mu, lo, hi = mu.compress(keep), lo.compress(keep), hi.compress(keep)
-                grad, step = grad.compress(keep), step.compress(keep)
+            if done.all() or it == _NEWTON_MAX_ITER - 1:
+                break
             right = grad > 0.0
             hi = np.where(right, mu, hi)
             lo = np.where(right, lo, mu)
             nxt = mu - step
-            mu = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-    return out
+            nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            mu = np.where(done, mu, nxt)
+    return -np.log(total), mu
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ from privtest.errors import EnumerationCapError
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.optimizer import (
     GRID_DIM_LIMIT,
+    _evaluate,
     _local_refine,
     _pattern_directions,
     _pick_best,
+    _probe_laws,
+    _probe_params,
+    _probes,
     grid_evaluation,
 )
 from privtest.probkit import Pmf
@@ -166,20 +170,25 @@ class TestOptimizePolicy:
         assert e_util >= cfg.lam - 0.02
 
 
+def forced_model():
+    """One-point Z: at s = 0 every row has the identity output as its only
+    feasible one (no parameters); at k = 1 and s = 1 the row x = 0 has two
+    (one parameter)."""
+    x_alpha, z_alpha = Alphabet((0.0, 1.0)), Alphabet((0.0,))
+    rows = ((0.3, 0.7), (0.6, 0.4), (0.2, 0.8), (0.9, 0.1))
+    return SourceModel(
+        x_alphabet=x_alpha,
+        z_alphabet=z_alpha,
+        prior=UNIFORM,
+        cond={up: Pmf(labels=x_alpha.values, probs=r) for up, r in zip(UP_PAIRS, rows)},
+        noise=Pmf(labels=(0.0,), probs=(1.0,)),
+    )
+
+
 class TestZeroParameterFamily:
-    # one-point Z and s = 0: every row has the identity output as its only
-    # feasible one, so the family is a single kernel with no parameters
     @pytest.fixture(scope="class")
     def forced(self):
-        x_alpha, z_alpha = Alphabet((0.0, 1.0)), Alphabet((0.0,))
-        rows = ((0.3, 0.7), (0.6, 0.4), (0.2, 0.8), (0.9, 0.1))
-        return SourceModel(
-            x_alphabet=x_alpha,
-            z_alphabet=z_alpha,
-            prior=UNIFORM,
-            cond={up: Pmf(labels=x_alpha.values, probs=r) for up, r in zip(UP_PAIRS, rows)},
-            noise=Pmf(labels=(0.0,), probs=(1.0,)),
-        )
+        return forced_model()
 
     def test_optimize_returns_the_only_kernel(self, forced):
         assert policy_space(forced, s=0.0, k=1).dim == 0
@@ -289,6 +298,109 @@ def test_lockstep_refine_equals_one_start_at_a_time(model, seed, count, lam, max
     stacked = _local_refine(space, lam, starts, *args)
     for i, start in enumerate(starts):
         assert result(stacked, i) == result(_local_refine(space, lam, start[None, :], *args), 0)
+
+
+def law_space_starts(space, rng):
+    """Drawn starts, one with some parameters exactly 0 and one with every
+    slice summing to 1 exactly (its last entries at 0)."""
+    drawn = space.random_params(rng, 2)
+    at_bound = np.zeros(space.dim)
+    for _, start, stop in space.free_slices:
+        at_bound[start] = 0.25 if stop - start > 1 else 1.0
+        at_bound[start + 1 : stop] = 0.75 / max(stop - start - 1, 1)
+    # 0.75 / n sums to 0.75 exactly for n = 1, 2, 3, 6 (the slice lengths here)
+    assert np.all(space.slice_slack(at_bound[None, :]) == 0.0)
+    return np.vstack([drawn, drawn[0] * (rng.random(space.dim) < 0.5), at_bound])
+
+
+def probe_directions(space, rng):
+    """The pattern directions plus, where they have no diagonals, 20 drawn
+    ones, some within one slice."""
+    columns, signs = _pattern_directions(space.dim)
+    if space.dim > GRID_DIM_LIMIT:
+        first = rng.integers(0, space.dim, 20)
+        second = np.where(rng.random(20) < 0.5, first + 1, rng.integers(0, space.dim, 20))
+        second = np.where(second == first, -1, second % space.dim)
+        extra = np.stack([first, second], axis=1)
+        columns = np.vstack([columns, extra])
+        signs = np.vstack([signs, rng.choice([-1.0, 1.0], size=(20, 2)) * (extra >= 0)])
+    return columns, signs
+
+
+# the steps clip probes at 0 and 1, move a little, and move within, just
+# past and well past the 1e-12 band of a slice's sum bound
+STEPS = (1.0, 0.25, 2.0**-20, 1e-13, 2e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_law_space_probes_equal_their_batch_laws(model, k, s):
+    space = policy_space(model, s, k)
+    rng = np.random.default_rng(10 * k + int(s))
+    x = law_space_starts(space, rng)
+    columns, signs = probe_directions(space, rng)
+    laws, slack = space.batch_laws(x), space.slice_slack(x)
+    exact = np.zeros(len(x), dtype=bool)
+    for step in STEPS:
+        steps = np.full(len(x), step)
+        value, move, kept = _probes(space, x, slack, steps, exact, columns, signs)
+        a, d = np.indices(kept.shape).reshape(2, -1)
+        params = _probe_params(x[a], columns[d], value[a, d])
+        np.testing.assert_array_equal(kept.ravel(), space.params_feasible(params))
+        a, d = np.nonzero(kept)
+        params = _probe_params(x[a], columns[d], value[a, d])
+        got = _probe_laws(space, laws[a], columns[d], move[a, d])
+        # a probe past the sum bound, within the band, has its kernel's
+        # last entry clipped at 0: that moves at most its overshoot
+        overshoot = np.maximum(-space.slice_slack(params).min(axis=1, initial=0.0), 0.0)
+        assert np.all(np.abs(got - space.batch_laws(params)) <= 1e-15 + overshoot[:, None, None])
+        assert np.all(got >= 0.0)
+
+
+def test_probes_of_a_start_outside_the_simplex_are_checked_exactly(model):
+    space = policy_space(model, 1.0, 2)
+    x = space.random_params(np.random.default_rng(3), 2)
+    _, start, stop = next(sl for sl in space.free_slices if sl[2] - sl[1] >= 2)
+    x[1, start:stop] = 0.0
+    x[1, start : start + 2] = 1.0, 0.1  # this slice sums to more than 1
+    exact = ~space.params_feasible(x)
+    assert exact.tolist() == [False, True]
+    columns, signs = _pattern_directions(space.dim)
+    value, _, kept = _probes(
+        space, x, space.slice_slack(x), np.full(2, 0.25), exact, columns[:, :1], signs[:, :1]
+    )
+    a, d = np.indices(kept.shape).reshape(2, -1)
+    params = _probe_params(x[a], columns[d, :1], value[a, d])
+    np.testing.assert_array_equal(kept.ravel(), space.params_feasible(params))
+    assert kept[1].any() and not kept[1].all()
+
+
+def test_law_space_one_parameter_family():
+    space = policy_space(forced_model(), 1.0, 1)
+    assert space.dim == 1
+    x = np.array([[0.0], [0.3], [1.0]])
+    columns, signs = _pattern_directions(1)
+    for step in (0.5, 1.0):
+        value, move, kept = _probes(
+            space, x, space.slice_slack(x), np.full(3, step), np.zeros(3, dtype=bool),
+            columns[:, :1], signs[:, :1],
+        )
+        assert kept.all()  # clipped at 0 and 1
+        a, d = np.nonzero(kept)
+        params = _probe_params(x[a], columns[d, :1], value[a, d])
+        got = _probe_laws(space, space.batch_laws(x)[a], columns[d, :1], move[a, d])
+        assert np.all(np.abs(got - space.batch_laws(params)) <= 1e-15)
+
+
+def test_zero_parameter_family_refines_to_its_starts():
+    space = policy_space(forced_model(), 0.0, 1)
+    assert space.dim == 0 and space.law_map.shape == (0, 4, 2)
+    assert space.slice_slack(np.zeros((2, 0))).shape == (2, 0)
+    refined = _local_refine(space, 0.1, np.zeros((2, 0)), 0.25, 1e-5, _pattern_directions(0))
+    expected = _evaluate(space, np.zeros((2, 0)))
+    assert refined.params.shape == (2, 0)
+    assert refined.utility.tolist() == expected.utility.tolist()
+    assert refined.privacy.tolist() == expected.privacy.tolist()
 
 
 def assert_screen_keeps_winner(space, whole, floor):

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion, plus the pinned k = 2 curve.
+"""Acceptance criteria, one test per criterion, plus pinned search outputs.
 
 Each test enforces its stated tolerance and runtime budget and prints a
 single pass line (visible with ``pytest -s`` or in captured output).  Run
@@ -8,6 +8,7 @@ the whole gate with::
 """
 
 import csv
+import json
 import math
 import time
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from privtest import (
     GuaranteeConfig,
     SearchConfig,
+    asymptotic_guarantee,
     blockwise_extend,
     demo_model,
     guarantee_check,
@@ -26,7 +28,7 @@ from privtest import (
     tradeoff_sweep,
     validate_policy,
 )
-from privtest.cli import main as cli_main
+from privtest.cli import _write_csv, main as cli_main
 from privtest.optimizer import MONOTONICITY_SLACK
 from privtest.verify import (
     suite_convergence,
@@ -38,13 +40,19 @@ from privtest.verify import (
 
 SEED = 0
 
-# criterion 8's curve and a k = 2 curve, pinned: a change to the search that
-# moves any of their points fails the test
+# criterion 6's and criterion 8's curves and a k = 2 curve, pinned: a change
+# to the search that moves any of their points fails the test
+PINNED_C6_CSV = Path(__file__).parent / "data" / "criterion6.csv"
 PINNED_CSV = Path(__file__).parent / "data" / "criterion8.csv"
 PINNED_K2_CSV = Path(__file__).parent / "data" / "tradeoff_k2.csv"
 # a sweep at lambda 0.1 and 0.3 (above every kernel's utility) on a grid
 # screened against 0.1, pinned from the unscreened scan
 PINNED_SCREENED_CSV = Path(__file__).parent / "data" / "tradeoff_screened.csv"
+# the block-length drivers' outputs: criterion 7's two optima and extension
+# rate, and asymptotic_guarantee up to k = 2
+PINNED_DRIVERS = json.loads(
+    (Path(__file__).parent / "data" / "blocklength_drivers.json").read_text()
+)
 
 
 def assert_matches_pinned(csv_text: str, pinned_path: Path):
@@ -61,6 +69,14 @@ def assert_matches_pinned(csv_text: str, pinned_path: Path):
         params = [float(v) for v in row["kernel_params"].split(";")]
         pinned_params = [float(v) for v in pin["kernel_params"].split(";")]
         assert params == pytest.approx(pinned_params, rel=0, abs=1e-9)
+
+
+def assert_point_pinned(point, pin: dict):
+    """The pinned optimum, at the tolerances of :func:`assert_matches_pinned`."""
+    assert (point.k, point.feasible) == (pin["k"], pin["feasible"])
+    for rate in ("privacy_rate", "utility_rate"):
+        assert getattr(point, rate) == pytest.approx(pin[rate], rel=0, abs=1e-13)
+    assert list(point.params) == pytest.approx(pin["params"], rel=0, abs=1e-9)
 
 
 def report(number: int, result_line: str, elapsed: float, budget: float):
@@ -106,7 +122,7 @@ def test_criterion_5_lower_bound_sweep():
     check_suite(5, result, 0.0, time.time() - t0, budget=60.0)
 
 
-def test_criterion_6_tradeoff_curve_reproduction():
+def test_criterion_6_tradeoff_curve_reproduction(tmp_path):
     t0 = time.time()
     model = demo_model()
     lambdas = [round(0.01 * i, 10) for i in range(17)]
@@ -130,6 +146,9 @@ def test_criterion_6_tradeoff_curve_reproduction():
     # (c) larger supply slack never hurts privacy (1e-9 float slack)
     assert all(b <= a + 1e-9 for a, b in zip(s1, s2))
     # (d) no convexity assertion: the curve need not be convex or concave
+    out = tmp_path / "criterion6.csv"
+    _write_csv(str(out), points)
+    assert_matches_pinned(out.read_text(), PINNED_C6_CSV)
     report(
         6,
         f"[PASS] tradeoff-curve: {len(points)} points feasible, monotone, "
@@ -155,6 +174,10 @@ def test_criterion_7_blocklength_monotonicity():
     cfg_n = GuaranteeConfig(lam=0.1, k=2, s=1.0, include_correction=False)
     assert guarantee_check(laws, cfg_n, model.prior).passed
     assert privacy_objective(laws) == pytest.approx(rep.point_k.privacy_rate, abs=1e-9)
+    pinned = PINNED_DRIVERS["criterion7"]
+    assert_point_pinned(rep.point_k, pinned["point_k"])
+    assert_point_pinned(rep.point_n, pinned["point_n"])
+    assert rep.extended_rate == pytest.approx(pinned["extended_rate"], rel=0, abs=1e-13)
     elapsed = time.time() - t0
     report(
         7,
@@ -192,6 +215,14 @@ def test_pinned_k2_search_curve(tmp_path, capsys):
     assert cli_main(args) == 0
     capsys.readouterr()
     assert_matches_pinned(out.read_text(), PINNED_K2_CSV)
+
+
+def test_pinned_asymptotic_guarantee():
+    # k = 2 is warm-started with the extension of the k = 1 optimum
+    best = asymptotic_guarantee(
+        demo_model(), GuaranteeConfig(lam=0.1, s=1.0), k_max=2, search=SearchConfig(restarts=4)
+    )
+    assert_point_pinned(best, PINNED_DRIVERS["asymptotic_k_max2"])
 
 
 def test_pinned_screened_grid_curve(tmp_path, capsys):

@@ -66,8 +66,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, ValidationError
+from .errors import EnumerationCapError, SizeCapError, ValidationError
 from .model import (
+    DEFAULT_BLOCK_CAP,
     UP_PAIRS,
     OutputLaws,
     PolicyKernel,
@@ -380,17 +381,6 @@ def _best(ev: _FamilyEval, threshold: float) -> int:
     return int(tied[np.lexsort((tied, *keys.T[::-1]))[0]])
 
 
-def _pick_best(ev: _FamilyEval, threshold: float) -> tuple[np.ndarray, float, float, bool]:
-    """Params, privacy, utility and feasibility of the :func:`_best` candidate."""
-    choice = _best(ev, threshold)
-    return (
-        ev.params[choice].copy(),
-        float(ev.privacy[choice]),
-        float(ev.utility[choice]),
-        bool(ev.utility[choice] >= threshold),
-    )
-
-
 def _probes(
     space: PolicySpace,
     x: np.ndarray,
@@ -570,11 +560,20 @@ def _pattern_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _reverify(
+    model: SourceModel, cfg: GuaranteeConfig, kernel: PolicyKernel
+) -> tuple[float, GuaranteeResult]:
+    """Privacy rate and guarantee check of ``kernel``, from laws rebuilt by
+    :func:`induced_output_laws` (which validates the kernel first)."""
+    laws = induced_output_laws(model, kernel)
+    return privacy_objective(laws), guarantee_check(laws, cfg, model.prior)
+
+
 def optimize_policy(
     model: SourceModel,
     cfg: GuaranteeConfig,
     search: SearchConfig = SearchConfig(),
-    extra_starts: Sequence[Sequence[float]] = (),
+    warm_starts: Sequence[PolicyKernel] = (),
     _grid_eval: "_FamilyEval | None" = None,
 ) -> TradeoffPoint:
     """Find the kernel minimizing the privacy rate within the guarantee set.
@@ -582,21 +581,22 @@ def optimize_policy(
     Families with at most :data:`GRID_DIM_LIMIT` free parameters refine the
     winner of an exhaustive per-axis grid, starting at the grid step; larger
     families refine seeded random starts, starting at step 0.25.
-    ``extra_starts`` adds deterministic warm starts (e.g. a block-extended
-    smaller-k optimum).  All starts are refined together by
-    :func:`_local_refine` and :func:`_pick_best` ranks the results.  When no
-    candidate passes the guarantee the least-violating kernel is returned
-    with ``feasible=False``.
+    ``warm_starts`` adds deterministic starts: kernels of this family (block
+    length ``cfg.k``, slack ``cfg.s``), such as the block extension of a
+    smaller-k optimum, which the family turns into its parameters.  All
+    starts are refined together by :func:`_local_refine` and :func:`_best`
+    ranks the results.  When no candidate passes the guarantee the
+    least-violating kernel is returned with ``feasible=False``.
 
     The returned kernel is re-validated and its rates recomputed from
-    scratch, independently of the search bookkeeping.
+    scratch by :func:`_reverify`, independently of the search bookkeeping.
     """
     space = _grid_eval.space if _grid_eval is not None else policy_space(model, cfg.s, cfg.k)
     threshold = cfg.effective_threshold(model.prior)
-    starts = [np.asarray(s, dtype=float) for s in extra_starts]
+    starts = [space.params_from_kernel(kernel) for kernel in warm_starts]
     if space.dim <= GRID_DIM_LIMIT:
         grid = _grid_eval if _grid_eval is not None else grid_evaluation(space, search, threshold)
-        starts.insert(0, _pick_best(grid, threshold)[0])
+        starts.insert(0, grid.params[_best(grid, threshold)])
         step = 1.0 / (search.grid_points_per_parameter - 1)
     else:
         starts.extend(space.random_params(np.random.default_rng(search.seed), search.restarts))
@@ -605,20 +605,18 @@ def optimize_policy(
         space, threshold, np.stack(starts), step, _LOCAL_STEP_TOL,
         _pattern_directions(space.dim),
     )
-    best_params, _, _, best_feasible = _pick_best(refined, threshold)
-
-    kernel = space.kernel_from_params(best_params)
-    laws = induced_output_laws(model, kernel)  # validates the kernel first
-    check = guarantee_check(laws, cfg, model.prior)
+    choice = _best(refined, threshold)
+    kernel = space.kernel_from_params(refined.params[choice])
+    privacy, check = _reverify(model, cfg, kernel)
     return TradeoffPoint(
         lam=cfg.lam,
         s=cfg.s,
         k=cfg.k,
-        privacy_rate=privacy_objective(laws),
+        privacy_rate=privacy,
         utility_rate=check.utility_rate,
         kernel=kernel,
-        feasible=best_feasible and check.passed,
-        params=tuple(float(v) for v in best_params),
+        feasible=bool(refined.utility[choice] >= threshold) and check.passed,
+        params=tuple(float(v) for v in refined.params[choice]),
         seed=search.seed,
     )
 
@@ -636,15 +634,17 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     ``floor`` is the smallest effective threshold the grid will be ranked
     at.  Above 0, a row whose screening utility pair already falls below it
     (see :func:`_batch_both_rates`) keeps that pair's rate as its utility
-    and gets privacy +inf.  :func:`_pick_best` at any threshold at or above
-    the floor then picks what it picks on the unscreened grid: a dropped
-    row is infeasible there, and its violation exceeds that of a row
-    clearing the floor by more than :data:`_TIE_TOL`.  If no row clears
-    the floor, the winner is the row of largest utility, and a row's
-    screening rate bounds its utility from above: the rows whose screening
-    rate reaches the best fully scored utility are scored in full, until
-    none is left, and every other row keeps its screening rate, below the
-    winner's utility by more than the tolerance.
+    and gets privacy +inf.  :func:`_best` at any threshold at or above the
+    floor then picks what it picks on the unscreened grid: a dropped row is
+    infeasible there, and its violation exceeds that of a row clearing the
+    floor by more than :data:`_TIE_TOL`.  If no row clears the floor, the
+    winner is the row of largest utility, and a row's screening rate bounds
+    its utility from above.  Two passes then find it: the row of the
+    largest screening rate is scored in full, and so is every other row
+    whose screening rate reaches that row's utility (within twice the
+    tolerance).  A third pass could find nothing, because the best fully
+    scored utility only rises, and every row left keeps its screening rate,
+    below the winner's utility by more than the tolerance.
     """
     points = search.grid_points_per_parameter
     rows = points**space.dim
@@ -660,17 +660,15 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     if floor > 0.0 and not (ev.utility >= floor).any():
         # every threshold now ranks by the largest utility; a screened row's
         # utility is its screening rate, an upper bound, so only rows whose
-        # rate reaches the best fully scored utility can win or tie
-        scored = np.zeros(len(grid), dtype=bool)
-        best = -np.inf
-        pending = np.array([np.argmax(ev.utility)])
-        while pending.size:
-            full = _evaluate(space, grid[pending])
-            ev.utility[pending], ev.privacy[pending] = full.utility, full.privacy
-            scored[pending] = True
-            best = max(best, full.utility.max())
-            # twice the tolerance covers the rounding of threshold - utility
-            pending = np.flatnonzero(~scored & (ev.utility >= best - 2 * _TIE_TOL))
+        # rate reaches the top row's full utility can win or tie (twice the
+        # tolerance covers the rounding of threshold - utility)
+        top = np.argmax(ev.utility)
+        rows = np.array([top])
+        for _ in range(2):
+            full = _evaluate(space, grid[rows])
+            ev.utility[rows], ev.privacy[rows] = full.utility, full.privacy
+            rows = np.flatnonzero(ev.utility >= ev.utility[top] - 2 * _TIE_TOL)
+            rows = rows[rows != top]
     return ev
 
 
@@ -732,29 +730,25 @@ def monotonicity_check(
     Optimizes at block length k and at n = k*l (same lambda; the correction
     term, when enabled, shrinks with n).  The block-wise extension of the
     k-optimum is both a warm start for the n-level search and an explicit
-    feasibility witness, so the check can only fail by more than float noise
-    if the n-level search is broken.  The n-level search is heuristic, hence
-    :data:`MONOTONICITY_SLACK`.
+    feasibility witness, re-verified by :func:`_reverify` as every reported
+    point is, so the check can only fail by more than float noise if the
+    n-level search is broken.  The n-level search is heuristic, hence
+    :data:`MONOTONICITY_SLACK`.  An ``l`` below 1, or an n above
+    :data:`~privtest.model.DEFAULT_BLOCK_CAP`, is refused before any search.
     """
+    if l < 1:
+        raise ValidationError("l must be >= 1")
+    cfg_n = replace(cfg, k=cfg.k * l)
+    if cfg_n.k > DEFAULT_BLOCK_CAP:
+        raise SizeCapError(f"block length {cfg_n.k} exceeds cap {DEFAULT_BLOCK_CAP}")
     point_k = optimize_policy(model, cfg, search)
     extended = blockwise_extend(point_k.kernel, l)
-    cfg_n = replace(cfg, k=cfg.k * l)
-
-    ext_laws = induced_output_laws(model, extended)
-    ext_rate = privacy_objective(ext_laws)
-    ext_check = guarantee_check(ext_laws, cfg_n, model.prior)
-    ext_ok = ext_check.passed  # induced_output_laws has validated the kernel
-
-    space_n = policy_space(model, cfg_n.s, cfg_n.k)
-    ext_params = space_n.params_from_kernel(extended)
-    point_n = optimize_policy(
-        model, cfg_n, search, extra_starts=[ext_params]
-    )
+    extended_rate, extended_check = _reverify(model, cfg_n, extended)
     return MonotonicityReport(
         point_k=point_k,
-        point_n=point_n,
-        extended_rate=ext_rate,
-        extended_feasible=ext_ok,
+        point_n=optimize_policy(model, cfg_n, search, [extended]),
+        extended_rate=extended_rate,
+        extended_feasible=extended_check.passed,
     )
 
 
@@ -768,28 +762,20 @@ def asymptotic_guarantee(
 
     This is an UPPER BOUND on the asymptotic minimum privacy error exponent
     (the true value is an infimum over all block lengths, which no finite
-    sweep can certify).  Each block length is warm-started with extensions
-    of the optima found at its divisors, so the report is nonincreasing in
-    ``k_max`` by construction.
+    sweep can certify).  Each block length is warm-started with the block
+    extensions of the feasible optima found at its divisors, so the report
+    is nonincreasing in ``k_max`` by construction.  The best point is the
+    first feasible one of smallest privacy rate (the first infeasible one
+    of smallest rate when none is feasible).  A ``k_max`` outside
+    1..:data:`~privtest.model.DEFAULT_BLOCK_CAP` is refused before any
+    search.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    best: TradeoffPoint | None = None
-    found: dict[int, TradeoffPoint] = {}
+    if k_max > DEFAULT_BLOCK_CAP:
+        raise SizeCapError(f"block length {k_max} exceeds cap {DEFAULT_BLOCK_CAP}")
+    found: list[TradeoffPoint] = []
     for k in range(1, k_max + 1):
-        cfg = replace(cfg_template, k=k)
-        extra = []
-        for k0, point in found.items():
-            if k % k0 == 0 and point.feasible and k != k0:
-                space_k = policy_space(model, cfg.s, k)
-                extended = blockwise_extend(point.kernel, k // k0)
-                extra.append(space_k.params_from_kernel(extended))
-        point = optimize_policy(model, cfg, search, extra_starts=extra)
-        found[k] = point
-        if best is None:
-            best = point
-        elif point.feasible and not best.feasible:
-            best = point
-        elif point.feasible == best.feasible and point.privacy_rate < best.privacy_rate:
-            best = point
-    return best
+        warm = [blockwise_extend(p.kernel, k // p.k) for p in found if p.feasible and k % p.k == 0]
+        found.append(optimize_policy(model, replace(cfg_template, k=k), search, warm))
+    return min(found, key=lambda p: (not p.feasible, p.privacy_rate))

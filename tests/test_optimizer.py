@@ -29,14 +29,15 @@ from privtest import (
     utility_rate,
     validate_policy,
 )
-from privtest.errors import EnumerationCapError
+from privtest import asymptotic_guarantee, monotonicity_check, optimizer
+from privtest.errors import EnumerationCapError, SizeCapError, ValidationError
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.optimizer import (
     GRID_DIM_LIMIT,
     _evaluate,
     _local_refine,
+    _best,
     _pattern_directions,
-    _pick_best,
     _probe_laws,
     _probe_params,
     _probes,
@@ -207,7 +208,7 @@ class TestTieRule:
     def test_near_tie_goes_to_smallest_params(self, model):
         # privacy values 1e-16 apart sit on a flat face of the optimum: the
         # lexicographically smallest parameters must win, not the last bit
-        from privtest.optimizer import _FamilyEval, _pick_best
+        from privtest.optimizer import _FamilyEval
 
         ev = _FamilyEval(
             space=policy_space(model, s=1.0, k=1),
@@ -215,10 +216,10 @@ class TestTieRule:
             utility=np.array([0.2, 0.2, 0.2]),
             privacy=np.array([0.1, 0.1 + 1e-16, 0.1 + 1e-14]),
         )
-        params, privacy, _, feasible = _pick_best(ev, threshold=0.1)
-        assert feasible
-        assert params.tolist() == [0.25, 1.0]
-        assert privacy == 0.1 + 1e-16
+        choice = _best(ev, threshold=0.1)
+        assert ev.utility[choice] >= 0.1
+        assert ev.params[choice].tolist() == [0.25, 1.0]
+        assert ev.privacy[choice] == 0.1 + 1e-16
 
 
 class TestSweep:
@@ -404,7 +405,7 @@ def test_zero_parameter_family_refines_to_its_starts():
 
 
 def assert_screen_keeps_winner(space, whole, floor):
-    # _pick_best on the grid screened against floor, bit for bit as on the
+    # _best on the grid screened against floor, bit for bit as on the
     # whole grid: at the floor, between it and the best utility, and above
     # every utility (the least-violation winner)
     screened = grid_evaluation(space, SearchConfig(grid_points_per_parameter=21), floor)
@@ -413,10 +414,10 @@ def assert_screen_keeps_winner(space, whole, floor):
     if best > floor:
         thresholds.append(floor + 0.5 * (best - floor))
     for t in thresholds:
-        params, privacy, utility, feasible = _pick_best(screened, t)
-        expected = _pick_best(whole, t)
-        assert (params.tolist(), privacy, utility, feasible) == (
-            expected[0].tolist(), *expected[1:]
+        mine, theirs = _best(screened, t), _best(whole, t)
+        assert screened.params[mine].tolist() == whole.params[theirs].tolist()
+        assert (screened.privacy[mine], screened.utility[mine]) == (
+            whole.privacy[theirs], whole.utility[theirs]
         )
 
 
@@ -470,6 +471,24 @@ class TestMonotonicityCheck:
         assert rep.point_n.privacy_rate == rep.point_k.privacy_rate
         assert rep.extended_rate == pytest.approx(rep.point_k.privacy_rate, abs=1e-12)
         assert rep.holds and rep.extended_feasible
+
+
+@pytest.mark.parametrize(
+    "drive, error",
+    [
+        (lambda m: asymptotic_guarantee(m, GuaranteeConfig(lam=0.1), k_max=4), SizeCapError),
+        (lambda m: monotonicity_check(m, GuaranteeConfig(lam=0.1, k=2), l=2), SizeCapError),
+        (lambda m: monotonicity_check(m, GuaranteeConfig(lam=0.1), l=0), ValidationError),
+    ],
+    ids=["k_max-above-cap", "k-times-l-above-cap", "l-below-one"],
+)
+def test_drivers_refuse_bad_block_lengths_before_searching(model, monkeypatch, drive, error):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the block length")
+
+    monkeypatch.setattr(optimizer, "optimize_policy", no_search)
+    with pytest.raises(error):
+        drive(model)
 
 
 class TestAsymptoticGuarantee:

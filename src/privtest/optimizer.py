@@ -121,6 +121,8 @@ class GuaranteeConfig:
     def __post_init__(self):
         if not self.lam >= 0.0:  # also refuses NaN
             raise ValidationError(f"lambda must be >= 0, got {self.lam!r}")
+        if self.lam == math.inf:  # no kernel reaches it
+            raise ValidationError("lambda must be finite, got inf")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if not self.s >= 0.0:

@@ -90,6 +90,14 @@ _TRIANGLE_EDGES = (
     ((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)),  # nu = (1 - mu) R
 )
 
+#: Edges of the unit square that stands for the strip mu in [0, 1], nu >= 0
+#: when q3 nearly equals q1, in the coordinates (mu, nu / Y) of
+#: :func:`_composite_maximize`.
+_STRIP_EDGES = _TRIANGLE_EDGES[:2] + (
+    ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),  # mu = 1
+    ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0)),  # nu = Y
+)
+
 
 @dataclass(frozen=True)
 class Pmf:
@@ -196,8 +204,9 @@ def _require_triple(q1: Pmf, q2: Pmf, q3: Pmf) -> None:
 
 
 def _clamp_nonnegative(value: float) -> float:
-    """Round tiny negative results up to 0; reject anything more negative."""
-    if value >= 0.0:
+    """Round tiny negative results, and -0.0, up to +0.0; reject anything
+    more negative."""
+    if value > 0.0:
         return value
     if value >= -CLAMP_TOL:
         return 0.0
@@ -510,7 +519,10 @@ def _composite_from_logs(l1, l2, l3, mu: float, nu: float) -> float:
     # the solver's form -G, G = log sum exp(l2 + mu a + nu b): its rounding
     # stays near 1e-16 nu |b|, where (mu+nu) l1 + (1-mu) l2 - nu l3 adds
     # 1e-16 nu |log q| and misranks points where nu is large
-    ws = [x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)]
+    return _neg_log_sum_exp([x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)])
+
+
+def _neg_log_sum_exp(ws) -> float:
     m = max(ws)
     if m == -math.inf:
         return math.inf
@@ -646,11 +658,21 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     candidate is a feasible point and the value returned is the objective
     evaluated there, so it never exceeds the true maximum.
 
-    When D(q1||q3) or D(q1||q2) vanishes the triangle degenerates and the
-    maximization falls back to the segment nu = 0, where the objective is
-    the Chernoff curve of (q1, q2).  Equal q1 and q2 give exactly 0 at
-    (0, 0): the objective is then -log sum q2 along that whole segment, and
-    evaluating it would only add rounding.
+    When D(q1||q3) falls below :data:`_DEGENERATE_KL` but q3 differs from
+    q1, R is past any maximizer and D(q1||q3) itself is mostly rounding, so
+    the triangle gives way to its R -> infinity limit, the strip mu in
+    [0, 1], nu >= 0, with ``b = log(q1/q3)`` taken from ``log1p`` of the
+    exact differences ``q3 - q1``.  On the line nu = Y, Y = 2 max(-l1,
+    -l2) / b at the symbol of the largest b, the objective is negative, as
+    it is above that line, so the strip is searched as the square
+    ``[0, 1] x [0, Y]`` in the coordinates ``(mu, nu / Y)`` and evaluated in
+    the solver's form.
+
+    When q3 equals q1, or D(q1||q2) vanishes, the maximization falls back
+    to the segment nu = 0, where the objective is the Chernoff curve of
+    (q1, q2).  Equal q1 and q2 give exactly 0 at (0, 0): the objective is
+    then -log sum q2 along that whole segment, and evaluating it would only
+    add rounding.
     """
     if q1.probs == q2.probs:
         return 0.0, DualPoint(0.0, 0.0)
@@ -658,34 +680,51 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     l2 = [math.log(x) for x in q2.probs]
     l3 = [math.log(x) for x in q3.probs]
     d12 = kl_from_probs(q1.probs, q2.probs)
-    d13 = kl_from_probs(q1.probs, q3.probs)
     a = [x1 - x2 for x1, x2 in zip(l1, l2)]
 
-    if d13 < _DEGENERATE_KL or d12 < _DEGENERATE_KL:
+    if q1.probs == q3.probs or d12 < _DEGENERATE_KL:
         mu = _edge_minimize(l2, a)
         return _composite_from_logs(l1, l2, l3, mu, 0.0), DualPoint(mu, 0.0)
 
-    ratio = d12 / d13
-    b = [ratio * (x1 - x3) for x1, x3 in zip(l1, l3)]  # nu / R is the coordinate
+    d13 = kl_from_probs(q1.probs, q3.probs)
+    if d13 < _DEGENERATE_KL:
+        b = [-math.log1p((x3 - x1) / x1) for x1, x3 in zip(q1.probs, q3.probs)]
+        top = b.index(max(b))
+        scale, edges = 2.0 * max(-l1[top], -l2[top]) / b[top], _STRIP_EDGES
+        b = [scale * bi for bi in b]  # nu / Y is the coordinate
+
+        def objective(x: float, y: float) -> float:
+            return _neg_log_sum_exp([x2 + x * ai + y * bi for x2, ai, bi in zip(l2, a, b)])
+
+    else:
+        scale, edges = d12 / d13, _TRIANGLE_EDGES
+        b = [scale * (x1 - x3) for x1, x3 in zip(l1, l3)]  # nu / R is the coordinate
+
+        def objective(x: float, y: float) -> float:
+            return _composite_from_logs(l1, l2, l3, x, y * scale)
+
     best = None
-    for (x0, y0), (dx, dy), normal in _TRIANGLE_EDGES:
+    for (x0, y0), (dx, dy), normal in edges:
         c = [x2 + x0 * ai + y0 * bi for x2, ai, bi in zip(l2, a, b)]
         t = _edge_minimize(c, [dx * ai + dy * bi for ai, bi in zip(a, b)])
         x, y = x0 + t * dx, y0 + t * dy
-        value = _composite_from_logs(l1, l2, l3, x, y * ratio)
+        value = objective(x, y)
         if best is None or value > best[0]:
             best = value, x, y, 0.0 < t < 1.0, normal
     value, x, y, inside_edge, normal = best
 
     if inside_edge:
         ga, gb, *_ = _tilted_covariance(l2, a, b, x, y)
-        if ga * normal[0] + gb * normal[1] < 0.0:  # -G rises into the triangle
+        if ga * normal[0] + gb * normal[1] < 0.0:  # -G rises into the region
             found = _interior_minimize(l2, a, b, x, y)
-            if found is not None and found[0] > 0.0 and found[1] > 0.0 and sum(found) < 1.0:
-                interior = _composite_from_logs(l1, l2, l3, found[0], found[1] * ratio)
+            if found is not None and all(
+                (found[0] - x0) * nx + (found[1] - y0) * ny > 0.0
+                for (x0, y0), _, (nx, ny) in edges
+            ):
+                interior = objective(*found)
                 if interior > value:
                     value, x, y = interior, *found
-    return value, DualPoint(x, y * ratio)
+    return value, DualPoint(x, y * scale)
 
 
 def composite_chernoff(q1: Pmf, q2: Pmf, q3: Pmf) -> float:

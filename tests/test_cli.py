@@ -44,6 +44,11 @@ class TestDivergenceCommand:
         assert code == 0
         assert float(out.split("chernoff:")[1].split("(")[0]) == 0.0
 
+    def test_equal_pmfs_print_positive_zero(self, capsys):
+        code, out, _ = run(capsys, "divergence", "--chernoff", "bern:0.5", "bern:0.5")
+        assert code == 0
+        assert out.startswith("chernoff: 0.0 ")
+
     def test_composite_prints_value_and_maximizer(self, capsys):
         code, out, _ = run(capsys, "divergence", "--t", "bern:0.8", "bern:0.1", "bern:0.25")
         assert code == 0
@@ -313,8 +318,9 @@ class TestTradeoffCommand:
             (("--s", ","), "--s names no values"),
             (("--s", "1", "--lambda-grid", ","), "--lambda-grid names no values"),
             (("--s", "1", "--lambda-grid", "nan"), "lambda must be >= 0, got nan"),
+            (("--s", "1", "--lambda-grid", "inf"), "lambda must be finite, got inf"),
         ],
-        ids=["empty-s", "empty-lambda-grid", "nan-lambda"],
+        ids=["empty-s", "empty-lambda-grid", "nan-lambda", "inf-lambda"],
     )
     def test_bad_lists_exit_2_before_any_output(self, capsys, tmp_path, argv, message):
         csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
@@ -324,6 +330,18 @@ class TestTradeoffCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_lambda_beyond_float_resolution_plots(self, capsys, tmp_path):
+        # 1e17 + 1.0 rounds back to 1e17, so a unit span would be empty
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        code, _, _ = run(
+            capsys, "tradeoff", "--lambda-grid", "1e17", "--s", "1", "--grid-points", "11",
+            "--out-csv", str(csv_path), "--out-svg", str(svg_path),
+        )
+        assert code == 0
+        svg = svg_path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert ">1e+17</text>" in svg
 
     def test_comma_lambda_grid(self, capsys, tmp_path):
         csv_path = tmp_path / "c.csv"

@@ -7,12 +7,15 @@ other point may do better: random interior points and a fixed comb of edge
 points stand in for the rest of the triangle.  Weights span eight orders of
 magnitude, and half of the drawn triples tilt q1 by exp(eps z), eps = 1e-3
 to 1e-5 and z an integer up to 9, to get q3, which stretches the triangle;
-one test holds R at 1e6 and beyond.
+one test holds R at 1e6 and beyond.  When q3 lies within rounding of q1
+(D(q1||q3) below 1e-14) the triangle gives way to its R -> infinity limit,
+the strip nu >= 0; two tests check that limit against the primal oracle.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from privtest import (
     chernoff_information,
     composite_chernoff,
     composite_chernoff_dual,
+    composite_chernoff_primal_oracle,
     composite_chernoff_with_argmax,
     kl_divergence,
 )
@@ -117,6 +121,27 @@ def test_elongated_triangle_when_third_law_nearly_equals_first(seed):
     ratio = kl_divergence(q1, q2) / kl_divergence(q1, q3)
     assert ratio >= 1e6
     _check_optimal(q1, q2, q3, seed)
+
+
+BERN_3, BERN_7 = Pmf.bernoulli(0.3), Pmf.bernoulli(0.7)
+
+
+@pytest.mark.parametrize("offset", [1e-8, 1e-10, 1e-12])
+def test_third_law_within_rounding_of_the_first_still_constrains(offset):
+    # D(q1||q3) is below 1e-14, yet D(t||q1) <= D(t||q3) still cuts the
+    # primal set in half (t1 <= 0.3 for Bernoulli laws), so the rate stays
+    # near the primal minimum instead of dropping to C(q1, q2)
+    q3 = Pmf.bernoulli(0.3 + offset)
+    oracle = composite_chernoff_primal_oracle(BERN_3, BERN_7, q3, 1e-3)
+    assert abs(composite_chernoff(BERN_3, BERN_7, q3) - oracle) <= 1e-3
+
+
+@pytest.mark.parametrize("offset", [-1e-8, 0.0])
+def test_third_law_on_the_far_side_of_the_first_leaves_chernoff(offset):
+    # the half-space t1 >= 0.3 holds the Chernoff point, and q3 = q1 sets no
+    # constraint: both give C(q1, q2), bit for bit as the segment nu = 0
+    q3 = Pmf.bernoulli(0.3 + offset)
+    assert composite_chernoff(BERN_3, BERN_7, q3) == 0.08717669357238889
 
 
 @PROPERTY

@@ -119,6 +119,11 @@ class TestChernoffInformation:
         q = Pmf.bernoulli(0.37)
         assert chernoff_information(q, q) == 0.0
 
+    def test_equal_pmfs_give_positive_zero(self):
+        # the objective at equal pmfs is -log 1 up to rounding, here -0.0
+        q = Pmf.bernoulli(0.5)
+        assert math.copysign(1.0, chernoff_information(q, q)) == 1.0
+
     def test_symmetric_bernoulli_pair(self):
         # mu* = 1/2 by symmetry, giving -log(2 sqrt(0.1 * 0.9)) = -log 0.6;
         # confirmed against a dense 1-D grid of the objective

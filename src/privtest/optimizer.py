@@ -640,13 +640,12 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     floor then picks what it picks on the unscreened grid: a dropped row is
     infeasible there, and its violation exceeds that of a row clearing the
     floor by more than :data:`_TIE_TOL`.  If no row clears the floor, the
-    winner is the row of largest utility, and a row's screening rate bounds
-    its utility from above.  Two passes then find it: the row of the
-    largest screening rate is scored in full, and so is every other row
-    whose screening rate reaches that row's utility (within twice the
-    tolerance).  A third pass could find nothing, because the best fully
-    scored utility only rises, and every row left keeps its screening rate,
-    below the winner's utility by more than the tolerance.
+    winner is the row of largest utility, which its screening rate bounds
+    from above, so two passes find it: the row of the largest screening
+    rate is scored in full, then every row whose screening rate reaches
+    that row's utility.  A third pass would find nothing, as the bound only
+    rises; every row left keeps its screening rate, below the winner's
+    utility by more than the tolerance.
     """
     points = search.grid_points_per_parameter
     rows = points**space.dim
@@ -660,10 +659,8 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     grid = grid[space.params_feasible(grid)]
     ev = _evaluate(space, grid, floor)
     if floor > 0.0 and not (ev.utility >= floor).any():
-        # every threshold now ranks by the largest utility; a screened row's
-        # utility is its screening rate, an upper bound, so only rows whose
-        # rate reaches the top row's full utility can win or tie (twice the
-        # tolerance covers the rounding of threshold - utility)
+        # every threshold now ranks by the largest utility; twice the
+        # tolerance covers the rounding of threshold - utility
         top = np.argmax(ev.utility)
         rows = np.array([top])
         for _ in range(2):
@@ -736,7 +733,7 @@ def monotonicity_check(
     point is, so the check can only fail by more than float noise if the
     n-level search is broken.  The n-level search is heuristic, hence
     :data:`MONOTONICITY_SLACK`.  An ``l`` below 1, or an n above
-    :data:`~privtest.model.DEFAULT_BLOCK_CAP`, is refused before any search.
+    :data:`DEFAULT_BLOCK_CAP`, is refused before any search.
     """
     if l < 1:
         raise ValidationError("l must be >= 1")
@@ -766,11 +763,10 @@ def asymptotic_guarantee(
     (the true value is an infimum over all block lengths, which no finite
     sweep can certify).  Each block length is warm-started with the block
     extensions of the feasible optima found at its divisors, so the report
-    is nonincreasing in ``k_max`` by construction.  The best point is the
-    first feasible one of smallest privacy rate (the first infeasible one
-    of smallest rate when none is feasible).  A ``k_max`` outside
-    1..:data:`~privtest.model.DEFAULT_BLOCK_CAP` is refused before any
-    search.
+    is nonincreasing in ``k_max`` by construction.  The first feasible
+    point of smallest privacy rate wins (the first of smallest rate when
+    none is feasible).  A ``k_max`` outside 1..:data:`DEFAULT_BLOCK_CAP` is
+    refused before any search.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")

@@ -44,11 +44,6 @@ class TestDivergenceCommand:
         assert code == 0
         assert float(out.split("chernoff:")[1].split("(")[0]) == 0.0
 
-    def test_equal_pmfs_print_positive_zero(self, capsys):
-        code, out, _ = run(capsys, "divergence", "--chernoff", "bern:0.5", "bern:0.5")
-        assert code == 0
-        assert out.startswith("chernoff: 0.0 ")
-
     def test_composite_prints_value_and_maximizer(self, capsys):
         code, out, _ = run(capsys, "divergence", "--t", "bern:0.8", "bern:0.1", "bern:0.25")
         assert code == 0

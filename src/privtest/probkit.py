@@ -519,10 +519,12 @@ def _composite_from_logs(l1, l2, l3, mu: float, nu: float) -> float:
     # the solver's form -G, G = log sum exp(l2 + mu a + nu b): its rounding
     # stays near 1e-16 nu |b|, where (mu+nu) l1 + (1-mu) l2 - nu l3 adds
     # 1e-16 nu |log q| and misranks points where nu is large
-    return _neg_log_sum_exp([x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)])
+    ws = [x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)]
+    return _neg_log_sum_exp(ws)
 
 
 def _neg_log_sum_exp(ws) -> float:
+    """-log sum exp(ws), shifted by the largest w; +inf when every w is -inf."""
     m = max(ws)
     if m == -math.inf:
         return math.inf

@@ -144,6 +144,19 @@ def test_third_law_on_the_far_side_of_the_first_leaves_chernoff(offset):
     assert composite_chernoff(BERN_3, BERN_7, q3) == 0.08717669357238889
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_strip_continues_the_triangle_on_three_symbols(seed):
+    # a tilt of 1e-5 keeps D(q1||q3) above 1e-14 (the triangle), one of 1e-9
+    # takes it below (the strip); the rate moves by about the tilt between
+    rng = np.random.default_rng(seed)
+    q1 = _pmf(rng.dirichlet(np.ones(3)) + 0.05)
+    q2 = _pmf(rng.dirichlet(np.ones(3)) + 0.05)
+    tilt = rng.permutation(3) - 1.0
+    near, nearer = _near(q1, tilt, 1e-5), _near(q1, tilt, 1e-9)
+    assert kl_divergence(q1, near) >= _DEGENERATE_KL > kl_divergence(q1, nearer)
+    assert abs(composite_chernoff(q1, q2, nearer) - composite_chernoff(q1, q2, near)) <= 1e-5
+
+
 @PROPERTY
 @given(triples())
 def test_min_over_both_orders_is_min_chernoff(triple):

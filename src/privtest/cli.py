@@ -293,9 +293,9 @@ def _write_svg(path: str, points: list[TradeoffPoint], s_values: list[float]) ->
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(ys) * 1.08 or 1.0
     if x_hi <= x_lo:
-        # one distinct lambda: a unit span, or from 0 to a larger lambda,
-        # whose size would absorb the unit
-        x_lo, x_hi = (x_lo, x_lo + 1.0) if abs(x_lo) < 1.0 else sorted((0.0, x_lo))
+        # one distinct lambda (never negative): a unit span, or from 0 to a
+        # larger lambda, whose size would absorb the unit
+        x_lo, x_hi = (x_lo, x_lo + 1.0) if x_lo < 1.0 else (0.0, x_lo)
 
     def sx(x: float) -> float:
         return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)

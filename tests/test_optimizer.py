@@ -15,13 +15,16 @@ from privtest import (
     SearchConfig,
     SourceModel,
     TestTarget,
+    asymptotic_guarantee,
     constant_policy,
     exact_min_error,
     exact_min_error_iid_log,
     exponent_chernoff,
     guarantee_check,
     induced_output_laws,
+    monotonicity_check,
     optimize_policy,
+    optimizer,
     policy_space,
     privacy_objective,
     source_laws,
@@ -29,14 +32,13 @@ from privtest import (
     utility_rate,
     validate_policy,
 )
-from privtest import asymptotic_guarantee, monotonicity_check, optimizer
 from privtest.errors import EnumerationCapError, SizeCapError, ValidationError
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.optimizer import (
     GRID_DIM_LIMIT,
+    _best,
     _evaluate,
     _local_refine,
-    _best,
     _pattern_directions,
     _probe_laws,
     _probe_params,

@@ -54,6 +54,14 @@ CONSTRAINT_TOL = 1e-9
 Block = tuple[float, ...]
 
 
+def require_block_length(k: int, cap: int = DEFAULT_BLOCK_CAP) -> None:
+    """Refuse a block length below 1 or above ``cap``."""
+    if k < 1:
+        raise ValidationError(f"block length {k} must be >= 1")
+    if k > cap:
+        raise SizeCapError(f"block length {k} exceeds cap {cap}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite alphabet of real-valued symbols (e.g. units per slot)."""
@@ -367,8 +375,7 @@ def blockwise_extend(policy: PolicyKernel, l: int) -> PolicyKernel:
     if l == 1:
         return policy
     k_new = policy.k * l
-    if k_new > DEFAULT_BLOCK_CAP:
-        raise SizeCapError(f"extended block length {k_new} exceeds cap {DEFAULT_BLOCK_CAP}")
+    require_block_length(k_new)
     matrix = policy.matrix
     for _ in range(l - 1):
         matrix = np.kron(matrix, policy.matrix)
@@ -560,8 +567,7 @@ def policy_space(
     Raises :class:`FeasibilityError` naming the first input pair whose
     feasible output set is empty (the combination then admits no policy).
     """
-    if k > cap:
-        raise SizeCapError(f"block length {k} exceeds cap {cap}")
+    require_block_length(k, cap)
     feasible = _within_supply(_supply_net(model, k), s)
     empty = np.flatnonzero(~feasible.any(axis=1))
     if empty.size:
@@ -672,10 +678,7 @@ def policy_from_dict(doc: dict, model: SourceModel) -> PolicyKernel:
                     f"row x={x_block} z={z_block}: two keys name output block {y_block}"
                 )
             probs[y_block] = prob
-    if k < 1:
-        raise ValidationError("block length k must be >= 1")
-    if k > DEFAULT_BLOCK_CAP:
-        raise SizeCapError(f"policy block length {k} exceeds cap {DEFAULT_BLOCK_CAP}")
+    require_block_length(k)
     pairs = list(itertools.product(model.x_alphabet.blocks(k), model.z_alphabet.blocks(k)))
     if set(rows) != set(pairs):
         missing = sorted(set(pairs) - set(rows))[:3]

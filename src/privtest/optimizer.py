@@ -66,9 +66,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, SizeCapError, ValidationError
+from .errors import EnumerationCapError, ValidationError
 from .model import (
-    DEFAULT_BLOCK_CAP,
     UP_PAIRS,
     OutputLaws,
     PolicyKernel,
@@ -78,6 +77,7 @@ from .model import (
     blockwise_extend,
     induced_output_laws,
     policy_space,
+    require_block_length,
 )
 from .bayes import TestTarget, grouped_pairs
 from .probkit import DEFAULT_ENUM_CAP, chernoff_symbol_major
@@ -662,12 +662,13 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
         # every threshold now ranks by the largest utility; twice the
         # tolerance covers the rounding of threshold - utility
         top = np.argmax(ev.utility)
-        rows = np.array([top])
-        for _ in range(2):
-            full = _evaluate(space, grid[rows])
-            ev.utility[rows], ev.privacy[rows] = full.utility, full.privacy
-            rows = np.flatnonzero(ev.utility >= ev.utility[top] - 2 * _TIE_TOL)
-            rows = rows[rows != top]
+        full = _evaluate(space, grid[[top]])
+        ev.utility[top], ev.privacy[top] = full.utility[0], full.privacy[0]
+        rest = np.flatnonzero(ev.utility >= ev.utility[top] - 2 * _TIE_TOL)
+        rest = rest[rest != top]
+        if rest.size:
+            full = _evaluate(space, grid[rest])
+            ev.utility[rest], ev.privacy[rest] = full.utility, full.privacy
     return ev
 
 
@@ -737,9 +738,8 @@ def monotonicity_check(
     """
     if l < 1:
         raise ValidationError("l must be >= 1")
+    require_block_length(cfg.k * l)
     cfg_n = replace(cfg, k=cfg.k * l)
-    if cfg_n.k > DEFAULT_BLOCK_CAP:
-        raise SizeCapError(f"block length {cfg_n.k} exceeds cap {DEFAULT_BLOCK_CAP}")
     point_k = optimize_policy(model, cfg, search)
     extended = blockwise_extend(point_k.kernel, l)
     extended_rate, extended_check = _reverify(model, cfg_n, extended)
@@ -768,10 +768,7 @@ def asymptotic_guarantee(
     none is feasible).  A ``k_max`` outside 1..:data:`DEFAULT_BLOCK_CAP` is
     refused before any search.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be >= 1")
-    if k_max > DEFAULT_BLOCK_CAP:
-        raise SizeCapError(f"block length {k_max} exceeds cap {DEFAULT_BLOCK_CAP}")
+    require_block_length(k_max)
     found: list[TradeoffPoint] = []
     for k in range(1, k_max + 1):
         warm = [blockwise_extend(p.kernel, k // p.k) for p in found if p.feasible and k % p.k == 0]

@@ -515,12 +515,23 @@ def _chernoff_newton(
 # ---------------------------------------------------------------------------
 
 
-def _composite_from_logs(l1, l2, l3, mu: float, nu: float) -> float:
+def _composite_value(l2, a, b, mu: float, nu: float) -> float:
     # the solver's form -G, G = log sum exp(l2 + mu a + nu b): its rounding
     # stays near 1e-16 nu |b|, where (mu+nu) l1 + (1-mu) l2 - nu l3 adds
     # 1e-16 nu |log q| and misranks points where nu is large
-    ws = [x2 + mu * (x1 - x2) + nu * (x1 - x3) for x1, x2, x3 in zip(l1, l2, l3)]
-    return _neg_log_sum_exp(ws)
+    return _neg_log_sum_exp([x2 + mu * ai + nu * bi for x2, ai, bi in zip(l2, a, b)])
+
+
+def _log_ratio_13(q1: Pmf, q3: Pmf, l1, l3) -> tuple[float, list[float]]:
+    """D(q1||q3) and ``b = log(q1/q3)``.
+
+    Below :data:`_DEGENERATE_KL`, ``l1 - l3`` is mostly rounding, so b is
+    taken from ``log1p`` of the exact differences ``q3 - q1`` instead.
+    """
+    d13 = kl_from_probs(q1.probs, q3.probs)
+    if d13 < _DEGENERATE_KL:
+        return d13, [-math.log1p((x3 - x1) / x1) for x1, x3 in zip(q1.probs, q3.probs)]
+    return d13, [x1 - x3 for x1, x3 in zip(l1, l3)]
 
 
 def _neg_log_sum_exp(ws) -> float:
@@ -537,7 +548,8 @@ def composite_chernoff_dual(q1: Pmf, q2: Pmf, q3: Pmf, point: DualPoint) -> floa
     l1 = [math.log(x) for x in q1.probs]
     l2 = [math.log(x) for x in q2.probs]
     l3 = [math.log(x) for x in q3.probs]
-    return _composite_from_logs(l1, l2, l3, point.mu, point.nu)
+    a = [x1 - x2 for x1, x2 in zip(l1, l2)]
+    return _composite_value(l2, a, _log_ratio_13(q1, q3, l1, l3)[1], point.mu, point.nu)
 
 
 def _tilted_moments(c, d, t: float) -> tuple[float, float]:
@@ -664,15 +676,18 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     q1, R is past any maximizer and D(q1||q3) itself is mostly rounding, so
     the triangle gives way to its R -> infinity limit, the strip mu in
     [0, 1], nu >= 0, with ``b = log(q1/q3)`` taken from ``log1p`` of the
-    exact differences ``q3 - q1``.  On the line nu = Y, Y = 2 max(-l1,
-    -l2) / b at the symbol of the largest b, the objective is negative, as
-    it is above that line, so the strip is searched as the square
-    ``[0, 1] x [0, Y]`` in the coordinates ``(mu, nu / Y)`` and evaluated in
-    the solver's form.
+    exact differences ``q3 - q1`` (:func:`_log_ratio_13`, which
+    :func:`composite_chernoff_dual` shares, so the value returned is the
+    public objective at the point returned).  On the line nu = Y, Y = 2
+    max(-l1, -l2) / b at the symbol of the largest b, the objective is
+    negative, as it is above that line, so the strip is searched as the
+    square ``[0, 1] x [0, Y]`` in the coordinates ``(mu, nu / Y)``.
 
-    When q3 equals q1, or D(q1||q2) vanishes, the maximization falls back
-    to the segment nu = 0, where the objective is the Chernoff curve of
-    (q1, q2).  Equal q1 and q2 give exactly 0 at (0, 0): the objective is
+    When no b is positive -- q3 equals q1, or exceeds it on every symbol,
+    which only weights summing to 1 within rounding allow -- or D(q1||q2)
+    vanishes, the maximization falls back to the segment nu = 0, where the
+    objective is the Chernoff curve of (q1, q2).  Equal q1 and q2 give
+    exactly 0 at (0, 0): the objective is
     then -log sum q2 along that whole segment, and evaluating it would only
     add rounding.
     """
@@ -681,34 +696,27 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     l1 = [math.log(x) for x in q1.probs]
     l2 = [math.log(x) for x in q2.probs]
     l3 = [math.log(x) for x in q3.probs]
-    d12 = kl_from_probs(q1.probs, q2.probs)
     a = [x1 - x2 for x1, x2 in zip(l1, l2)]
+    d12 = kl_from_probs(q1.probs, q2.probs)
+    d13, b = _log_ratio_13(q1, q3, l1, l3)
+    top = b.index(max(b))
 
-    if q1.probs == q3.probs or d12 < _DEGENERATE_KL:
+    if d12 < _DEGENERATE_KL or not b[top] > 0.0:
         mu = _edge_minimize(l2, a)
-        return _composite_from_logs(l1, l2, l3, mu, 0.0), DualPoint(mu, 0.0)
-
-    d13 = kl_from_probs(q1.probs, q3.probs)
+        return _composite_value(l2, a, b, mu, 0.0), DualPoint(mu, 0.0)
     if d13 < _DEGENERATE_KL:
-        b = [-math.log1p((x3 - x1) / x1) for x1, x3 in zip(q1.probs, q3.probs)]
-        top = b.index(max(b))
-        scale, edges = 2.0 * max(-l1[top], -l2[top]) / b[top], _STRIP_EDGES
-        b = [scale * bi for bi in b]  # nu / Y is the coordinate
-
-        def objective(x: float, y: float) -> float:
-            return _neg_log_sum_exp([x2 + x * ai + y * bi for x2, ai, bi in zip(l2, a, b)])
-
+        scale, edges = 2.0 * max(-l1[top], -l2[top]) / b[top], _STRIP_EDGES  # Y
     else:
-        scale, edges = d12 / d13, _TRIANGLE_EDGES
-        b = [scale * (x1 - x3) for x1, x3 in zip(l1, l3)]  # nu / R is the coordinate
+        scale, edges = d12 / d13, _TRIANGLE_EDGES  # R
+    b_unit = [scale * bi for bi in b]  # nu / scale is the coordinate
 
-        def objective(x: float, y: float) -> float:
-            return _composite_from_logs(l1, l2, l3, x, y * scale)
+    def objective(x: float, y: float) -> float:
+        return _composite_value(l2, a, b, x, y * scale)
 
     best = None
     for (x0, y0), (dx, dy), normal in edges:
-        c = [x2 + x0 * ai + y0 * bi for x2, ai, bi in zip(l2, a, b)]
-        t = _edge_minimize(c, [dx * ai + dy * bi for ai, bi in zip(a, b)])
+        c = [x2 + x0 * ai + y0 * bi for x2, ai, bi in zip(l2, a, b_unit)]
+        t = _edge_minimize(c, [dx * ai + dy * bi for ai, bi in zip(a, b_unit)])
         x, y = x0 + t * dx, y0 + t * dy
         value = objective(x, y)
         if best is None or value > best[0]:
@@ -716,9 +724,9 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     value, x, y, inside_edge, normal = best
 
     if inside_edge:
-        ga, gb, *_ = _tilted_covariance(l2, a, b, x, y)
+        ga, gb, *_ = _tilted_covariance(l2, a, b_unit, x, y)
         if ga * normal[0] + gb * normal[1] < 0.0:  # -G rises into the region
-            found = _interior_minimize(l2, a, b, x, y)
+            found = _interior_minimize(l2, a, b_unit, x, y)
             if found is not None and all(
                 (found[0] - x0) * nx + (found[1] - y0) * ny > 0.0
                 for (x0, y0), _, (nx, ny) in edges

@@ -76,6 +76,17 @@ class TestDivergenceCommand:
         code, _, err = run(capsys, "divergence", "--kl", "bern:0.5", "bern:1.0")
         assert code == 3
 
+    def test_third_law_above_the_first_everywhere_gives_chernoff(self, capsys, tmp_path):
+        # weights may sum to 1 within 1e-12, so q3 can exceed q1 on every
+        # symbol: no log(q1/q3) is positive, and the composite divergence
+        # keeps the segment nu = 0, where it is C(q1, q2)
+        q1, q3 = tmp_path / "q1.json", tmp_path / "q3.json"
+        q1.write_text("[0.3, 0.7]")
+        q3.write_text(json.dumps([0.3, 0.7 + 5e-13]))
+        code, out, err = run(capsys, "divergence", "--t", str(q1), "bern:0.7", str(q3))
+        assert (code, err) == (0, "")
+        assert out == "composite: 0.08717669357238889  (mu* = 0.5000000000, nu* = 0.0000000000)\n"
+
 
 class TestExponentCommand:
     def test_demo_identity_utility(self, capsys):

@@ -9,7 +9,8 @@ magnitude, and half of the drawn triples tilt q1 by exp(eps z), eps = 1e-3
 to 1e-5 and z an integer up to 9, to get q3, which stretches the triangle;
 one test holds R at 1e6 and beyond.  When q3 lies within rounding of q1
 (D(q1||q3) below 1e-14) the triangle gives way to its R -> infinity limit,
-the strip nu >= 0; two tests check that limit against the primal oracle.
+the strip nu >= 0, probed up to the height above which the objective is
+negative; two tests also check that limit against the primal oracle.
 """
 
 import math
@@ -80,13 +81,27 @@ def _check_optimal(q1: Pmf, q2: Pmf, q3: Pmf, seed: int) -> None:
     assert value == max(composite_chernoff_dual(q1, q2, q3, point), 0.0)
 
     d12, d13 = kl_divergence(q1, q2), kl_divergence(q1, q3)
+    p1, p3 = np.asarray(q1.probs), np.asarray(q3.probs)
+    b = -np.log1p((p3 - p1) / p1)  # log(q1/q3), exact where q3 nears q1
     t = np.linspace(0.0, 1.0, EDGE_POINTS)
     rng = np.random.default_rng(seed)
     u, v = rng.random((2, INTERIOR_POINTS))
-    if d12 < _DEGENERATE_KL or d13 < _DEGENERATE_KL:
+    if d12 < _DEGENERATE_KL or not b.max() > 0.0:
         # the triangle collapses to the segment nu = 0
         assert point.nu == 0.0 and 0.0 <= point.mu <= 1.0
         probes = [(mu, 0.0) for mu in np.concatenate([t, u])]
+    elif d13 < _DEGENERATE_KL:
+        # the strip mu in [0, 1], nu >= 0; above nu = height the term of the
+        # symbol of the largest b alone exceeds 1, so the objective is negative
+        top = int(np.argmax(b))
+        height = 2.0 * max(-math.log(q1.probs[top]), -math.log(q2.probs[top])) / b[top]
+        assert 0.0 <= point.mu <= 1.0 and point.nu >= 0.0
+        probes = (
+            [(x, 0.0) for x in t]
+            + [(0.0, y * height) for y in t]
+            + [(1.0, y * height) for y in t]
+            + [(x, y * height) for x, y in zip(u, v)]
+        )
     else:
         ratio = d12 / d13
         assert point.mu >= 0.0 and point.nu >= 0.0
@@ -134,6 +149,7 @@ def test_third_law_within_rounding_of_the_first_still_constrains(offset):
     q3 = Pmf.bernoulli(0.3 + offset)
     oracle = composite_chernoff_primal_oracle(BERN_3, BERN_7, q3, 1e-3)
     assert abs(composite_chernoff(BERN_3, BERN_7, q3) - oracle) <= 1e-3
+    _check_optimal(BERN_3, BERN_7, q3, seed=0)
 
 
 @pytest.mark.parametrize("offset", [-1e-8, 0.0])
@@ -155,6 +171,7 @@ def test_strip_continues_the_triangle_on_three_symbols(seed):
     near, nearer = _near(q1, tilt, 1e-5), _near(q1, tilt, 1e-9)
     assert kl_divergence(q1, near) >= _DEGENERATE_KL > kl_divergence(q1, nearer)
     assert abs(composite_chernoff(q1, q2, nearer) - composite_chernoff(q1, q2, near)) <= 1e-5
+    _check_optimal(q1, q2, nearer, seed)
 
 
 @PROPERTY

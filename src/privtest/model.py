@@ -303,7 +303,10 @@ def validate_policy(policy: PolicyKernel) -> PolicyReport:
 
 
 def _deterministic_policy(model: SourceModel, s: float, k: int, columns, name: str):
-    """The kernel sending row r to output column ``columns[r]``, if that is feasible."""
+    """The kernel sending row r to output column ``columns[r]``, if that is
+    feasible; a block length above the cap is refused before the matrix is
+    allocated."""
+    require_block_length(k)
     matrix = np.zeros(_kernel_shape(model, k))
     matrix[np.arange(len(matrix)), columns] = 1.0
     kernel = PolicyKernel(model.x_alphabet, model.z_alphabet, k, s, matrix)

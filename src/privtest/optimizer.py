@@ -16,13 +16,10 @@ rate batch, and each start then moves or shrinks its step by itself,
 exactly as it would if refined alone.  Results are deterministic given the
 search seed.
 
-The search works in law space.  The induced laws are affine in the
-parameters (:attr:`PolicySpace.law_map`), so a probe's laws are its start's
-laws plus a rank-one update per moved parameter, its feasibility follows
-from the slack of the simplex slices it touches, and Newton starts each of
-its six pairs at the tilt mu* its start was scored with.  Only the starts
-and the moves build kernel matrices; the reported point is built and
-scored again from scratch.
+The search works in law space (:func:`_local_refine`): the induced laws
+are affine in the parameters (:attr:`PolicySpace.law_map`), so a probe's
+laws are its start's plus a rank-one update.  Only the starts and the moves
+build kernel matrices; the reported point is built and scored again.
 
 One selection rule decides every comparison, in :func:`_best`: feasible
 candidates first, then the smallest privacy rate (or, when none is feasible,
@@ -33,24 +30,19 @@ the probes that beat the incumbent by more than the tolerance) and the final
 result among the refined starts.
 
 Grid rates are batched end to end: :meth:`PolicySpace.batch_laws` pushes
-a candidate batch through the model as one stack of kernel matrices, at most
-:data:`_LAW_CHUNK_ROWS` candidates at a time so that the grid's memory stays
-bounded, and :func:`_batch_both_rates` gathers the six unordered
-cross-group law pairs of every candidate straight into the symbol-major
-``(m, 6g)`` layout of the Newton kernel
-:func:`privtest.probkit.chernoff_symbol_major` (the core of
-:func:`~privtest.probkit.chernoff_batch`) and scores them in one call, chunk
-by chunk; the kernel skips its common-support masks and row selections on the
-chunks that need none (most grid chunks), bit for bit as if it did not.
-Both targets take the minimum over their four pairs; a pair with disjoint
-supports is +inf and so only decides the rate when all four are disjoint.
-The grid is screened: a kernel is admissible only if every utility pair
-clears the threshold, so :func:`grid_evaluation` scores one utility pair,
-law (0, 1) against law (1, 0), on every row first, and the other five only
-on the rows where that pair clears the smallest threshold the grid is
-ranked at (and, when no row clears it, only the rows that can still have
-the largest utility).  The kernel scores each pair by itself, so a row
-scored in full gets the same bits either way.
+a candidate batch through the model :data:`_LAW_CHUNK_ROWS` rows at a time,
+and :func:`_batch_both_rates` scores the six unordered cross-group law pairs
+of every row with the Newton kernel
+:func:`privtest.probkit.chernoff_symbol_major`.  A grid ranked only at
+thresholds above 0 is screened by one utility pair first
+(:func:`grid_evaluation`); a row scored in full gets the same bits either way.
+
+The drivers (:func:`tradeoff_sweep`, :func:`monotonicity_check` and
+:func:`asymptotic_guarantee`) only order their searches.
+:func:`_search_in_order` runs them: it shares one grid per family (s, k)
+and warm-starts each search with the block extension of the best earlier
+point it admits for free (feasible, at a divisor of k, an s no larger and
+a lambda no smaller), so its points are monotone up to the tie band.
 
 The per-block optimum at any finite k is only an upper bound on the
 asymptotic minimum privacy exponent (the true quantity is an infimum over
@@ -62,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -576,28 +569,27 @@ def optimize_policy(
     cfg: GuaranteeConfig,
     search: SearchConfig = SearchConfig(),
     warm_starts: Sequence[PolicyKernel] = (),
-    _grid_eval: "_FamilyEval | None" = None,
+    _family: "tuple[PolicySpace, _FamilyEval | None] | None" = None,
 ) -> TradeoffPoint:
     """Find the kernel minimizing the privacy rate within the guarantee set.
 
     Families with at most :data:`GRID_DIM_LIMIT` free parameters refine the
     winner of an exhaustive per-axis grid, starting at the grid step; larger
     families refine seeded random starts, starting at step 0.25.
-    ``warm_starts`` adds deterministic starts: kernels of this family (block
-    length ``cfg.k``, slack ``cfg.s``), such as the block extension of a
-    smaller-k optimum, which the family turns into its parameters.  All
-    starts are refined together by :func:`_local_refine` and :func:`_best`
-    ranks the results.  When no candidate passes the guarantee the
-    least-violating kernel is returned with ``feasible=False``.
+    ``warm_starts`` adds deterministic starts: kernels at block length
+    ``cfg.k`` that put mass only where this family may (any slack up to
+    ``cfg.s``).  All starts are refined together by :func:`_local_refine`
+    and :func:`_best` ranks the results.  When no candidate passes the
+    guarantee the least-violating kernel is returned with ``feasible=False``.
 
     The returned kernel is re-validated and its rates recomputed from
     scratch by :func:`_reverify`, independently of the search bookkeeping.
     """
-    space = _grid_eval.space if _grid_eval is not None else policy_space(model, cfg.s, cfg.k)
+    space, grid = _family or (policy_space(model, cfg.s, cfg.k), None)
     threshold = cfg.effective_threshold(model.prior)
     starts = [space.params_from_kernel(kernel) for kernel in warm_starts]
     if space.dim <= GRID_DIM_LIMIT:
-        grid = _grid_eval if _grid_eval is not None else grid_evaluation(space, search, threshold)
+        grid = grid if grid is not None else grid_evaluation(space, search, threshold)
         starts.insert(0, grid.params[_best(grid, threshold)])
         step = 1.0 / (search.grid_points_per_parameter - 1)
     else:
@@ -672,6 +664,42 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
     return ev
 
 
+def _extend(point: TradeoffPoint, k: int) -> PolicyKernel:
+    """The block extension of ``point``'s kernel to block length k."""
+    return blockwise_extend(point.kernel, k // point.k)
+
+
+def _search_in_order(
+    model: SourceModel, jobs: Sequence[tuple[GuaranteeConfig, SearchConfig]]
+) -> list[TradeoffPoint]:
+    """One point per (config, search) job, searched in the order given.
+
+    Each search gets at most one warm start: the block extension of the
+    first earlier point of smallest privacy rate among the feasible ones at
+    a block length dividing its k, an s no larger and a lambda no smaller.
+    Such a kernel is feasible for free (an extension keeps both rates, the
+    supply masks are nested in s, and the threshold grows with lambda and
+    shrinks with k), so no point lies above one it admits, beyond the
+    :data:`_TIE_TOL` band and re-verification rounding.  Jobs of one family
+    (s, k) share its space and one grid, screened at their smallest
+    threshold; callers list them together, as one grid is held at a time.
+    """
+    points: list[TradeoffPoint] = []
+    key = family = None
+    for cfg, search in jobs:
+        if (cfg.s, cfg.k) != key:
+            key, family = (cfg.s, cfg.k), None  # release the last grid before the next
+            space = policy_space(model, cfg.s, cfg.k)
+            floor = min(c.effective_threshold(model.prior) for c, _ in jobs if (c.s, c.k) == key)
+            family = (space, grid_evaluation(space, search, floor)
+                      if space.dim <= GRID_DIM_LIMIT else None)
+        admitted = [p for p in points if p.feasible and cfg.k % p.k == 0
+                    and p.s <= cfg.s and p.lam >= cfg.lam]
+        warm = [_extend(min(admitted, key=lambda p: p.privacy_rate), cfg.k)] if admitted else []
+        points.append(optimize_policy(model, cfg, search, warm, _family=family))
+    return points
+
+
 def tradeoff_sweep(
     model: SourceModel,
     lambdas: Sequence[float],
@@ -682,27 +710,25 @@ def tradeoff_sweep(
     """One optimized point per (s, lambda) pair, in (s outer, lambda inner) order.
 
     Infeasible points are emitted with ``feasible=False`` rather than
-    dropped.  Per-point seeds derive deterministically from the base seed and
-    the pair's indices, so sweeps can be partitioned without changing
-    results.  The family's grid rates are computed once per s and shared by
-    every lambda, screened against the threshold of the smallest lambda.
+    dropped.  :func:`_search_in_order` searches every block length dividing
+    k first (only k is returned), then s ascending, then lambda descending.
+    So each curve is nondecreasing in lambda, and no point lies above one at
+    a smaller s or a divisor of k, beyond the tie band; a point depends on
+    the rest of the sweep.  Per-point seeds derive from the base seed and
+    the pair's indices.  A k above the block cap is refused before any search.
     """
-    points = []
-    for s_idx, s in enumerate(s_values):
-        cfg_s = replace(cfg_template, s=float(s))
-        cfgs = [replace(cfg_s, lam=float(lam)) for lam in lambdas]
-        space = policy_space(model, cfg_s.s, cfg_s.k)
-        cache = None
-        if space.dim <= GRID_DIM_LIMIT:
-            floor = min((cfg.effective_threshold(model.prior) for cfg in cfgs), default=0.0)
-            cache = grid_evaluation(space, search, floor)
-        for lam_idx, cfg in enumerate(cfgs):
-            point_seed = int(search.seed) * 1_000_003 + lam_idx * 1009 + s_idx
-            point = optimize_policy(
-                model, cfg, replace(search, seed=point_seed), _grid_eval=cache
-            )
-            points.append(point)
-    return points
+    k = cfg_template.k
+    require_block_length(k)
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    jobs = list(product(divisors, range(len(s_values)), range(len(lambdas))))
+    order = sorted(jobs, key=lambda j: (j[0], float(s_values[j[1]]), -float(lambdas[j[2]])))
+    points = _search_in_order(model, [
+        (replace(cfg_template, k=d, s=float(s_values[s_idx]), lam=float(lambdas[lam_idx])),
+         replace(search, seed=int(search.seed) * 1_000_003 + lam_idx * 1009 + s_idx))
+        for d, s_idx, lam_idx in order
+    ])
+    found = dict(zip(order, points))
+    return [found[job] for job in jobs if job[0] == k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -727,28 +753,23 @@ def monotonicity_check(
 ) -> MonotonicityReport:
     """Verify that the optimized rate cannot increase with the block length.
 
-    Optimizes at block length k and at n = k*l (same lambda; the correction
-    term, when enabled, shrinks with n).  The block-wise extension of the
-    k-optimum is both a warm start for the n-level search and an explicit
-    feasibility witness, re-verified by :func:`_reverify` as every reported
-    point is, so the check can only fail by more than float noise if the
-    n-level search is broken.  The n-level search is heuristic, hence
-    :data:`MONOTONICITY_SLACK`.  An ``l`` below 1, or an n above
-    :data:`DEFAULT_BLOCK_CAP`, is refused before any search.
+    Optimizes at block length k, then at n = k*l (same lambda; the
+    correction term, when enabled, shrinks with n), by
+    :func:`_search_in_order`, so a feasible k-optimum's block extension
+    warm-starts the n-level search.  That extension, feasible or not, is
+    re-verified by :func:`_reverify` as an explicit witness, so the check
+    can only fail by more than float noise if the n-level search is broken.
+    The n-level search is heuristic, hence :data:`MONOTONICITY_SLACK`.  An
+    ``l`` below 1, or an n above :data:`DEFAULT_BLOCK_CAP`, is refused
+    before any search.
     """
     if l < 1:
         raise ValidationError("l must be >= 1")
     require_block_length(cfg.k * l)
     cfg_n = replace(cfg, k=cfg.k * l)
-    point_k = optimize_policy(model, cfg, search)
-    extended = blockwise_extend(point_k.kernel, l)
-    extended_rate, extended_check = _reverify(model, cfg_n, extended)
-    return MonotonicityReport(
-        point_k=point_k,
-        point_n=optimize_policy(model, cfg_n, search, [extended]),
-        extended_rate=extended_rate,
-        extended_feasible=extended_check.passed,
-    )
+    point_k, point_n = _search_in_order(model, [(cfg, search), (cfg_n, search)])
+    extended_rate, extended_check = _reverify(model, cfg_n, _extend(point_k, cfg_n.k))
+    return MonotonicityReport(point_k, point_n, extended_rate, extended_check.passed)
 
 
 def asymptotic_guarantee(
@@ -761,16 +782,13 @@ def asymptotic_guarantee(
 
     This is an UPPER BOUND on the asymptotic minimum privacy error exponent
     (the true value is an infimum over all block lengths, which no finite
-    sweep can certify).  Each block length is warm-started with the block
-    extensions of the feasible optima found at its divisors, so the report
-    is nonincreasing in ``k_max`` by construction.  The first feasible
-    point of smallest privacy rate wins (the first of smallest rate when
-    none is feasible).  A ``k_max`` outside 1..:data:`DEFAULT_BLOCK_CAP` is
-    refused before any search.
+    sweep can certify).  :func:`_search_in_order` searches k = 1..k_max in
+    turn, each warm-started by the best feasible optimum at its divisors,
+    so the report is nonincreasing in ``k_max`` by construction.  The first
+    feasible point of smallest privacy rate wins (the first of smallest
+    rate when none is feasible).  A ``k_max`` outside
+    1..:data:`DEFAULT_BLOCK_CAP` is refused before any search.
     """
     require_block_length(k_max)
-    found: list[TradeoffPoint] = []
-    for k in range(1, k_max + 1):
-        warm = [blockwise_extend(p.kernel, k // p.k) for p in found if p.feasible and k % p.k == 0]
-        found.append(optimize_policy(model, replace(cfg_template, k=k), search, warm))
-    return min(found, key=lambda p: (not p.feasible, p.privacy_rate))
+    jobs = [(replace(cfg_template, k=k), search) for k in range(1, k_max + 1)]
+    return min(_search_in_order(model, jobs), key=lambda p: (not p.feasible, p.privacy_rate))

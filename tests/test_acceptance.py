@@ -205,6 +205,28 @@ def test_criterion_8_deterministic_csv(tmp_path, capsys):
            "matching the pinned curve", elapsed, budget=120.0)
 
 
+def test_curves_monotone_by_construction():
+    # each search is warm-started from the best point it admits for free (a
+    # larger lambda, a smaller s, a divisor of k), so these orderings hold up
+    # to the tie band and re-verification rounding, whatever the seed
+    model = demo_model()
+    lambdas = [0.02, 0.05, 0.1, 0.14]
+    k1 = tradeoff_sweep(model, lambdas, [1.0, 2.0], search=SearchConfig(seed=SEED))
+    s1 = [p.privacy_rate for p in k1 if p.s == 1.0]
+    s2 = [p.privacy_rate for p in k1 if p.s == 2.0]
+    assert all(b <= a + 1e-12 for a, b in zip(s1, s2))
+    curves = [s1, s2]
+    for seed in range(5):
+        search = SearchConfig(restarts=1, seed=seed)
+        k2 = tradeoff_sweep(model, lambdas, [1.0], GuaranteeConfig(lam=0.0, k=2), search)
+        curves.append([p.privacy_rate for p in k2])
+        assert all(b <= a + 1e-12 for a, b in zip(s1, curves[-1])), (seed, s1, curves[-1])
+        rep = monotonicity_check(model, GuaranteeConfig(lam=0.1), l=2, search=search)
+        assert rep.point_n.privacy_rate <= rep.extended_rate + 1e-12
+    for curve in curves:
+        assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:])), curve
+
+
 def test_pinned_k2_search_curve(tmp_path, capsys):
     # the lockstep multistart pattern search at k = 2 (34 free parameters)
     out = tmp_path / "k2.csv"

@@ -129,6 +129,11 @@ class TestExponentCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed model document")
 
+    def test_block_length_above_the_cap_exits_5(self, capsys):
+        code, out, err = run(capsys, "exponent", "--k", "4")
+        assert (code, out) == (5, "")
+        assert "block length 4 exceeds cap 3" in err
+
 
 class TestExactErrorCommand:
     def test_single_slot_hand_value(self, capsys):
@@ -171,6 +176,14 @@ class TestExactErrorCommand:
             "--method", "enumerate",
         )
         assert code == 5
+
+    def test_block_length_above_the_cap_exits_5(self, capsys):
+        # the built-in identity policy is refused before its kernel is built
+        code, out, err = run(
+            capsys, "exact-error", "--k", "4", "--n", "4", "--method", "enumerate",
+        )
+        assert (code, out) == (5, "")
+        assert "block length 4 exceeds cap 3" in err
 
 
 class TestPolicyFiles:

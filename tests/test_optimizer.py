@@ -251,6 +251,21 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(s2, s2[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(s1, s2))
 
+    def test_one_family_grid_held_at_a_time(self, model):
+        # the s = 2 and s = 3 families both have 61^3 grids; holding the first
+        # while the second is built would raise the peak by about 70%
+        search = SearchConfig(grid_points_per_parameter=61)
+
+        def peak(s_values):
+            tracemalloc.start()
+            try:
+                tradeoff_sweep(model, [0.1], s_values, search=search)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([2.0, 3.0]) <= 1.5 * peak([2.0])
+
 
 class TestGridCap:
     def test_oversized_grid_refused_before_it_is_built(self, model):

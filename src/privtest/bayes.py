@@ -4,11 +4,11 @@ A composite test observes a sequence drawn from one of four laws indexed by
 (u, p) and decides one coordinate of the pair: the *utility* test decides u,
 grouping the laws by u with prior weights, and the *privacy* test decides p.
 
-Three independent routes to the asymptotic error exponent are implemented
-for i.i.d. (k = 1) laws:
+Three independent routes to the asymptotic error exponent are implemented.
+The Chernoff route takes k-block laws; the other two stay at k = 1:
 
 * ``exponent_chernoff``: the minimum Chernoff information over the four
-  cross-group law pairs,
+  cross-group law pairs, divided by k (the rate of ``exponent_lower_bound``),
 * ``exponent_composite``: the minimum of eight composite Chernoff
   divergence evaluations,
 * ``exponent_sanov``: a brute-force large-deviations computation over a
@@ -85,10 +85,6 @@ def grouped_pairs(target: TestTarget) -> tuple[tuple[tuple[int, int], tuple[int,
     side1 = _side_laws(target, 1)
     side0 = _side_laws(target, 0)
     return tuple((a, b) for a in side1 for b in side0)
-
-
-def _law_arrays(laws: OutputLaws) -> dict[tuple[int, int], np.ndarray]:
-    return {up: laws.laws[up].array() for up in UP_PAIRS}
 
 
 def _require_iid(laws: OutputLaws) -> None:
@@ -204,18 +200,21 @@ def exact_min_error_iid_log(
 # ---------------------------------------------------------------------------
 
 
+def _grouped_rate(laws: OutputLaws, target: TestTarget) -> tuple[float, tuple]:
+    """The per-slot rate ``min C(a, b) / k`` over the four grouped pairs, and
+    the first pair that attains the minimum."""
+    _require_full_support_laws(laws)
+    pairs = grouped_pairs(target)
+    rates = [chernoff_from_probs(laws.laws[a].probs, laws.laws[b].probs)[0] for a, b in pairs]
+    first = rates.index(min(rates))
+    return rates[first] / laws.k, pairs[first]
+
+
 def exponent_chernoff(block_laws: OutputLaws, target: TestTarget) -> ExponentReport:
-    """Asymptotic exponent as the minimal cross-group Chernoff information."""
-    _require_iid(block_laws)
-    _require_full_support_laws(block_laws)
-    arrays = _law_arrays(block_laws)
-    best = math.inf
-    best_pair = None
-    for a, b in grouped_pairs(target):
-        value, _ = chernoff_from_probs(arrays[a], arrays[b])
-        if value < best:
-            best, best_pair = value, (a, b)
-    return ExponentReport(value=best, argmin_pair=best_pair, method=ExponentMethod.CHERNOFF)
+    """Asymptotic per-slot exponent of k-block laws: the minimal cross-group
+    Chernoff information divided by k, as it tensorizes over the slots."""
+    value, pair = _grouped_rate(block_laws, target)
+    return ExponentReport(value=value, argmin_pair=pair, method=ExponentMethod.CHERNOFF)
 
 
 def exponent_composite(block_laws: OutputLaws, target: TestTarget) -> ExponentReport:
@@ -296,7 +295,6 @@ def exponent_lower_bound(
     The sequence form scores the rate once for all horizons; each of its
     bounds equals the single-horizon call bit for bit.
     """
-    _require_full_support_laws(laws)
     single = np.ndim(n_blocks) == 0
     horizons = [n_blocks] if single else list(n_blocks)
     if not horizons:
@@ -304,10 +302,7 @@ def exponent_lower_bound(
     for n in horizons:
         if n < 1:
             raise ValidationError(f"n_blocks must be >= 1, got {n!r}")
-    arrays = _law_arrays(laws)
-    rate = min(
-        chernoff_from_probs(arrays[a], arrays[b])[0] for a, b in grouped_pairs(target)
-    ) / laws.k
+    rate, _ = _grouped_rate(laws, target)
     log_8p = math.log(8.0 * prior.p_max)
     bounds = [rate - log_8p / (laws.k * n) for n in horizons]
     return bounds[0] if single else bounds

@@ -210,12 +210,12 @@ def cmd_exponent(args) -> int:
     policy = _load_policy_arg(args.policy, model, s=args.s, k=args.k)
     laws = induced_output_laws(model, policy)
     target = _parse_target(args.target)
+    if args.cross_check and laws.k != 1:
+        raise ValidationError("--cross-check needs a k=1 policy")
     report = exponent_chernoff(laws, target)
     print(f"exponent ({target.value}, chernoff form): {report.value!r}")
     print(f"  argmin pair: law{report.argmin_pair[0]} vs law{report.argmin_pair[1]}")
     if args.cross_check:
-        if laws.k != 1:
-            raise ValidationError("--cross-check needs a k=1 policy")
         comp_report = exponent_composite(laws, target)
         s_report = exponent_sanov(laws, target, args.grid_step)
         print(f"exponent ({target.value}, composite form): {comp_report.value!r}")

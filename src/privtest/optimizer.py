@@ -132,7 +132,8 @@ class SearchConfig:
 
     ``restarts`` and ``seed`` draw the random starts, so they act only on
     families with more than :data:`GRID_DIM_LIMIT` free parameters; smaller
-    families are searched from their grid winner.  Every search refines
+    families are searched from their grid winner.  A negative seed is
+    refused for every family, whether or not it draws.  Every search refines
     until its step falls below :data:`_LOCAL_STEP_TOL`.
     """
 
@@ -145,6 +146,8 @@ class SearchConfig:
             raise ValidationError("need at least 2 grid points per parameter")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ The four computational kernels are
 * ``kl_divergence`` -- the Kullback-Leibler divergence with the usual
   ``0 * log 0 = 0`` convention,
 * ``chernoff_information`` -- ``max_{0<=mu<=1} -log sum q1^mu q2^(1-mu)``,
-  found by golden-section search on the concave objective; this scalar
-  path is the reference the batched kernel is tested against,
+  found by the scalar safeguarded Newton on the derivative of the convex
+  log-moment function that the composite search also uses on its segment
+  nu = 0; the tests hold it to an independent value-only bracketing search,
 * ``chernoff_batch`` -- the same quantity for every row of two ``(B, m)``
   arrays at once, by safeguarded Newton iteration on the derivative of the
   log-moment function; its core ``chernoff_symbol_major`` takes the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,14 +54,6 @@ from .errors import (
     SupportError,
     ValidationError,
 )
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Golden-section bracket width per unit of interior-point spacing, 1 / (2 phi' - 1).
-_BRACKET_PER_TOL = 1.0 / (2.0 * _INVPHI - 1.0)
-
-#: Spacing of the golden-section interior points at which the search stops.
-_GOLDEN_TOL = 1e-10
 
 #: Sums more negative than this raise NumericalError instead of being clamped.
 CLAMP_TOL = 1e-12
@@ -75,7 +68,7 @@ _NEWTON_TOL = 1e-10
 #: in a handful of steps.
 _NEWTON_MAX_ITER = 100
 
-#: Newton step below which the composite searches stop.  The tilted-mean
+#: Newton step below which the scalar searches stop.  The tilted-mean
 #: gradient has a rounding floor near 1e-10, so a much smaller test stalls.
 _COMPOSITE_TOL = 1e-9
 
@@ -213,33 +206,6 @@ def _clamp_nonnegative(value: float) -> float:
     raise NumericalError(f"value {value!r} negative beyond clamping tolerance")
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a concave function on [lo, hi] by golden-section search.
-
-    Returns ``(x, f(x))`` where x is the midpoint of the final bracket.  The
-    search stops once its two interior points are at most :data:`_GOLDEN_TOL`
-    apart, so the bracket is then at most ``_BRACKET_PER_TOL * _GOLDEN_TOL``
-    wide.
-    """
-    a, b = float(lo), float(hi)
-    if b < a:
-        raise ValidationError(f"empty search interval [{a}, {b}]")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (d - c) > _GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 # ---------------------------------------------------------------------------
 # Kullback-Leibler divergence
 # ---------------------------------------------------------------------------
@@ -282,56 +248,35 @@ def kl_divergence(p: Pmf, q: Pmf, *, allow_zeros: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chernoff_from_logs(l1: Sequence[float], l2: Sequence[float]) -> tuple[float, float]:
-    def objective(mu: float) -> float:
-        one_minus = 1.0 - mu
-        acc = 0.0
-        for a, b in zip(l1, l2):
-            acc += math.exp(mu * a + one_minus * b)
-        if acc <= 0.0:
-            return math.inf
-        return -math.log(acc)
-
-    mu, value = golden_section_max(objective, 0.0, 1.0)
-    # The midpoint of a final bracket that touches 0 or 1 misses an optimum
-    # at that endpoint by the slope there times half the bracket width.
-    for end in (0.0, 1.0):
-        if abs(mu - end) <= _BRACKET_PER_TOL * _GOLDEN_TOL:
-            end_value = objective(end)
-            if end_value > value:
-                mu, value = end, end_value
-    return mu, value
-
-
 def chernoff_from_probs(
     p: Sequence[float], q: Sequence[float], *, allow_zeros: bool = False
 ) -> tuple[float, float]:
     """Chernoff information of raw probability sequences.
 
     Returns ``(value, mu_star)``.  With ``allow_zeros`` the sum runs over the
-    common support; if the supports are disjoint the value is ``inf``.
+    common support; if the supports are disjoint the value is ``inf``.  An
+    optimum at an endpoint gives mu* exactly 0.0 or 1.0, and equal pmfs
+    give exactly (+0.0, 0.0).
     """
-    pairs = list(zip((float(x) for x in p), (float(x) for x in q)))
-    if allow_zeros:
-        pairs = [(a, b) for a, b in pairs if a > 0.0 and b > 0.0]
-        if not pairs:
-            return math.inf, 0.5
-    else:
-        for a, b in pairs:
-            if a <= 0.0 or b <= 0.0:
-                raise SupportError("chernoff_information requires full support "
-                                   "(pass allow_zeros=True for common-support mode)")
-    l1 = [math.log(a) for a, _ in pairs]
-    l2 = [math.log(b) for _, b in pairs]
-    mu, value = _chernoff_from_logs(l1, l2)
+    p, q = [float(x) for x in p], [float(x) for x in q]
+    if not allow_zeros and any(x <= 0.0 for x in p + q):
+        raise SupportError("chernoff_information requires full support "
+                           "(pass allow_zeros=True for common-support mode)")
+    logs = [(math.log(a), math.log(b)) for a, b in zip(p, q) if a > 0.0 and b > 0.0]
+    if not logs:
+        return math.inf, 0.5
+    if p == q:
+        return 0.0, 0.0
+    value, mu = _chernoff_segment([l2 for _, l2 in logs], [l1 - l2 for l1, l2 in logs])
     return _clamp_nonnegative(value), mu
 
 
 def chernoff_information(q1: Pmf, q2: Pmf, *, allow_zeros: bool = False) -> float:
     """C(q1 || q2) in nats: the Bayesian error exponent of the simple test.
 
-    Symmetric in its arguments and zero iff they coincide.  The maximizing
-    mu is found to absolute tolerance 1e-10.
+    Symmetric in its arguments and zero iff they coincide.  Newton finds the
+    maximizing mu to a last step of at most :data:`_COMPOSITE_TOL`, which it
+    takes; the objective is flat there, so the value is exact to rounding.
     """
     _common_alphabet(q1, q2)
     value, _ = chernoff_from_probs(q1.probs, q2.probs, allow_zeros=allow_zeros)
@@ -575,6 +520,10 @@ def _edge_minimize(c, d) -> float:
     the endpoint slopes, a bracket around the root of h', bisection for a
     step that would leave it.  On convergence the last Newton step is taken
     too, so the point is good to about the square of the stopping step.
+
+    The one scalar line search: :func:`_chernoff_segment` (the Chernoff
+    information and the composite segment nu = 0), each edge of
+    :func:`_composite_maximize` and each step of :func:`_interior_minimize`.
     """
     slope0, _ = _tilted_moments(c, d, 0.0)
     if slope0 >= 0.0:
@@ -598,6 +547,14 @@ def _edge_minimize(c, d) -> float:
         nxt = t - step
         t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     return t
+
+
+def _chernoff_segment(c, d) -> tuple[float, float]:
+    """``-min log sum exp(c + mu d)`` over mu in [0, 1], and its argmin: for
+    ``c = log q``, ``d = log p/q`` the Chernoff information of (p, q) and its
+    tilt, which is also the composite objective on its segment nu = 0."""
+    mu = _edge_minimize(c, d)
+    return _neg_log_sum_exp([ci + mu * di for ci, di in zip(c, d)]), mu
 
 
 def _tilted_covariance(c, a, b, x: float, y: float) -> tuple[float, ...]:
@@ -686,10 +643,11 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     When no b is positive -- q3 equals q1, or exceeds it on every symbol,
     which only weights summing to 1 within rounding allow -- or D(q1||q2)
     vanishes, the maximization falls back to the segment nu = 0, where the
-    objective is the Chernoff curve of (q1, q2).  Equal q1 and q2 give
-    exactly 0 at (0, 0): the objective is
-    then -log sum q2 along that whole segment, and evaluating it would only
-    add rounding.
+    objective is the Chernoff curve of (q1, q2), solved by the same
+    :func:`_chernoff_segment` as :func:`chernoff_information`, so the two
+    agree bit for bit there.  Equal q1 and q2 give exactly 0 at (0, 0): the
+    objective is then -log sum q2 along that whole segment, and evaluating
+    it would only add rounding.
     """
     if q1.probs == q2.probs:
         return 0.0, DualPoint(0.0, 0.0)
@@ -702,8 +660,8 @@ def _composite_maximize(q1: Pmf, q2: Pmf, q3: Pmf) -> tuple[float, DualPoint]:
     top = b.index(max(b))
 
     if d12 < _DEGENERATE_KL or not b[top] > 0.0:
-        mu = _edge_minimize(l2, a)
-        return _composite_value(l2, a, b, mu, 0.0), DualPoint(mu, 0.0)
+        value, mu = _chernoff_segment(l2, a)
+        return value, DualPoint(mu, 0.0)
     if d13 < _DEGENERATE_KL:
         scale, edges = 2.0 * max(-l1[top], -l2[top]) / b[top], _STRIP_EDGES  # Y
     else:

@@ -129,6 +129,21 @@ class TestExponentCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed model document")
 
+    def test_block_laws_report_the_per_slot_exponent(self, capsys):
+        # the identity policy's k-block laws are products of its per-slot
+        # laws, and Chernoff information tensorizes over the k slots
+        values = []
+        for k in ("1", "2"):
+            code, out, err = run(capsys, "exponent", "--k", k, "--target", "privacy")
+            assert (code, err) == (0, "")
+            values.append(float(out.splitlines()[0].split(":")[1]))
+        assert values[1] == pytest.approx(values[0], rel=0.0, abs=1e-12)
+
+    def test_cross_check_of_block_laws_exits_2(self, capsys):
+        code, out, err = run(capsys, "exponent", "--k", "2", "--cross-check")
+        assert (code, out) == (2, "")
+        assert err == "error: --cross-check needs a k=1 policy\n"
+
     def test_block_length_above_the_cap_exits_5(self, capsys):
         code, out, err = run(capsys, "exponent", "--k", "4")
         assert (code, out) == (5, "")
@@ -348,6 +363,18 @@ class TestTradeoffCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_exits_2_before_any_output(self, capsys, tmp_path):
+        # the k = 1, s = 1 family (two parameters) never draws random
+        # starts, so only an up-front check refuses this seed
+        csv_path = tmp_path / "c.csv"
+        code, out, err = run(
+            capsys, "tradeoff", "--seed", "-1", "--s", "1", "--lambda-grid", "0.1",
+            "--grid-points", "11", "--out-csv", str(csv_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_one_lambda_beyond_float_resolution_plots(self, capsys, tmp_path):

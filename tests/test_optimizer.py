@@ -60,6 +60,11 @@ def equal_laws():
     return OutputLaws(k=1, laws={up: pmf for up in UP_PAIRS})
 
 
+def test_negative_search_seed_refused():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        SearchConfig(seed=-1)
+
+
 class TestGuaranteeCheck:
     def test_identical_laws_pass_without_correction(self):
         cfg = GuaranteeConfig(lam=0.0, k=1, s=1.0, include_correction=False)

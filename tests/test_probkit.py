@@ -2,7 +2,7 @@
 
 Expected values are frozen from independent oracles: the defining sums
 evaluated by hand for KL and the composite dual objective, a dense 1-D
-grid for Chernoff
+grid and the golden-section search of ``reference`` for Chernoff
 information, and the simplex-grid primal for the composite divergence.
 """
 
@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privtest import (
     DualPoint,
@@ -34,8 +36,8 @@ from privtest.probkit import (
     chernoff_from_probs,
     composite_chernoff_with_argmax,
     composition_lattice,
-    golden_section_max,
 )
+from reference import golden_chernoff, golden_section_max
 
 
 def random_pmf(rng, size, floor=1e-3):
@@ -174,8 +176,8 @@ class TestChernoffInformation:
 
     def test_optimum_at_endpoint_is_exact(self):
         # the common support is symbol 0 alone, so the objective is linear in
-        # mu and peaks at mu = 1 with value -log(1.3e-11); the midpoint of the
-        # final golden-section bracket falls short by about 4e-9
+        # mu and peaks at mu = 1 with value -log(1.3e-11); the search must
+        # return that endpoint itself, not a point just inside it
         value, mu = chernoff_from_probs(
             [1.3e-11, 0, 1, 0], [0.0216, 0.978, 0, 0], allow_zeros=True
         )
@@ -184,6 +186,62 @@ class TestChernoffInformation:
         value, mu = chernoff_from_probs([0.0216, 0.978, 0], [1.3e-11, 0, 1], allow_zeros=True)
         assert value == pytest.approx(-math.log(1.3e-11), abs=1e-12)
         assert mu == 0.0
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda digit, e: digit * 10.0**-e, st.integers(1, 9), st.integers(0, 12)),
+)
+
+
+@st.composite
+def reference_pairs(draw):
+    """Two pmfs on 1-16 symbols with zero masses and weights spanning twelve
+    orders of magnitude: independent, equal, with disjoint supports, or
+    sharing one symbol (a linear objective, optimal at an endpoint)."""
+    m = draw(st.integers(1, 16))
+    weights = st.lists(_WEIGHT, min_size=m, max_size=m).filter(lambda w: sum(w) > 0)
+    p, q = draw(weights), draw(weights)
+    layout = draw(st.sampled_from(["independent", "equal", "disjoint", "endpoint"]))
+    if layout == "equal":
+        q = list(p)
+    elif layout == "disjoint" and m > 1:
+        split = draw(st.integers(1, m - 1))
+        p = [1.0 + w for w in p[:split]] + [0.0] * (m - split)
+        q = [0.0] * split + [1.0 + w for w in q[split:]]
+    elif layout == "endpoint":
+        shared = draw(st.integers(0, m - 1))
+        p = [1.0 + w if i == shared else w for i, w in enumerate(p)]
+        q = [1.0 + w if i == shared else (0.0 if p[i] > 0.0 else w) for i, w in enumerate(q)]
+    return [w / math.fsum(p) for w in p], [w / math.fsum(q) for w in q]
+
+
+@settings(max_examples=300)
+@given(reference_pairs())
+def test_scalar_newton_matches_golden_section_reference(pair):
+    p, q = pair
+    value, mu = chernoff_from_probs(p, q, allow_zeros=True)
+    expected, expected_mu = golden_chernoff(p, q)
+    if math.isinf(expected):
+        assert math.isinf(value)
+    elif p == q:
+        assert (value, mu) == (0.0, 0.0)
+        assert expected <= 1e-15
+    else:
+        # relative, plus the rounding of a log-sum-exp near 1 (about 1e-16
+        # absolute), which no relative bound holds for values near 0
+        assert abs(value - expected) <= 1e-12 * expected + 1e-15
+        if expected_mu in (0.0, 1.0):
+            assert mu == expected_mu
+
+
+def test_composite_on_its_first_law_is_chernoff_bit_for_bit():
+    # q3 = q1 leaves the segment nu = 0, solved by the same code as C(q1, q2)
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        size = int(rng.integers(2, 6))
+        q1, q2 = (random_pmf(rng, size) for _ in range(2))
+        assert composite_chernoff(q1, q2, q1) == chernoff_information(q1, q2)
 
 
 class TestCompositeDual:

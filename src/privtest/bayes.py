@@ -16,9 +16,17 @@ The Chernoff route takes k-block laws; the other two stay at k = 1:
   the asymptotic type-based test.
 
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
-Finite-horizon quantities are exact: ``exact_min_error`` enumerates output
-sequences, ``exact_min_error_iid_log`` enumerates type classes in log space;
-both check their result against [0, 1] and the best constant decision.
+Finite-horizon errors are exact.  Two private cores score a stack of law
+sets, shape ``(L, 4, m)``, for several targets in one pass:
+``_enumerated_errors`` enumerates output sequences at an ascending list of
+block counts, growing the likelihoods one block at a time, and
+``_type_class_errors`` enumerates type classes in log space at one horizon,
+sharing each lattice chunk, the log-factorial table and the prior across
+law sets and targets.  ``exact_min_error`` and ``exact_min_error_iid_log``
+are their one-law-set, one-target case; the ``verify`` suites call the
+cores.  Both routes take k-block laws, whose blocks are i.i.d.
+super-symbols, with the horizon counted in blocks, and both check every
+result against [0, 1] and the best constant decision.
 Type classes and Sanov grid points both come from the chunked numpy lattice
 :func:`privtest.probkit.composition_lattice` and are scored a chunk at a
 time (millions of type classes per second; the count grows like n^(m-1)
@@ -38,6 +46,7 @@ from .errors import EnumerationCapError, SupportError, ValidationError
 from .model import UP_PAIRS, OutputLaws, Prior, _row_outer
 from .probkit import (
     DEFAULT_ENUM_CAP,
+    LATTICE_CHUNK,
     _grid_steps,
     chernoff_from_probs,
     composite_chernoff,
@@ -108,91 +117,171 @@ def _constant_decision_errors(prior: Prior, target: TestTarget) -> tuple[float, 
     return mass1, 1.0 - mass1  # error of always-0, error of always-1
 
 
-def exact_min_error(
-    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int
-) -> float:
-    """Exact Bayes error over ``n_blocks`` i.i.d. blocks, by full enumeration.
+def _check_error_bounds(alphas: np.ndarray, prior: Prior, targets: Sequence[TestTarget]) -> None:
+    """Check each alpha ``alphas[l, t, ...]`` of ``targets[t]`` against [0, 1]
+    and the best constant decision; the first one that fails raises."""
+    for t, target in enumerate(targets):
+        column = alphas[:, t].ravel()
+        outside = ~((column >= -1e-12) & (column <= 1.0 + 1e-12))  # NaN is outside too
+        if outside.any():
+            raise ValidationError(f"computed error {float(column[outside][0])!r} outside [0, 1]")
+        above = column > min(_constant_decision_errors(prior, target)) + 1e-12
+        if above.any():
+            raise ValidationError(
+                f"computed error {float(column[above][0])!r} exceeds the best constant "
+                "decision; this indicates an internal inconsistency"
+            )
 
-    alpha = sum over output sequences of min_h (grouped likelihood * prior).
-    Refuses to enumerate more than :data:`DEFAULT_ENUM_CAP` sequences; use
-    :func:`exact_min_error_iid_log` for long horizons with k = 1 laws.
+
+def _side_rows(target: TestTarget) -> list[list[int]]:
+    """The UP_PAIRS rows of the side-0 laws and of the side-1 laws."""
+    return [[UP_PAIRS.index(up) for up in _side_laws(target, h)] for h in (0, 1)]
+
+
+def _slices(stack: np.ndarray, items: int):
+    """Consecutive slices of a law-set stack that hold at most
+    :data:`LATTICE_CHUNK` sequences or type classes (``items`` per law set)
+    and at least one law set, so a core's working set is that of one lattice
+    chunk or one law set, however many law sets are stacked."""
+    step = max(1, LATTICE_CHUNK // items)
+    for lo in range(0, len(stack), step):
+        yield slice(lo, lo + step)
+
+
+def _enumerated_errors(
+    stack: np.ndarray, prior: Prior, targets: Sequence[TestTarget], horizons: Sequence[int]
+) -> np.ndarray:
+    """``alpha[l, t, h]``: the exact Bayes error of law set ``l`` of a
+    ``(L, 4, m)`` stack (rows in UP_PAIRS order) for ``targets[t]`` over
+    ``horizons[h]`` i.i.d. blocks, by enumerating the output sequences.
+
+    alpha = sum over sequences of min_h (grouped likelihood * prior).  The
+    horizons are ascending; the likelihoods grow one block at a time by the
+    left-folding :func:`privtest.model._row_outer`, so each horizon's equal
+    ``_row_outer([laws] * n)`` bit for bit and every law set's alphas equal
+    its own one-law-set call.  Horizons of more than :data:`DEFAULT_ENUM_CAP`
+    sequences are refused before enumerating, and the stack is scored in
+    slices (:func:`_slices`).
     """
-    if n_blocks < 1:
+    if horizons[0] < 1:
         raise ValidationError("n_blocks must be >= 1")
-    m = len(laws.block_labels)
-    if m**n_blocks > DEFAULT_ENUM_CAP:
+    m, n_max = stack.shape[-1], horizons[-1]
+    if m**n_max > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{m}**{n_blocks} output sequences exceed the cap {DEFAULT_ENUM_CAP}; "
+            f"{m}**{n_max} output sequences exceed the cap {DEFAULT_ENUM_CAP}; "
             "use exact_min_error_iid_log for long i.i.d. horizons"
         )
-    lik = dict(zip(UP_PAIRS, _row_outer([laws.arrays()] * n_blocks)))
-    g0 = sum(prior.prob(*up) * lik[up] for up in _side_laws(target, 0))
-    g1 = sum(prior.prob(*up) * lik[up] for up in _side_laws(target, 1))
-    alpha = float(np.minimum(g0, g1).sum())
-    _check_error_bounds(alpha, prior, target)
-    return alpha
+    weighted = [
+        [[(prior.joint[i], i) for i in side] for side in _side_rows(target)] for target in targets
+    ]
+    column = {n: h for h, n in enumerate(horizons)}
+    alphas = np.empty((len(stack), len(targets), len(horizons)))
+    for part in _slices(stack, m**n_max):
+        laws = lik = stack[part]
+        for n in range(1, n_max + 1):
+            if n > 1:
+                lik = _row_outer([lik, laws])
+            if n in column:
+                for t, sides in enumerate(weighted):
+                    g0, g1 = (sum(w * lik[:, i] for w, i in side) for side in sides)
+                    alphas[part, t, column[n]] = np.minimum(g0, g1).sum(axis=-1)
+    _check_error_bounds(alphas, prior, targets)
+    return alphas
 
 
-def _check_error_bounds(alpha: float, prior: Prior, target: TestTarget) -> None:
-    if not -1e-12 <= alpha <= 1.0 + 1e-12:
-        raise ValidationError(f"computed error {alpha!r} outside [0, 1]")
-    if alpha > min(_constant_decision_errors(prior, target)) + 1e-12:
-        raise ValidationError(
-            f"computed error {alpha!r} exceeds the best constant decision; "
-            "this indicates an internal inconsistency"
-        )
+def _type_class_errors(
+    stack: np.ndarray, prior: Prior, targets: Sequence[TestTarget], n: int
+) -> np.ndarray:
+    """``log alpha[l, t]``: the log exact Bayes error of law set ``l`` of a
+    ``(L, 4, m)`` stack for ``targets[t]`` over ``n`` i.i.d. blocks, by
+    enumerating type classes.
 
-
-def exact_min_error_iid_log(
-    block_laws: OutputLaws, prior: Prior, target: TestTarget, n: int
-) -> float:
-    """log(alpha) for the exact Bayes error over n i.i.d. slots (k = 1 laws).
-
-    Enumerates type classes: sequences of the same type share the same
-    probability under every law, so each class contributes its exact
-    probability times the losing grouped mass.  The classes come in chunks
-    of :func:`composition_lattice`; per chunk, the multinomial coefficients
-    come from a table of log-factorials, the four class log-likelihoods from
-    one matrix product, and the chunk's log-sum-exp joins a running one, so
-    memory stays flat however many classes there are.  Refuses to enumerate
-    more than :data:`DEFAULT_ENUM_CAP` type classes, and checks
-    ``exp(log_alpha)`` as :func:`exact_min_error` checks its alpha.
+    Sequences of the same type share the same probability under every law,
+    so each class contributes its exact probability times the losing grouped
+    mass.  The classes come in chunks of :func:`composition_lattice`.  Each
+    chunk, its multinomial coefficients (from one table of log-factorials)
+    and the prior are shared by every law set and target; the four class
+    log-likelihoods of every law set come from one stacked matrix product,
+    and each (law set, target) keeps a running log-sum-exp, so memory stays
+    flat however many classes there are.  Every entry equals its own
+    one-law-set, one-target call bit for bit.  More than
+    :data:`DEFAULT_ENUM_CAP` classes are refused before enumerating, and each
+    ``exp(log_alpha)`` is checked as :func:`_enumerated_errors` checks alpha.
     """
-    _require_iid(block_laws)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    m = len(block_laws.block_labels)
+    m = stack.shape[-1]
     types = math.comb(n + m - 1, m - 1)
     if types > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
             f"{types} type classes (n={n}, {m} symbols) exceed the cap {DEFAULT_ENUM_CAP}"
         )
-    laws = block_laws.arrays()  # (4, m) in UP_PAIRS order
     # a symbol a law cannot emit makes a class impossible when counted (the
     # mask below) and adds nothing when not (its log is stored as 0)
-    zero_mass = laws == 0.0
-    log_laws = np.zeros_like(laws)
-    np.log(laws, out=log_laws, where=~zero_mass)
+    zero_mass = stack == 0.0
+    log_laws = np.zeros_like(stack)
+    np.log(stack, out=log_laws, where=~zero_mass)
     log_prior = np.array([math.log(w) if w > 0.0 else -math.inf for w in prior.joint])
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
-    sides = [[UP_PAIRS.index(up) for up in _side_laws(target, h)] for h in (0, 1)]
+    sides = [_side_rows(target) for target in targets]
 
-    top, scaled = -math.inf, 0.0  # running log-sum-exp = top + log(scaled)
-    for counts in composition_lattice(n, m):
-        log_class = counts @ log_laws.T
-        log_class[(counts > 0) @ zero_mass.T] = -math.inf
-        joint = (log_fact[n] - log_fact[counts].sum(axis=1))[:, None] + log_class + log_prior
-        loser = np.minimum(*(np.logaddexp(joint[:, a], joint[:, b]) for a, b in sides))
-        chunk_top = float(loser.max())
-        if chunk_top == -math.inf:
-            continue
-        if chunk_top > top:
-            scaled *= math.exp(top - chunk_top)
-            top = chunk_top
-        scaled += float(np.exp(loser - top).sum())
-    log_alpha = top + math.log(scaled) if scaled > 0.0 else -math.inf
-    _check_error_bounds(math.exp(log_alpha), prior, target)
+    # running log-sum-exp of each (law set, target) = top + log(scaled)
+    top = np.full((len(stack), len(targets)), -math.inf)
+    scaled = np.zeros_like(top)
+    for part in _slices(stack, types):
+        tops, sums = top[part], scaled[part]  # views
+        columns, zero_columns = log_laws[part].swapaxes(1, 2), zero_mass[part].swapaxes(1, 2)
+        for counts in composition_lattice(n, m):
+            log_class = counts @ columns  # (law sets, classes, 4)
+            log_class[(counts > 0) @ zero_columns] = -math.inf
+            joint = (log_fact[n] - log_fact[counts].sum(axis=1))[:, None] + log_class + log_prior
+            loser = np.empty(tops.shape + (len(counts),))
+            for t, ((a0, b0), (a1, b1)) in enumerate(sides):
+                np.minimum(
+                    np.logaddexp(joint[..., a0], joint[..., b0]),
+                    np.logaddexp(joint[..., a1], joint[..., b1]),
+                    out=loser[:, t],
+                )
+            chunk_top = loser.max(axis=-1)
+            for i in zip(*np.nonzero(chunk_top > tops)):
+                sums[i] *= math.exp(tops[i] - chunk_top[i])
+                tops[i] = chunk_top[i]
+            # a pair with no possible class so far adds exp(-inf - 0) = 0
+            sums += np.exp(loser - np.where(tops > -math.inf, tops, 0.0)[..., None]).sum(axis=-1)
+    log_alpha = np.full_like(top, -math.inf)
+    alphas = np.zeros_like(top)
+    for i in zip(*np.nonzero(scaled > 0.0)):
+        log_alpha[i] = float(top[i]) + math.log(scaled[i])
+        alphas[i] = math.exp(log_alpha[i])
+    _check_error_bounds(alphas, prior, targets)
     return log_alpha
+
+
+def exact_min_error(
+    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int
+) -> float:
+    """Exact Bayes error over ``n_blocks`` i.i.d. blocks, by full enumeration.
+
+    alpha = sum over output sequences of min_h (grouped likelihood * prior),
+    checked against [0, 1] and the best constant decision.  Refuses to
+    enumerate more than :data:`DEFAULT_ENUM_CAP` sequences; use
+    :func:`exact_min_error_iid_log` for long horizons.
+    """
+    return float(_enumerated_errors(laws.arrays()[None], prior, (target,), (n_blocks,))[0, 0, 0])
+
+
+def exact_min_error_iid_log(
+    block_laws: OutputLaws, prior: Prior, target: TestTarget, n: int
+) -> float:
+    """log(alpha) for the exact Bayes error over ``n`` i.i.d. blocks, by type classes.
+
+    The laws may be k-block laws: their blocks are i.i.d. super-symbols, so
+    ``n`` counts blocks (n * k slots) and the classes are types over the
+    |Y|^k block labels.  Refuses to enumerate more than :data:`DEFAULT_ENUM_CAP`
+    type classes, and checks ``exp(log_alpha)`` as :func:`exact_min_error`
+    checks its alpha; :func:`_type_class_errors` has the details.
+    """
+    return float(_type_class_errors(block_laws.arrays()[None], prior, (target,), n)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,7 @@ def cmd_exact_error(args) -> int:
         alpha = exact_min_error(laws, model.prior, target, n_blocks)
         log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
     else:
-        if laws.k != 1:
-            raise ValidationError("method 'types' needs a k=1 policy")
-        log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
+        log_alpha = exact_min_error_iid_log(laws, model.prior, target, n_blocks)
         alpha = math.exp(log_alpha)
     exponent = -log_alpha / n
     bound = exponent_lower_bound(laws, model.prior, target, n_blocks=n_blocks)

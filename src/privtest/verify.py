@@ -25,8 +25,8 @@ import numpy as np
 
 from .bayes import (
     TestTarget,
-    exact_min_error,
-    exact_min_error_iid_log,
+    _enumerated_errors,
+    _type_class_errors,
     exponent_composite,
     exponent_lower_bound,
     exponent_sanov,
@@ -36,6 +36,7 @@ from .errors import ValidationError
 from .model import (
     UP_PAIRS,
     OutputLaws,
+    PolicySpace,
     SourceModel,
     blockwise_extend,
     demo_model,
@@ -121,9 +122,16 @@ def random_binary_laws(rng: np.random.Generator) -> OutputLaws:
     return OutputLaws(k=1, laws=laws)
 
 
-def random_kernel_laws(rng: np.random.Generator, model: SourceModel) -> OutputLaws:
-    """Induced laws of a random feasible k=1 kernel on ``model``."""
-    space = policy_space(model, _KERNEL_S, 1)
+def random_kernel_laws(
+    rng: np.random.Generator, model: SourceModel, space: PolicySpace | None = None
+) -> OutputLaws:
+    """Induced laws of a random feasible k=1 kernel on ``model``.
+
+    ``space`` is the model's s = 2, k = 1 family; a suite that draws many
+    kernels builds it once and passes it, and it is built here when omitted.
+    """
+    if space is None:
+        space = policy_space(model, _KERNEL_S, 1)
     return induced_output_laws(model, space.kernel_from_params(space.random_params(rng, 1)[0]))
 
 
@@ -192,18 +200,21 @@ def suite_exponent_bound(seed: int = 0, trials: int = 50) -> SuiteResult:
     """
     rng = np.random.default_rng(seed)
     model = demo_model()
+    space = policy_space(model, _KERNEL_S, 1)
+    draws = [random_kernel_laws(rng, model, space) for _ in range(trials)]
+    stack = np.stack([laws.arrays() for laws in draws])
+    targets = tuple(TestTarget)
+    # alpha[trial, target, horizon], then log alpha[trial, target] per type horizon
+    enumerated = _enumerated_errors(stack, model.prior, targets, _ENUM_HORIZONS).tolist()
+    typed = [_type_class_errors(stack, model.prior, targets, n).tolist() for n in _TYPE_HORIZONS]
     min_slack = math.inf
     violations = 0
-    for _ in range(trials):
-        laws = random_kernel_laws(rng, model)
-        for target in TestTarget:
+    for trial, laws in enumerate(draws):
+        for t, target in enumerate(targets):
             exponents = [
-                math.log(1.0 / exact_min_error(laws, model.prior, target, n)) / n
-                for n in _ENUM_HORIZONS
-            ] + [
-                -exact_min_error_iid_log(laws, model.prior, target, n) / n
-                for n in _TYPE_HORIZONS
-            ]
+                math.log(1.0 / alpha) / n
+                for alpha, n in zip(enumerated[trial][t], _ENUM_HORIZONS)
+            ] + [-log_alpha[trial][t] / n for log_alpha, n in zip(typed, _TYPE_HORIZONS)]
             bounds = exponent_lower_bound(
                 laws, model.prior, target, n_blocks=[*_ENUM_HORIZONS, *_TYPE_HORIZONS]
             )
@@ -225,14 +236,20 @@ def suite_convergence() -> SuiteResult:
     """Empirical exponents approach the Chernoff-form limit on the demo model."""
     model = demo_model()
     laws = source_laws(model)
+    targets = tuple(TestTarget)
+    # log alpha[target] per horizon, both targets in one pass
+    log_alphas = [
+        _type_class_errors(laws.arrays()[None], model.prior, targets, n)[0].tolist()
+        for n in _CONVERGENCE_HORIZONS
+    ]
     worst_final = 0.0
     monotone = True
-    for target in TestTarget:
+    for t, target in enumerate(targets):
         limit = exponent_chernoff(laws, target).value
-        gaps = []
-        for n in _CONVERGENCE_HORIZONS:
-            log_alpha = exact_min_error_iid_log(laws, model.prior, target, n)
-            gaps.append(abs(-log_alpha / n - limit))
+        gaps = [
+            abs(-log_alpha[t] / n - limit)
+            for log_alpha, n in zip(log_alphas, _CONVERGENCE_HORIZONS)
+        ]
         monotone &= all(b < a for a, b in zip(gaps, gaps[1:]))
         worst_final = max(worst_final, gaps[-1])
     return SuiteResult(

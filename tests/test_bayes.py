@@ -32,9 +32,16 @@ from privtest import (
 from privtest import bayes
 from privtest.bayes import _side_laws
 from privtest.errors import ValidationError
-from privtest.model import UP_PAIRS, OutputLaws, product_laws
+from privtest.model import (
+    UP_PAIRS,
+    OutputLaws,
+    identity_policy,
+    induced_output_laws,
+    policy_space,
+    product_laws,
+)
 from privtest.probkit import composition_lattice
-from privtest.verify import random_kernel_laws, suite_exponent_bound
+from privtest.verify import random_kernel_laws, suite_convergence, suite_exponent_bound
 from reference import map_decision, map_decision_for_type, type_test_decision
 
 UNIFORM = Prior.uniform()
@@ -198,6 +205,16 @@ class TestExactMinError:
             a = exact_min_error(laws2, UNIFORM, target, 2)
             b = math.exp(exact_min_error_iid_log(identity_laws, UNIFORM, target, 4))
             assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("k, blocks", [(2, range(1, 6)), (3, range(1, 4))])
+    def test_type_classes_of_block_laws_equal_enumeration(self, model, k, blocks):
+        # k-block laws are i.i.d. super-symbols: the horizon counts blocks
+        laws = induced_output_laws(model, identity_policy(model, s=1.0, k=k))
+        for target in TestTarget:
+            for n in blocks:
+                enum = exact_min_error(laws, model.prior, target, n)
+                types = math.exp(exact_min_error_iid_log(laws, model.prior, target, n))
+                assert types == pytest.approx(enum, rel=0, abs=1e-12)
 
 
 class TestTypeTest:
@@ -384,6 +401,24 @@ class TestLowerBound:
         bad = horizons if isinstance(horizons, int) else min(horizons)
         with pytest.raises(ValidationError, match=f"got {bad}$"):
             exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=horizons)
+
+    @pytest.mark.parametrize(
+        "trials, worst",
+        [(3, -0.003719250710834012), (15, -0.003605521591178958), (50, -0.0035259667214181164)],
+    )
+    def test_suite_worst_slack_pinned_bit_for_bit(self, trials, worst):
+        # the batched exact errors reproduce the per-call loop's bits
+        assert suite_exponent_bound(seed=0, trials=trials).worst.hex() == worst.hex()
+
+    def test_convergence_worst_gap_pinned_bit_for_bit(self):
+        assert suite_convergence().worst.hex() == (0.005678243553041973).hex()
+
+    def test_kernel_draws_do_not_depend_on_a_passed_family(self, model):
+        space = policy_space(model, 2.0, 1)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            drawn = random_kernel_laws(a, model).arrays()
+            assert np.array_equal(random_kernel_laws(b, model, space).arrays(), drawn)
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_suite_scores_each_rate_once(self, monkeypatch, trials):

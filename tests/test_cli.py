@@ -174,6 +174,14 @@ class TestExactErrorCommand:
         alpha_b = float(out_b.splitlines()[0].split(":")[1])
         assert alpha_a == pytest.approx(alpha_b, abs=1e-12)
 
+    def test_methods_agree_on_block_laws(self, capsys):
+        alphas = []
+        for method in ("enumerate", "types"):
+            code, out, _ = run(capsys, "exact-error", "--k", "2", "--n", "8", "--method", method)
+            assert code == 0
+            alphas.append(float(out.splitlines()[0].split(":")[1]))
+        assert alphas[1] == pytest.approx(alphas[0], rel=0, abs=1e-12)
+
     def test_types_error_above_constant_decision_exits_2(self, capsys, monkeypatch):
         # both paths check 0 <= alpha <= the best constant decision; with that
         # decision made free, the type-class path's own check must refuse

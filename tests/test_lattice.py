@@ -5,10 +5,12 @@ recursive composition generator the lattice replaced, full sequence
 enumeration for type-class errors, and a loop of ``kl_from_probs`` calls over
 the simplex grid for the Sanov exponent and the primal oracle.  The numpy
 paths sum in another order and use numpy's log, so values agree to 1e-12,
-not bit for bit.
+not bit for bit.  The stacked exact-error cores are held to their own
+one-law-set calls bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ from privtest import (
     exact_min_error_iid_log,
     exponent_sanov,
 )
-from privtest.bayes import _side_laws
+from privtest.bayes import _enumerated_errors, _side_laws, _type_class_errors
 from privtest.model import UP_PAIRS, OutputLaws
-from privtest.probkit import LATTICE_CHUNK, composition_lattice, kl_from_probs
+from privtest.probkit import DEFAULT_ENUM_CAP, LATTICE_CHUNK, composition_lattice, kl_from_probs
 
 PROPERTY = settings(max_examples=40)
 
@@ -151,6 +153,51 @@ def test_type_class_error_below_best_constant_decision(laws, prior, target, n):
     assert type(log_alpha) is float  # not a numpy scalar, whose repr the CLI would print
     alpha = math.exp(log_alpha)
     assert 0.0 <= alpha <= best_constant_error(prior, target) + 1e-12
+
+
+@st.composite
+def law_stacks(draw):
+    """One to five law sets on a shared alphabet of 2..4 symbols, zeros allowed."""
+    m = draw(st.integers(2, 4))
+    return [draw(iid_laws(sizes=(m, m))) for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=40)
+@given(
+    law_stacks(),
+    priors,
+    st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True).map(sorted),
+    st.sampled_from([1, 2, 5, 17, 60, None]),  # None: a horizon of two lattice chunks
+)
+def test_stacked_cores_equal_one_law_set_calls_bit_for_bit(law_sets, prior, horizons, n):
+    stack = np.stack([laws.arrays() for laws in law_sets])
+    n = n or MULTI_CHUNK_N[stack.shape[-1]]
+    targets = tuple(TestTarget)
+    alphas = _enumerated_errors(stack, prior, targets, horizons)
+    log_alphas = _type_class_errors(stack, prior, targets, n)
+    for laws, alpha, log_alpha in zip(law_sets, alphas, log_alphas):
+        for t, target in enumerate(targets):
+            single = [exact_min_error(laws, prior, target, h).hex() for h in horizons]
+            assert [a.hex() for a in alpha[t].tolist()] == single
+            single_log = exact_min_error_iid_log(laws, prior, target, n)
+            assert float(log_alpha[t]).hex() == single_log.hex()
+
+
+def test_stack_above_the_cap_is_scored_in_slices():
+    # 15 law sets of 2**20 sequences each: 15.7 M sequences in all
+    assert 15 * 2**20 > DEFAULT_ENUM_CAP
+    theta = np.random.default_rng(3).uniform(0.2, 0.8, size=(15, 4, 1))
+    stack = np.concatenate([theta, 1.0 - theta], axis=-1)
+
+    def peak(part):
+        tracemalloc.start()
+        try:
+            _enumerated_errors(part, Prior.uniform(), (TestTarget.UTILITY,), (20,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(stack) <= 1.5 * peak(stack[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,8 @@ def _enumerated_errors(
     m, n_max = stack.shape[-1], horizons[-1]
     if m**n_max > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{m}**{n_max} output sequences exceed the cap {DEFAULT_ENUM_CAP}; "
-            "use exact_min_error_iid_log for long i.i.d. horizons"
+            f"{m}**{n_max} output sequences ({n_max} blocks on {m} labels) exceed the cap "
+            f"{DEFAULT_ENUM_CAP}; use exact_min_error_iid_log for long i.i.d. horizons"
         )
     weighted = [
         [[(prior.joint[i], i) for i in side] for side in _side_rows(target)] for target in targets
@@ -214,7 +214,7 @@ def _type_class_errors(
     types = math.comb(n + m - 1, m - 1)
     if types > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{types} type classes (n={n}, {m} symbols) exceed the cap {DEFAULT_ENUM_CAP}"
+            f"{types} type classes ({n} blocks on {m} labels) exceed the cap {DEFAULT_ENUM_CAP}"
         )
     # a symbol a law cannot emit makes a class impossible when counted (the
     # mask below) and adds nothing when not (its log is stored as 0)

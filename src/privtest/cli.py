@@ -213,11 +213,12 @@ def cmd_exponent(args) -> int:
     if args.cross_check and laws.k != 1:
         raise ValidationError("--cross-check needs a k=1 policy")
     report = exponent_chernoff(laws, target)
+    if args.cross_check:  # every report before any output, so a refusal prints nothing
+        comp_report = exponent_composite(laws, target)
+        s_report = exponent_sanov(laws, target, args.grid_step)
     print(f"exponent ({target.value}, chernoff form): {report.value!r}")
     print(f"  argmin pair: law{report.argmin_pair[0]} vs law{report.argmin_pair[1]}")
     if args.cross_check:
-        comp_report = exponent_composite(laws, target)
-        s_report = exponent_sanov(laws, target, args.grid_step)
         print(f"exponent ({target.value}, composite form): {comp_report.value!r}")
         print(f"exponent ({target.value}, sanov form):   {s_report.value!r}")
         values = [report.value, comp_report.value, s_report.value]

@@ -417,13 +417,14 @@ class PolicySpace:
     when each row's slice is nonnegative with sum <= 1.
 
     The family is held as flat indices into the kernel matrix: each
-    parameter's head entry, each row's last feasible entry and, per slice
-    length, the (length, slices) parameter columns of those slices with
-    their rows' last entries.  ``head_params`` inverts ``heads``: it names
-    the parameter at each entry, or ``dim`` where there is none.  A kernel
-    is built from these indices alone, and its parameters are a gather of
-    its heads.  ``param_slices`` names each parameter's slice, an index
-    into ``free_slices``.
+    parameter's head entry, each row's last feasible entry and one slice
+    table.  ``slice_columns`` is (longest, slices): column i holds free
+    slice i's parameter columns, first to last, padded with -1, and
+    ``slice_lasts[i]`` is the last entry of its row.  ``head_params``
+    inverts ``heads``: it names the parameter at each entry, or ``dim``
+    where there is none.  A kernel is built from these indices alone, and
+    its parameters are a gather of its heads.  ``param_slices`` names each
+    parameter's slice, an index into ``free_slices``.
 
     The induced laws are affine in the parameters: parameter j moves mass
     from its row's last entry to its head, so raising it by t adds
@@ -442,7 +443,8 @@ class PolicySpace:
     heads: np.ndarray = field(init=False, repr=False)  # (dim,)
     head_params: np.ndarray = field(init=False, repr=False)  # (rows * outputs,)
     lasts: np.ndarray = field(init=False, repr=False)  # (rows,)
-    slice_groups: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    slice_columns: np.ndarray = field(init=False, repr=False)  # (longest, slices)
+    slice_lasts: np.ndarray = field(init=False, repr=False)  # (slices,)
     param_slices: np.ndarray = field(init=False, repr=False)  # (dim,)
     law_map: np.ndarray = field(init=False, repr=False)  # (dim, 4, outputs)
 
@@ -458,10 +460,8 @@ class PolicySpace:
         stops = np.cumsum(lengths)
         starts = stops - lengths
         slices = zip(free.tolist(), starts.tolist(), stops.tolist())
-        groups = tuple(
-            (np.arange(length)[:, None] + starts[lengths == length], lasts[free[lengths == length]])
-            for length in sorted(set(lengths.tolist()))
-        )
+        rank = np.arange(lengths.max(initial=1))[:, None]
+        columns = np.where(rank < lengths, starts + rank, -1)
         weights = _row_weights(self.model, self.k)
         outputs = self.feasible.shape[1]
         rows, head_cols = np.divmod(heads, outputs)
@@ -475,38 +475,30 @@ class PolicySpace:
         object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "head_params", head_params)
         object.__setattr__(self, "lasts", lasts)
-        object.__setattr__(self, "slice_groups", groups)
+        object.__setattr__(self, "slice_columns", columns)
+        object.__setattr__(self, "slice_lasts", lasts[free])
 
     @property
     def dim(self) -> int:
         return len(self.heads)
 
-    def _slice_sums(self, params: np.ndarray):
-        """Each free slice's sum over a (G, dim) batch, one (G, slices) array
-        per entry of ``slice_groups``.  It is added first to last, one
-        parameter column at a time, so a row's sums depend on that row alone."""
-        for columns, _ in self.slice_groups:
-            total = params[:, columns[0]]
-            for column in columns[1:]:
-                total += params[:, column]
-            yield total
+    def _slice_sums(self, padded: np.ndarray) -> np.ndarray:
+        """Each free slice's sum over a (G, dim + 1) batch whose last column
+        is 0, shape (G, slices), added first to last one row of the table at
+        a time, so a row's sums depend on that row alone.  Padding (-1)
+        reads the 0, which changes no sum."""
+        total = padded[:, self.slice_columns[0]]
+        for columns in self.slice_columns[1:]:
+            total += padded[:, columns]
+        return total
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
         """Boolean mask over a (G, dim) batch: in [0,1] with slice sums <= 1."""
         params = np.atleast_2d(params)
+        padded = np.zeros((len(params), self.dim + 1))
+        padded[:, :-1] = params
         ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
-        for total in self._slice_sums(params):
-            ok &= np.all(total <= 1.0 + 1e-12, axis=1)
-        return ok
-
-    def slice_slack(self, params: np.ndarray) -> np.ndarray:
-        """1 minus each free slice's sum over a (G, dim) batch, shape
-        (G, slices) in ``free_slices`` order, summed as
-        :meth:`params_feasible` sums it."""
-        slack = np.empty((len(params), len(self.free_slices)))
-        for (columns, _), total in zip(self.slice_groups, self._slice_sums(params)):
-            slack[:, self.param_slices[columns[0]]] = 1.0 - total
-        return slack
+        return ok & np.all(self._slice_sums(padded) <= 1.0 + 1e-12, axis=1)
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` parameter vectors, each row's output simplex drawn uniformly."""
@@ -526,8 +518,7 @@ class PolicySpace:
         # parameters would not)
         entries = padded[:, self.head_params]
         entries[:, self.lasts] = 1.0
-        for (_, lasts), total in zip(self.slice_groups, self._slice_sums(params)):
-            entries[:, lasts] = 1.0 - total
+        entries[:, self.slice_lasts] = 1.0 - self._slice_sums(padded)
         np.maximum(entries, 0.0, out=entries)
         return entries.reshape((-1,) + self.feasible.shape)
 

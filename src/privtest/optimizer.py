@@ -71,6 +71,7 @@ from .model import (
     induced_output_laws,
     policy_space,
     require_block_length,
+    validate_policy,
 )
 from .bayes import TestTarget, grouped_pairs
 from .probkit import DEFAULT_ENUM_CAP, chernoff_symbol_major
@@ -330,7 +331,6 @@ def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> Gua
 class _FamilyEval:
     """Cached rate evaluation of a candidate batch within one policy family."""
 
-    space: PolicySpace
     params: np.ndarray  # (G, dim)
     utility: np.ndarray  # (G,)
     privacy: np.ndarray  # (G,)
@@ -348,7 +348,7 @@ def _evaluate(space: PolicySpace, params: np.ndarray, floor: float = 0.0) -> _Fa
         utility[rows], privacy[rows] = _batch_both_rates(
             space.batch_laws(params[rows]), space.k, floor
         )
-    return _FamilyEval(space=space, params=params, utility=utility, privacy=privacy)
+    return _FamilyEval(params=params, utility=utility, privacy=privacy)
 
 
 def _tied(utility: np.ndarray, privacy: np.ndarray, threshold: float) -> np.ndarray:
@@ -379,48 +379,49 @@ def _best(ev: _FamilyEval, threshold: float) -> int:
     return int(tied[np.lexsort((tied, *keys.T[::-1]))[0]])
 
 
+def _probe_sources(space: PolicySpace, columns: np.ndarray) -> np.ndarray:
+    """For the ``(D, t)`` direction columns of a search, the slices each
+    direction's moves touch, as an ``(L, D, t)`` index into a probe's row
+    ``[x, value.ravel(), 0]`` of :func:`_probes`: slot (d, j) lays out the
+    slice of move j as :attr:`PolicySpace.slice_columns` does (padding
+    alone if there is no move), with each entry that a move writes read
+    from that move's value (the last such, as :func:`_probe_params` writes).
+    """
+    count, moves = columns.shape
+    table = np.where(columns >= 0, space.slice_columns[:, space.param_slices[columns]], -1)
+    for j in reversed(range(moves)):
+        mine = (table == columns[:, j, None]) & (columns[:, j, None] >= 0)
+        table = np.where(mine, space.dim + np.arange(count)[:, None] * moves + j, table)
+    return table
+
+
 def _probes(
-    space: PolicySpace,
     x: np.ndarray,
-    slack: np.ndarray,
     steps: np.ndarray,
-    exact: np.ndarray,
     columns: np.ndarray,
     signs: np.ndarray,
+    sources: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The probes of each row of ``x`` along each direction of
     :func:`_pattern_directions`, scaled by the row's step and clipped to
     [0, 1]: their moved values and moves, ``(G, D, t)`` arrays, and whether
     each is in the simplex, a ``(G, D)`` mask.
 
-    ``slack`` holds each row's :meth:`PolicySpace.slice_slack`.  A probe's
-    moves lower the slack of the slices they touch, and the probe is in the
-    simplex when every new slack is at least -1e-12, as
-    :meth:`PolicySpace.params_feasible` decides from its own sums.  The two
-    differ only by rounding, at most one unit of 2.2e-16 per addition, so a
-    probe whose slack lies that close to the bound, and every probe of a
-    row that ``exact`` marks (a start outside the simplex), is decided by
-    :meth:`PolicySpace.params_feasible` itself.  A column of -1 is no move.
+    Every row of ``x`` must lie in the simplex.  A probe differs from its
+    row only in [0, 1] values of the slices its moves touch, so it is in
+    the simplex when each of those slices, summed first to last with the
+    moved values in place (``sources``, from :func:`_probe_sources`), is at
+    most 1 + 1e-12: the mask of :meth:`PolicySpace.params_feasible`, by
+    construction.  A column of -1 is no move.
     """
     value = np.clip(x[:, columns] + steps[:, None, None] * signs, 0.0, 1.0)
     move = value - x[:, columns]
-    slices = space.param_slices[columns]
-    margin = slack[:, slices] - move  # (G, D, t)
-    if columns.shape[1] > 1:  # diagonals
-        second = columns[:, 1] >= 0
-        shared = second & (slices[:, 0] == slices[:, 1])
-        margin[:, shared, 0] -= move[:, shared, 1]
-        margin = np.where(second & ~shared, margin.min(axis=2), margin[..., 0])
-    else:
-        margin = margin[..., 0]
-    margin += 1e-12
-    kept = margin >= 0.0
-    longest = len(space.slice_groups[-1][0])
-    unsure = (np.abs(margin) <= (2 * longest + 4) * np.finfo(float).eps) | exact[:, None]
-    if unsure.any():
-        a, d = np.nonzero(unsure)
-        kept[a, d] = space.params_feasible(_probe_params(x[a], columns[d], value[a, d]))
-    return value, move, kept
+    source = np.concatenate([x, value.reshape(len(x), -1), np.zeros((len(x), 1))], axis=1)
+    entries = source[:, sources]  # (G, L, D, t)
+    total = entries[:, 0]
+    for l in range(1, entries.shape[1]):
+        total += entries[:, l]
+    return value, move, np.all(total <= 1.0 + 1e-12, axis=2)
 
 
 def _probe_params(base: np.ndarray, columns: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -458,16 +459,17 @@ def _local_refine(
     """Pattern search from every row of ``starts`` in lockstep: probe scaled
     directions, shrink on failure; returns the refined starts, row for row.
 
-    Each start keeps its own incumbent x, step and move count, and retires
-    once its step falls below ``tol`` or it has made ``max_moves`` moves.
-    Probes are built and scored in law space (:func:`_probes`): each start
-    keeps its incumbent's laws, the slack of each free slice and the tilt
-    mu* of each of its six Chernoff pairs.  A probe that moves parameter j
-    by t has laws ``laws(x) + t * law_map[j]`` (plus the second term of a
-    diagonal), clipped at 0, and its slack decides whether it is in the
-    simplex.  Newton starts each of its pairs at the incumbent's tilt.  Only
-    a start that moved has its laws and slack rebuilt, from its new
-    parameters by :meth:`PolicySpace.batch_laws`.
+    Every start must lie in the simplex (:meth:`PolicySpace.params_feasible`),
+    and so does every probe it accepts.  Each start keeps its own incumbent
+    x, step and move count, and retires once its step falls below ``tol``
+    or it has made ``max_moves`` moves.  Probes are built and scored in law
+    space (:func:`_probes`): each start keeps its incumbent's laws and the
+    tilt mu* of each of its six Chernoff pairs.  A probe that moves
+    parameter j by t has laws ``laws(x) + t * law_map[j]`` (plus the second
+    term of a diagonal), clipped at 0, and the sums of the slices it
+    touches decide whether it is in the simplex.  Newton starts each of its
+    pairs at the incumbent's tilt.  Only a start that moved has its laws
+    rebuilt, from its new parameters by :meth:`PolicySpace.batch_laws`.
 
     On every step the probes of all active starts are stacked and scored
     by one rate batch, and the results are split back per start.  A probe
@@ -485,19 +487,16 @@ def _local_refine(
     columns, signs = directions
     if not (columns[:, 1:] >= 0).any():  # no diagonals: one move per probe
         columns, signs = columns[:, :1], signs[:, :1]
+    sources = _probe_sources(space, columns)
     x = np.array(starts, dtype=float)  # the starts stay untouched
     laws = space.batch_laws(x)
-    slack = space.slice_slack(x)
     rates, tilts = _pair_rates(laws.transpose(2, 0, 1), _ALL)
     utility, privacy = _target_rates(rates, space.k)
-    exact = ~space.params_feasible(x)
     steps = np.full(len(x), float(step))
     moves = np.zeros(len(x), dtype=int)
     active = np.arange(len(x) if len(columns) else 0)
     while (active := active[(steps[active] >= tol) & (moves[active] < max_moves)]).size:
-        value, move, kept = _probes(
-            space, x[active], slack[active], steps[active], exact[active], columns, signs
-        )
+        value, move, kept = _probes(x[active], steps[active], columns, signs, sources)
         a, d = np.nonzero(kept)
         owner = active[a]
         probe_laws = _probe_laws(space, laws[owner], columns[d], move[a, d])
@@ -520,9 +519,7 @@ def _local_refine(
             # only the tied probes need their parameter vectors
             mine = mine[_tied(probe_utility[mine], probe_privacy[mine], threshold)]
             params = _probe_params(x[i], columns[d[mine]], value[a[mine], d[mine]])
-            pick = _best(
-                _FamilyEval(space, params, probe_utility[mine], probe_privacy[mine]), threshold
-            )
+            pick = _best(_FamilyEval(params, probe_utility[mine], probe_privacy[mine]), threshold)
             choice = mine[pick]
             x[i] = params[pick]
             utility[i], privacy[i] = probe_utility[choice], probe_privacy[choice]
@@ -531,9 +528,7 @@ def _local_refine(
             moved = active[movers]
             moves[moved] += 1
             laws[moved] = space.batch_laws(x[moved])
-            slack[moved] = space.slice_slack(x[moved])
-            exact[moved] = False
-    return _FamilyEval(space, x, utility, privacy)
+    return _FamilyEval(x, utility, privacy)
 
 
 def _pattern_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +576,10 @@ def optimize_policy(
     families refine seeded random starts, starting at step 0.25.
     ``warm_starts`` adds deterministic starts: kernels at block length
     ``cfg.k`` that put mass only where this family may (any slack up to
-    ``cfg.s``).  All starts are refined together by :func:`_local_refine`
+    ``cfg.s``) and that :func:`validate_policy` accepts.  Such a row may sum
+    to 1 + 1e-9, past the simplex, so a slice of a start outside it that
+    sums past 1 is scaled back to sum 1; other starts are used bit for bit.
+    All starts are refined together by :func:`_local_refine`
     and :func:`_best` ranks the results.  When no candidate passes the
     guarantee the least-violating kernel is returned with ``feasible=False``.
 
@@ -590,7 +588,14 @@ def optimize_policy(
     """
     space, grid = _family or (policy_space(model, cfg.s, cfg.k), None)
     threshold = cfg.effective_threshold(model.prior)
-    starts = [space.params_from_kernel(kernel) for kernel in warm_starts]
+    starts = []
+    for kernel in warm_starts:
+        if not (report := validate_policy(kernel)).ok:
+            raise ValidationError("warm start violates its invariants: " + report.violations[0])
+        starts.append(params := space.params_from_kernel(kernel))
+        if not space.params_feasible(params)[0]:  # a row summing to 1 + 1e-9 is valid
+            for _, start, stop in space.free_slices:
+                params[start:stop] /= max(params[start:stop].sum(), 1.0)
     if space.dim <= GRID_DIM_LIMIT:
         grid = grid if grid is not None else grid_evaluation(space, search, threshold)
         starts.insert(0, grid.params[_best(grid, threshold)])
@@ -651,7 +656,10 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
         )
     axis = np.linspace(0.0, 1.0, points)
     grid = axis[np.indices((points,) * space.dim).reshape(space.dim, rows)].T
-    grid = grid[space.params_feasible(grid)]
+    # the simplex check copies what it checks, so it takes the grid in chunks
+    feasible = [space.params_feasible(grid[i : i + _LAW_CHUNK_ROWS])
+                for i in range(0, rows, _LAW_CHUNK_ROWS)]
+    grid = grid[np.concatenate(feasible)]
     ev = _evaluate(space, grid, floor)
     if floor > 0.0 and not (ev.utility >= floor).any():
         # every threshold now ranks by the largest utility; twice the

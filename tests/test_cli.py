@@ -109,6 +109,13 @@ class TestExponentCommand:
         assert code == 4
         assert "disagree" in err
 
+    @pytest.mark.parametrize("step, code", [("0", 2), ("1e-9", 5)])
+    def test_refused_grid_step_prints_no_result(self, capsys, step, code):
+        # every route runs before anything is printed
+        got, out, err = run(capsys, "exponent", "--cross-check", "--grid-step", step)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ")
+
     def test_corrupted_model_exits_2(self, capsys, tmp_path):
         doc = {
             "x_alphabet": [0, 1],
@@ -199,6 +206,13 @@ class TestExactErrorCommand:
             "--method", "enumerate",
         )
         assert code == 5
+
+    def test_cap_messages_count_blocks(self, capsys):
+        # --n counts slots; at k = 2 the caps are met at n / 2 blocks
+        for n, method, blocks in (("584", "types", "292"), ("24", "enumerate", "12")):
+            code, out, err = run(capsys, "exact-error", "--k", "2", "--n", n, "--method", method)
+            assert (code, out) == (5, "")
+            assert f"({blocks} blocks on 4 labels)" in err
 
     def test_block_length_above_the_cap_exits_5(self, capsys):
         # the built-in identity policy is refused before its kernel is built

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from privtest import (
     Alphabet,
     GuaranteeConfig,
+    PolicyKernel,
     Prior,
     SearchConfig,
     SourceModel,
@@ -42,9 +43,11 @@ from privtest.optimizer import (
     _pattern_directions,
     _probe_laws,
     _probe_params,
+    _probe_sources,
     _probes,
     grid_evaluation,
 )
+from privtest.model import model_from_dict
 from privtest.probkit import Pmf
 
 from model_strategies import small_models
@@ -218,7 +221,6 @@ class TestTieRule:
         from privtest.optimizer import _FamilyEval
 
         ev = _FamilyEval(
-            space=policy_space(model, s=1.0, k=1),
             params=np.array([[0.5, 0.0], [0.25, 1.0], [0.25, 0.5]]),
             utility=np.array([0.2, 0.2, 0.2]),
             privacy=np.array([0.1, 0.1 + 1e-16, 0.1 + 1e-14]),
@@ -282,7 +284,8 @@ class TestGridCap:
 
     def test_grid_laws_are_scored_in_chunks(self, model):
         # the laws and kernel matrices of 61^3 rows take about 7x the grid's
-        # own bytes when built at once; chunked scoring stays near 2.4x
+        # own bytes when built at once, and a simplex check of the whole grid
+        # (it pads a copy) 3.5x; chunked checks and scoring stay near 2.4x
         space = policy_space(model, s=2.0, k=1)
         search = SearchConfig(grid_points_per_parameter=61)
         grid_bytes = 61**space.dim * space.dim * 8
@@ -293,7 +296,7 @@ class TestGridCap:
         finally:
             tracemalloc.stop()
         assert len(ev.params) == 61**space.dim
-        assert peak < 4 * grid_bytes
+        assert peak < 3 * grid_bytes
 
 
 # lambda 1.0 is beyond every kernel's utility rate, so no start is feasible
@@ -332,7 +335,7 @@ def law_space_starts(space, rng):
         at_bound[start] = 0.25 if stop - start > 1 else 1.0
         at_bound[start + 1 : stop] = 0.75 / max(stop - start - 1, 1)
     # 0.75 / n sums to 0.75 exactly for n = 1, 2, 3, 6 (the slice lengths here)
-    assert np.all(space.slice_slack(at_bound[None, :]) == 0.0)
+    assert all(sum(at_bound[start:stop].tolist()) == 1.0 for _, start, stop in space.free_slices)
     return np.vstack([drawn, drawn[0] * (rng.random(space.dim) < 0.5), at_bound])
 
 
@@ -352,21 +355,38 @@ def probe_directions(space, rng):
 
 # the steps clip probes at 0 and 1, move a little, and move within, just
 # past and well past the 1e-12 band of a slice's sum bound
-STEPS = (1.0, 0.25, 2.0**-20, 1e-13, 2e-12)
+STEPS = (1.0, 0.25, 2.0**-20, 1e-13, 5e-13, 2e-12)
+
+# X = {0, 1, 2} with one noise value: at s = 2 and k = 1 the row x = 0 has a
+# slice of two parameters and x = 1 one of one (dim 3), so the pattern
+# directions' own diagonals move two parameters of one slice
+THREE_SYMBOLS = {
+    "x_alphabet": [0, 1, 2],
+    "z_alphabet": [0],
+    "prior": [0.25, 0.25, 0.25, 0.25],
+    "cond": [[0.1, 0.2, 0.7], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.7, 0.2, 0.1]],
+    "noise": [1.0],
+}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("s", [1.0, 2.0])
-def test_law_space_probes_equal_their_batch_laws(model, k, s):
+@pytest.mark.parametrize(
+    "s, k, three_symbols",
+    [(s, k, False) for s in (1.0, 2.0) for k in (1, 2, 3)] + [(2.0, 1, True)],
+    ids=[f"{s}-{k}" for s in (1.0, 2.0) for k in (1, 2, 3)] + ["three-symbols-2.0-1"],
+)
+def test_law_space_probes_equal_their_batch_laws(model, s, k, three_symbols):
+    if three_symbols:
+        model = model_from_dict(THREE_SYMBOLS)
     space = policy_space(model, s, k)
     rng = np.random.default_rng(10 * k + int(s))
     x = law_space_starts(space, rng)
     columns, signs = probe_directions(space, rng)
-    laws, slack = space.batch_laws(x), space.slice_slack(x)
-    exact = np.zeros(len(x), dtype=bool)
+    if three_symbols:  # the diagonals of columns 0 and 1 stay in one slice
+        assert space.param_slices.tolist() == [0, 0, 1]
+    laws, sources = space.batch_laws(x), _probe_sources(space, columns)
     for step in STEPS:
         steps = np.full(len(x), step)
-        value, move, kept = _probes(space, x, slack, steps, exact, columns, signs)
+        value, move, kept = _probes(x, steps, columns, signs, sources)
         a, d = np.indices(kept.shape).reshape(2, -1)
         params = _probe_params(x[a], columns[d], value[a, d])
         np.testing.assert_array_equal(kept.ravel(), space.params_feasible(params))
@@ -375,27 +395,56 @@ def test_law_space_probes_equal_their_batch_laws(model, k, s):
         got = _probe_laws(space, laws[a], columns[d], move[a, d])
         # a probe past the sum bound, within the band, has its kernel's
         # last entry clipped at 0: that moves at most its overshoot
-        overshoot = np.maximum(-space.slice_slack(params).min(axis=1, initial=0.0), 0.0)
+        sums = space._slice_sums(np.pad(params, ((0, 0), (0, 1))))
+        overshoot = np.maximum(sums.max(axis=1, initial=1.0) - 1.0, 0.0)
         assert np.all(np.abs(got - space.batch_laws(params)) <= 1e-15 + overshoot[:, None, None])
         assert np.all(got >= 0.0)
 
 
-def test_probes_of_a_start_outside_the_simplex_are_checked_exactly(model):
+def test_three_symbol_sweep_is_pinned():
+    # the s = 2 sweep, at the tolerances of the acceptance tests' pins
+    points = tradeoff_sweep(model_from_dict(THREE_SYMBOLS), [0.05, 0.1], [2.0])
+    pins = [
+        (True, 0.008689693110496168, 0.05000000000342463,
+         (0.14684080481529235, 0.8231591951847076, 1.0)),
+        (False, 0.022276370819966074, 0.06993381542837664, (1.0, 0.0, 1.0)),
+    ]
+    for point, (feasible, privacy, utility, params) in zip(points, pins, strict=True):
+        assert point.feasible == feasible
+        assert point.privacy_rate == pytest.approx(privacy, rel=0, abs=1e-13)
+        assert point.utility_rate == pytest.approx(utility, rel=0, abs=1e-13)
+        assert list(point.params) == pytest.approx(params, rel=0, abs=1e-9)
+
+
+def test_warm_start_just_outside_the_simplex_is_scaled_back(model, monkeypatch):
+    # validate_policy lets a row sum to 1 + 5e-10; its slice then sums past the
+    # simplex's 1 + 1e-12, and the search starts from it scaled back to 1
     space = policy_space(model, 1.0, 2)
-    x = space.random_params(np.random.default_rng(3), 2)
-    _, start, stop = next(sl for sl in space.free_slices if sl[2] - sl[1] >= 2)
-    x[1, start:stop] = 0.0
-    x[1, start : start + 2] = 1.0, 0.1  # this slice sums to more than 1
-    exact = ~space.params_feasible(x)
-    assert exact.tolist() == [False, True]
-    columns, signs = _pattern_directions(space.dim)
-    value, _, kept = _probes(
-        space, x, space.slice_slack(x), np.full(2, 0.25), exact, columns[:, :1], signs[:, :1]
+    x = space.random_params(np.random.default_rng(3), 1)[0]
+    row, start, stop = next(sl for sl in space.free_slices if sl[2] - sl[1] >= 2)
+    x[start:stop] = 0.0
+    x[start] = 1.0
+    matrix = space.kernel_from_params(x).matrix.copy()
+    matrix[row, np.flatnonzero(matrix[row])] = 1.0 + 5e-10
+    outside = PolicyKernel(model.x_alphabet, model.z_alphabet, 2, 1.0, matrix)
+    assert validate_policy(outside).ok
+    assert not space.params_feasible(space.params_from_kernel(outside))[0]
+    starts = []
+    refine = optimizer._local_refine
+    monkeypatch.setattr(
+        optimizer, "_local_refine", lambda *args: starts.append(args[2]) or refine(*args)
     )
-    a, d = np.indices(kept.shape).reshape(2, -1)
-    params = _probe_params(x[a], columns[d, :1], value[a, d])
-    np.testing.assert_array_equal(kept.ravel(), space.params_feasible(params))
-    assert kept[1].any() and not kept[1].all()
+    point = optimize_policy(
+        model, GuaranteeConfig(lam=0.05, k=2, s=1.0), SearchConfig(restarts=1), [outside]
+    )
+    # (1 + 5e-10) / (1 + 5e-10) is 1 exactly: the start is x itself
+    assert starts[0][0].tobytes() == x.tobytes()
+    assert point.feasible and validate_policy(point.kernel).ok
+    assert point.privacy_rate == privacy_objective(induced_output_laws(model, point.kernel))
+    matrix[row, np.flatnonzero(matrix[row])] = -1.0
+    invalid = PolicyKernel(model.x_alphabet, model.z_alphabet, 2, 1.0, matrix)
+    with pytest.raises(ValidationError, match="warm start violates its invariants"):
+        optimize_policy(model, GuaranteeConfig(lam=0.05, k=2, s=1.0), FAST, [invalid])
 
 
 def test_law_space_one_parameter_family():
@@ -405,8 +454,8 @@ def test_law_space_one_parameter_family():
     columns, signs = _pattern_directions(1)
     for step in (0.5, 1.0):
         value, move, kept = _probes(
-            space, x, space.slice_slack(x), np.full(3, step), np.zeros(3, dtype=bool),
-            columns[:, :1], signs[:, :1],
+            x, np.full(3, step), columns[:, :1], signs[:, :1],
+            _probe_sources(space, columns[:, :1]),
         )
         assert kept.all()  # clipped at 0 and 1
         a, d = np.nonzero(kept)
@@ -418,7 +467,7 @@ def test_law_space_one_parameter_family():
 def test_zero_parameter_family_refines_to_its_starts():
     space = policy_space(forced_model(), 0.0, 1)
     assert space.dim == 0 and space.law_map.shape == (0, 4, 2)
-    assert space.slice_slack(np.zeros((2, 0))).shape == (2, 0)
+    assert space._slice_sums(np.zeros((2, 1))).shape == (2, 0)
     refined = _local_refine(space, 0.1, np.zeros((2, 0)), 0.25, 1e-5, _pattern_directions(0))
     expected = _evaluate(space, np.zeros((2, 0)))
     assert refined.params.shape == (2, 0)

@@ -5,10 +5,12 @@ A composite test observes a sequence drawn from one of four laws indexed by
 grouping the laws by u with prior weights, and the *privacy* test decides p.
 
 Three independent routes to the asymptotic error exponent are implemented.
-The Chernoff route takes k-block laws; the other two stay at k = 1:
+All three take k-block laws and report the per-slot value, divided by k;
+the last two take the log of every mass, so they refuse zero masses:
 
 * ``exponent_chernoff``: the minimum Chernoff information over the four
-  cross-group law pairs, divided by k (the rate of ``exponent_lower_bound``),
+  cross-group law pairs, each on its common support as the optimizer
+  scores it (the rate of ``exponent_lower_bound``),
 * ``exponent_composite``: the minimum of eight composite Chernoff
   divergence evaluations,
 * ``exponent_sanov``: a brute-force large-deviations computation over a
@@ -94,11 +96,6 @@ def grouped_pairs(target: TestTarget) -> tuple[tuple[tuple[int, int], tuple[int,
     side1 = _side_laws(target, 1)
     side0 = _side_laws(target, 0)
     return tuple((a, b) for a in side1 for b in side0)
-
-
-def _require_iid(laws: OutputLaws) -> None:
-    if laws.k != 1:
-        raise ValidationError(f"operation needs per-slot (k=1) laws, got k={laws.k}")
 
 
 def _require_full_support_laws(laws: OutputLaws) -> None:
@@ -290,11 +287,14 @@ def exact_min_error_iid_log(
 
 
 def _grouped_rate(laws: OutputLaws, target: TestTarget) -> tuple[float, tuple]:
-    """The per-slot rate ``min C(a, b) / k`` over the four grouped pairs, and
-    the first pair that attains the minimum."""
-    _require_full_support_laws(laws)
+    """The per-slot rate ``min C(a, b) / k`` over the four grouped pairs, each
+    C summed over its pair's common support, and the first pair that attains
+    the minimum."""
     pairs = grouped_pairs(target)
-    rates = [chernoff_from_probs(laws.laws[a].probs, laws.laws[b].probs)[0] for a, b in pairs]
+    rates = [
+        chernoff_from_probs(laws.laws[a].probs, laws.laws[b].probs, allow_zeros=True)[0]
+        for a, b in pairs
+    ]
     first = rates.index(min(rates))
     return rates[first] / laws.k, pairs[first]
 
@@ -311,9 +311,10 @@ def exponent_composite(block_laws: OutputLaws, target: TestTarget) -> ExponentRe
 
     For the utility target this is the minimum over (u, p, pb) of the
     composite Chernoff divergence of law(u,p) toward law(1-u,pb) beside
-    law(1-u,1-pb); the privacy target swaps the roles of u and p.
+    law(1-u,1-pb); the privacy target swaps the roles of u and p.  The
+    minimum is divided by k, as in :func:`exponent_chernoff`.  Laws with
+    zero masses are refused.
     """
-    _require_iid(block_laws)
     _require_full_support_laws(block_laws)
 
     def key(u: int, p: int) -> tuple[int, int]:
@@ -331,7 +332,9 @@ def exponent_composite(block_laws: OutputLaws, target: TestTarget) -> ExponentRe
                 if value < best:
                     best = value
                     best_pair = (key(own, other), key(1 - own, pb))
-    return ExponentReport(value=best, argmin_pair=best_pair, method=ExponentMethod.COMPOSITE)
+    return ExponentReport(
+        value=best / block_laws.k, argmin_pair=best_pair, method=ExponentMethod.COMPOSITE
+    )
 
 
 def exponent_sanov(
@@ -343,10 +346,11 @@ def exponent_sanov(
     contributes the minimal divergence to a law on the *opposite* side of
     the decision.  Grid points on the decision boundary belong to both
     regions, so the contribution is max(m0, m1) where m_h is the divergence
-    to the nearest side-h law.  Alphabets larger than 4, and grids of more
-    than :data:`DEFAULT_ENUM_CAP` points, are refused.
+    to the nearest side-h law.  For k-block laws the grid runs over types
+    of the |Y|^k block labels and the minimum is divided by k.  Alphabets
+    (of block labels) larger than 4, grids of more than
+    :data:`DEFAULT_ENUM_CAP` points and laws with zero masses are refused.
     """
-    _require_iid(block_laws)
     _require_full_support_laws(block_laws)
     m = len(block_laws.block_labels)
     steps = _grid_steps(m, grid_step)
@@ -363,7 +367,9 @@ def exponent_sanov(
         if value[i] < best:
             best = float(value[i])
             best_pair = (side1[int(np.argmin(d[i, 2:]))], side0[int(np.argmin(d[i, :2]))])
-    return ExponentReport(value=best, argmin_pair=best_pair, method=ExponentMethod.SANOV)
+    return ExponentReport(
+        value=best / block_laws.k, argmin_pair=best_pair, method=ExponentMethod.SANOV
+    )
 
 
 def exponent_lower_bound(
@@ -377,7 +383,10 @@ def exponent_lower_bound(
 
     Chernoff information tensorizes over independent blocks, so the rate
     term does not depend on ``n_blocks``.  The bound can be negative at
-    small n, where it is vacuous but still valid.
+    small n, where it is vacuous but still valid.  Each C is taken over its
+    pair's common support, so zero masses are accepted: off that support
+    min(a, b) = 0, and the Chernoff step ``min(a, b) <= a^mu b^(1-mu)``
+    needs no term there.
 
     ``n_blocks`` is one block count, which gives one float, or a sequence of
     them, which gives a list with one bound per entry in the same order.

@@ -54,12 +54,13 @@ CONSTRAINT_TOL = 1e-9
 Block = tuple[float, ...]
 
 
-def require_block_length(k: int, cap: int = DEFAULT_BLOCK_CAP) -> None:
-    """Refuse a block length below 1 or above ``cap``."""
+def require_block_length(k: int) -> None:
+    """Refuse a block length below 1 or above :data:`DEFAULT_BLOCK_CAP`,
+    read at call time."""
     if k < 1:
         raise ValidationError(f"block length {k} must be >= 1")
-    if k > cap:
-        raise SizeCapError(f"block length {k} exceeds cap {cap}")
+    if k > DEFAULT_BLOCK_CAP:
+        raise SizeCapError(f"block length {k} exceeds cap {DEFAULT_BLOCK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -553,15 +554,13 @@ class PolicySpace:
         return _push_forward(self.weights, self._matrices(params))
 
 
-def policy_space(
-    model: SourceModel, s: float, k: int = 1, cap: int = DEFAULT_BLOCK_CAP
-) -> PolicySpace:
+def policy_space(model: SourceModel, s: float, k: int = 1) -> PolicySpace:
     """Build the kernel family for (model, s, k).
 
     Raises :class:`FeasibilityError` naming the first input pair whose
     feasible output set is empty (the combination then admits no policy).
     """
-    require_block_length(k, cap)
+    require_block_length(k)
     feasible = _within_supply(_supply_net(model, k), s)
     empty = np.flatnonzero(~feasible.any(axis=1))
     if empty.size:

@@ -246,7 +246,6 @@ def _pair_rates(
             chunk[:, :, first].reshape(m, -1),
             chunk[:, :, second].reshape(m, -1),
             None if tilts is None else tilts[rows].ravel(),
-            return_tilt=True,
         )
         rates[rows] = rate.reshape(-1, len(pairs))
         mus[rows] = mu.reshape(-1, len(pairs))

@@ -11,11 +11,12 @@ The four computational kernels are
   found by the scalar safeguarded Newton on the derivative of the convex
   log-moment function that the composite search also uses on its segment
   nu = 0; the tests hold it to an independent value-only bracketing search,
-* ``chernoff_batch`` -- the same quantity for every row of two ``(B, m)``
-  arrays at once, by safeguarded Newton iteration on the derivative of the
-  log-moment function; its core ``chernoff_symbol_major`` takes the
-  transposed ``(m, B)`` layout, which the policy optimizer fills directly,
-  and can start Newton at given tilts and return each row's tilt mu*,
+* ``chernoff_symbol_major`` -- the one batch kernel: the same quantity for
+  every column of two symbol-major ``(m, B)`` arrays at once, by
+  safeguarded Newton iteration on the derivative of the log-moment
+  function, in common-support mode; the policy optimizer fills that layout
+  directly, and the kernel can start Newton at given tilts and returns each
+  column's rate and tilt mu*,
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
@@ -61,11 +62,12 @@ CLAMP_TOL = 1e-12
 #: KL values below this are treated as an exact match (degenerate triangle).
 _DEGENERATE_KL = 1e-14
 
-#: Newton step (in mu) below which a row of :func:`chernoff_batch` has converged.
+#: Newton step (in mu) below which a column of :func:`chernoff_symbol_major`
+#: has converged.
 _NEWTON_TOL = 1e-10
 
-#: Iteration cap of :func:`chernoff_batch`, a safety net only: rows converge
-#: in a handful of steps.
+#: Iteration cap of every Newton search here, a safety net only: they
+#: converge in a handful of steps.
 _NEWTON_MAX_ITER = 100
 
 #: Newton step below which the scalar searches stop.  The tilted-mean
@@ -289,61 +291,47 @@ def chernoff_information_with_argmax(q1: Pmf, q2: Pmf) -> tuple[float, float]:
     return chernoff_from_probs(q1.probs, q2.probs)
 
 
-def chernoff_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Chernoff information per row of two ``(B, m)`` probability arrays.
+def chernoff_symbol_major(
+    p: np.ndarray, q: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chernoff information per column of two symbol-major ``(m, B)``
+    probability arrays, one column per pair, and each column's tilt mu*.
 
     Works on the log-moment function ``L(mu) = log sum p^mu q^(1-mu)``,
     which is convex: ``L'(mu)`` is the mean of ``d = log p/q`` under the
     tilted law proportional to ``p^mu q^(1-mu)`` and ``L''(mu)`` is its
-    variance (Cover & Thomas, section 11.9).  The result is ``-min L`` over
-    [0, 1], clamped at 0.
+    variance (Cover & Thomas, section 11.9).  A column's rate is ``-min L``
+    over [0, 1], clamped at 0; per-column sums are m - 1 vector additions.
 
     Zero masses are handled in common-support mode, as with
     ``chernoff_from_probs(..., allow_zeros=True)``: the sum runs over the
-    symbols where both rows have mass, and rows with disjoint supports give
-    +inf.  Equal rows give exactly 0.  Rows whose slope does not change sign
-    on [0, 1] -- every row with a constant log-ratio among them -- take the
-    better endpoint at once; the rest go to :func:`_chernoff_newton`, which
-    starts two-symbol rows at the exact root of ``L'`` (they then retire
-    after one moment evaluation) and longer rows at the secant root.  Each
-    row's result depends on that row alone (sums run over the symbols in a
-    fixed order), so splitting a batch changes no bit of the output.
-
-    The rows are transposed into the symbol-major ``(m, B)`` layout of
-    :func:`chernoff_symbol_major`, which callers holding that layout
-    already (the policy optimizer) call directly.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 2 or p.shape != q.shape:
-        raise ValidationError(f"expected two equal (B, m) arrays, got {p.shape} and {q.shape}")
-    return chernoff_symbol_major(np.ascontiguousarray(p.T), np.ascontiguousarray(q.T))
-
-
-def chernoff_symbol_major(
-    p: np.ndarray, q: np.ndarray, start: np.ndarray | None = None, return_tilt: bool = False
-):
-    """:func:`chernoff_batch` of two symbol-major ``(m, B)`` probability
-    arrays, one column per pair, bit for bit; per-column sums are then
-    m - 1 vector additions.
+    symbols where both columns have mass, and columns with disjoint supports
+    give +inf.  Equal columns give exactly 0.  Columns whose slope does not
+    change sign on [0, 1] -- every column with a constant log-ratio among
+    them -- take the better endpoint at once; the rest go to
+    :func:`_chernoff_newton`, which starts two-symbol columns at the exact
+    root of ``L'`` (they then retire after one moment evaluation) and longer
+    columns at the secant root.  Each column's result depends on that column
+    alone (sums run over the symbols in a fixed order), so splitting a batch
+    changes no bit of the output.
 
     ``start`` optionally gives each column's starting tilt in [0, 1] for
     Newton (a nearby column's mu*, say), in place of the secant root; at
     m = 2 the closed-form root is used regardless.  A column's value then
     differs from its cold value only by rounding, since ``L`` is flat at its
-    minimum.  With ``return_tilt`` the result is ``(rates, tilts)``, where a
-    column's tilt is the mu* at which its rate was evaluated: Newton's last
-    iterate for an inner column and the better endpoint, 0 or 1, for any
-    other (an equal or disjoint column takes 0 or 1 as well, though every mu
-    is optimal there).  The tilted law ``p^mu* q^(1-mu*) / Z`` gives the
-    envelope gradient of the rate (Cover & Thomas, section 11.9).
+    minimum.  The result is ``(rates, tilts)``, where a column's tilt is the
+    mu* at which its rate was evaluated: Newton's last iterate for an inner
+    column and the better endpoint, 0 or 1, for any other (an equal or
+    disjoint column takes 0 or 1 as well, though every mu is optimal
+    there).  The tilted law ``p^mu* q^(1-mu*) / Z`` gives the envelope
+    gradient of the rate (Cover & Thomas, section 11.9).
 
     Selections that would select every column are skipped, which changes no
     bit: a batch without zero masses needs no common-support masks, every
     batch with a column that has ``L'(0) < 0 < L'(1)`` goes to Newton whole
     (each column's result depends on that column alone), and only the other
-    columns are searched for equal rows (equal rows have zero slopes, so
-    they are never inner).
+    columns are searched for equal columns (equal columns have zero slopes,
+    so they are never inner).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -368,9 +356,9 @@ def chernoff_symbol_major(
         # first symbol to last, even for a single column (B = 1)
         sums = np.concatenate((pc, qc, qc * d, pc * d), axis=1).reshape(len(p), 4, -1)
         sp, sq, qd, pd = sums.sum(axis=0)
-        slope0 = qd / sq  # L'(0); nan for disjoint rows
+        slope0 = qd / sq  # L'(0); nan for disjoint columns
         slope1 = pd / sp  # L'(1)
-        # the better endpoint; log 0 = -inf makes disjoint rows +inf
+        # the better endpoint; log 0 = -inf makes disjoint columns +inf
         out = -np.minimum(np.log(sq), np.log(sp))
     tilt = (sp < sq).astype(float)  # L(1) = log sp, L(0) = log sq
     inner = (slope0 < 0.0) & (slope1 > 0.0)
@@ -392,7 +380,7 @@ def chernoff_symbol_major(
             np.copyto(tilt, mu, where=inner)
         out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
     np.maximum(out, 0.0, out=out)
-    return (out, tilt) if return_tilt else out
+    return out, tilt
 
 
 def _chernoff_newton(
@@ -402,25 +390,25 @@ def _chernoff_newton(
     slope1: np.ndarray,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``-min L`` and its argmin for rows with ``L'(0) < 0 < L'(1)``, by
+    """``-min L`` and its argmin for columns with ``L'(0) < 0 < L'(1)``, by
     safeguarded Newton.
 
     ``L(mu) = log sum exp(lq + mu * d)`` with ``lq`` and ``d`` of shape
-    (m, B).  Each row keeps a bracket around the root of ``L'`` and is done
-    as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Rows with
+    (m, B).  Each column keeps a bracket around the root of ``L'`` and is done
+    as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Columns with
     m > 2 start from ``start`` when given, else from the secant root of the
     endpoint slopes.  At m = 2 the root is known in closed form, ``mu* =
     (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]:
     ``L'(0) < 0 < L'(1)`` makes ``d_0`` and ``d_1`` nonzero with opposite
     signs, so it is defined, and the first step from it already meets the
     tolerance.  The tolerance test comes before the safeguard, which
-    replaces a step leaving the bracket by bisection, so a converged row is
-    never sent back to bisection.  ``L`` is flat at its minimum, so its
+    replaces a step leaving the bracket by bisection, so a converged column
+    is never sent back to bisection.  ``L`` is flat at its minimum, so its
     value at the last iterate is exact to rounding.
 
-    The batch keeps its shape: a row that is done keeps its iterate, so
+    The batch keeps its shape: a column that is done keeps its iterate, so
     every later pass recomputes its moments at the same point, bit for bit,
-    and the values of the last pass are every row's result.
+    and the values of the last pass are every column's result.
     """
     m, n = lq.shape
     lo = np.zeros(n)

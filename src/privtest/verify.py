@@ -123,15 +123,9 @@ def random_binary_laws(rng: np.random.Generator) -> OutputLaws:
 
 
 def random_kernel_laws(
-    rng: np.random.Generator, model: SourceModel, space: PolicySpace | None = None
+    rng: np.random.Generator, model: SourceModel, space: PolicySpace
 ) -> OutputLaws:
-    """Induced laws of a random feasible k=1 kernel on ``model``.
-
-    ``space`` is the model's s = 2, k = 1 family; a suite that draws many
-    kernels builds it once and passes it, and it is built here when omitted.
-    """
-    if space is None:
-        space = policy_space(model, _KERNEL_S, 1)
+    """Induced laws of a random feasible kernel of ``space``, a family on ``model``."""
     return induced_output_laws(model, space.kernel_from_params(space.random_params(rng, 1)[0]))
 
 
@@ -316,8 +310,11 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(names: Sequence[str], seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
-    """Run the named suites in order; ``trials`` (at least 1) overrides each
-    suite's default count, and the fixed-size suites ignore it."""
+    """Run the named suites in order; ``seed`` (at least 0) seeds each suite,
+    ``trials`` (at least 1) overrides each suite's default count, and the
+    fixed-size suites ignore it.  Both are checked before any suite runs."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if trials is not None and trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     results = []

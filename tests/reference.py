@@ -5,8 +5,8 @@
   prior-free asymptotic test on the empirical type.
 * A golden-section search and the Chernoff information found with it, the
   independent oracle of both Newton solvers (the scalar
-  ``chernoff_from_probs`` and the batched ``chernoff_batch``).  It reads
-  values of the objective only, never its slopes.
+  ``chernoff_from_probs`` and the batch kernel ``chernoff_symbol_major``).
+  It reads values of the objective only, never its slopes.
 """
 
 import math

@@ -18,16 +18,21 @@ from privtest import (
     ExponentMethod,
     Pmf,
     Prior,
+    SupportError,
     TestTarget,
     chernoff_information,
+    constant_policy,
+    demo_model,
     exact_min_error,
     exact_min_error_iid_log,
     exponent_composite,
     exponent_lower_bound,
     exponent_sanov,
     exponent_chernoff,
+    privacy_objective,
     source_laws,
     composite_chernoff,
+    utility_rate,
 )
 from privtest import bayes
 from privtest.bayes import _side_laws
@@ -85,6 +90,35 @@ def ternary_laws(rng):
         w = np.maximum(rng.dirichlet(np.ones(3)), 0.05)
         laws[up] = Pmf(labels=labels, probs=tuple(w / w.sum()))
     return OutputLaws(k=1, laws=laws)
+
+
+def zero_mass_laws(rng, m):
+    """Four k = 1 laws on m symbols with zero masses: each symbol of each law
+    is 0 with probability 0.35, law (0, 0) has at least one 0, and a law
+    left with none becomes a point mass."""
+    labels = tuple((float(a),) for a in range(m))
+    weights = rng.dirichlet(np.ones(m), size=4)
+    weights[rng.random((4, m)) < 0.35] = 0.0
+    weights[0, rng.integers(m)] = 0.0
+    empty = weights.sum(axis=1) == 0.0
+    weights[empty, rng.integers(m)] = 1.0
+    return OutputLaws(
+        k=1, laws={up: Pmf.from_weights(labels, w) for up, w in zip(UP_PAIRS, weights)}
+    )
+
+
+def zero_mass_cases(seed, count):
+    """The constant kernel's laws under the uniform prior -- one point mass
+    for every (u, p), the optimum that the demo model's s = 2 sweep returns
+    at lambda 0 -- then ``count`` seeded zero-mass law sets on 2 to 4
+    symbols, each under a random full prior."""
+    model = demo_model()
+    cases = [(induced_output_laws(model, constant_policy(model, 2.0, 1.0)), UNIFORM)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        laws = zero_mass_laws(rng, int(rng.integers(2, 5)))
+        cases.append((laws, Prior(tuple(rng.dirichlet(np.ones(4))))))
+    return cases
 
 
 priors = (
@@ -332,6 +366,39 @@ class TestExponents:
                 assert abs(chern - tform) <= 1e-6
                 assert abs(chern - sanov) <= 6e-3
 
+    def test_zero_mass_chernoff_equals_the_optimizer_rates(self):
+        # the Chernoff route sums over each pair's common support, as the
+        # optimizer's rates do, so it scores the kernels the optimizer reports
+        for laws, _ in zero_mass_cases(5, 100):
+            for target, rate in ((TestTarget.UTILITY, utility_rate(laws)),
+                                 (TestTarget.PRIVACY, privacy_objective(laws))):
+                value = exponent_chernoff(laws, target).value
+                assert value == rate or abs(value - rate) <= 1e-12
+
+    def test_zero_mass_laws_refused_by_the_log_routes(self):
+        # the composite and Sanov routes take the log of every mass
+        for laws, _ in zero_mass_cases(5, 10):
+            for target in TestTarget:
+                with pytest.raises(SupportError, match="lacks full support"):
+                    exponent_composite(laws, target)
+                with pytest.raises(SupportError, match="lacks full support"):
+                    exponent_sanov(laws, target, 1e-2)
+
+    @pytest.mark.parametrize("kernel", ["identity", "random"])
+    def test_block_laws_agree_three_ways(self, model, kernel):
+        # all three routes take k = 2 laws and report the per-slot value
+        if kernel == "identity":
+            policy = identity_policy(model, s=1.0, k=2)
+        else:
+            space = policy_space(model, 1.0, 2)
+            policy = space.kernel_from_params(space.random_params(np.random.default_rng(2), 1)[0])
+        laws = induced_output_laws(model, policy)
+        assert laws.k == 2 and len(laws.block_labels) == 4
+        for target in TestTarget:
+            chern = exponent_chernoff(laws, target).value
+            assert abs(exponent_composite(laws, target).value - chern) <= 1e-12
+            assert abs(exponent_sanov(laws, target, 5e-3).value - chern) <= 2e-3
+
     def test_empirical_exponent_converges(self, identity_laws):
         for target, limit in (
             (TestTarget.UTILITY, UTILITY_EXPONENT),
@@ -368,9 +435,19 @@ class TestLowerBound:
                 bound = exponent_lower_bound(identity_laws, UNIFORM, target, n_blocks=n)
                 assert -log_alpha / n >= bound
 
+    def test_zero_mass_bound_below_exact_exponent(self):
+        horizons = range(1, 9)
+        for laws, prior in zero_mass_cases(6, 100):
+            for target in TestTarget:
+                bounds = exponent_lower_bound(laws, prior, target, n_blocks=horizons)
+                for n, bound in zip(horizons, bounds):
+                    alpha = exact_min_error(laws, prior, target, n)
+                    assert (math.log(1.0 / alpha) / n if alpha > 0.0 else math.inf) >= bound
+
     def _law_sets(self, model, identity_laws):
         rng = np.random.default_rng(11)
-        kernel_laws = [random_kernel_laws(rng, model) for _ in range(3)]
+        space = policy_space(model, 2.0, 1)
+        kernel_laws = [random_kernel_laws(rng, model, space) for _ in range(3)]
         return [identity_laws, *kernel_laws, *(product_laws(laws, 2) for laws in kernel_laws)]
 
     def test_horizon_sequence_matches_single_calls_bit_for_bit(self, model, identity_laws):
@@ -414,10 +491,11 @@ class TestLowerBound:
         assert suite_convergence().worst.hex() == (0.005678243553041973).hex()
 
     def test_kernel_draws_do_not_depend_on_a_passed_family(self, model):
+        # one family passed to every draw, as the suite does, or a fresh one each
         space = policy_space(model, 2.0, 1)
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(3):
-            drawn = random_kernel_laws(a, model).arrays()
+            drawn = random_kernel_laws(a, model, policy_space(model, 2.0, 1)).arrays()
             assert np.array_equal(random_kernel_laws(b, model, space).arrays(), drawn)
 
     @pytest.mark.parametrize("trials", [1, 3])

@@ -21,11 +21,17 @@ from hypothesis import strategies as st
 from privtest import demo_model, induced_output_laws, policy_space
 from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _SECOND, _batch_both_rates
 from privtest.errors import ValidationError
-from privtest.probkit import chernoff_batch, chernoff_symbol_major, kl_from_probs
+from privtest.probkit import chernoff_symbol_major, kl_from_probs
 
 from reference import golden_chernoff
 
 PROPERTY = settings(max_examples=80)
+
+
+def chernoff_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The kernel's rates of each row pair of two ``(B, m)`` arrays, scored
+    as the columns of the transposed, contiguous ``(m, B)`` arrays."""
+    return chernoff_symbol_major(p.T.copy(), q.T.copy())[0]
 
 
 def _weights(m: int, low: int):
@@ -57,7 +63,7 @@ def pmf_rows(draw, zeros: bool = True, spread: bool = False, max_rows: int = 8):
 @given(pmf_rows(spread=True))
 def test_matches_scalar_reference_in_common_support_mode(pair):
     p, q = pair
-    values = chernoff_batch(p, q)
+    values = chernoff_rows(p, q)
     for row, value in enumerate(values):
         expected, _ = golden_chernoff(p[row], q[row])
         if math.isinf(expected):
@@ -102,7 +108,7 @@ def _decimal_chernoff(p, q) -> decimal.Decimal:
 def test_two_symbol_rows_match_a_high_precision_reference(pairs):
     p = np.array([pq[0] for pq in pairs])
     q = np.array([pq[1] for pq in pairs])
-    for value, pq in zip(chernoff_batch(p, q), pairs):
+    for value, pq in zip(chernoff_rows(p, q), pairs):
         expected = _decimal_chernoff(*pq)
         # 1e-15 plus the reference's own float spacing: opposite masses of
         # 1e-11 give values near 12, which no float holds closer than 9e-16
@@ -114,8 +120,8 @@ def test_two_symbol_rows_match_a_high_precision_reference(pairs):
 @given(pmf_rows(zeros=False))
 def test_symmetric_and_below_both_divergences(pair):
     p, q = pair
-    forward = chernoff_batch(p, q)
-    np.testing.assert_allclose(chernoff_batch(q, p), forward, rtol=0.0, atol=1e-12)
+    forward = chernoff_rows(p, q)
+    np.testing.assert_allclose(chernoff_rows(q, p), forward, rtol=0.0, atol=1e-12)
     for row, value in enumerate(forward):
         assert value <= kl_from_probs(p[row], q[row]) + 1e-12
         assert value <= kl_from_probs(q[row], p[row]) + 1e-12
@@ -131,9 +137,9 @@ def test_disjoint_supports_inf_and_identical_laws_zero(m, data):
     q[:split] = 0.0
     p /= p.sum()
     q /= q.sum()
-    assert math.isinf(chernoff_batch(p[None], q[None])[0])
-    assert chernoff_batch(p[None], p[None])[0] == 0.0
-    assert chernoff_batch(q[None], q[None])[0] == 0.0
+    assert math.isinf(chernoff_rows(p[None], q[None])[0])
+    assert chernoff_rows(p[None], p[None])[0] == 0.0
+    assert chernoff_rows(q[None], q[None])[0] == 0.0
 
 
 def test_symbol_major_core_rejects_unequal_or_flat_arrays():
@@ -194,9 +200,9 @@ def test_single_pairs_match_their_batch_bit_for_bit(m):
     rng = np.random.default_rng(m)
     p = rng.dirichlet(np.ones(m), size=64)
     q = rng.dirichlet(np.ones(m), size=64)
-    rates = chernoff_batch(p, q)
+    rates = chernoff_rows(p, q)
     for i in range(len(p)):
-        assert chernoff_batch(p[i : i + 1], q[i : i + 1])[0] == rates[i]
+        assert chernoff_rows(p[i : i + 1], q[i : i + 1])[0] == rates[i]
 
 
 @settings(max_examples=25)

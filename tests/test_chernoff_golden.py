@@ -1,8 +1,9 @@
 """The Chernoff kernel's output bits, pinned.
 
-``data/chernoff_batch_golden.json`` holds ``float.hex`` of
-:func:`chernoff_batch` on seeded batches at m = 2, 3, 4 and 8 (mixed batches
-of full-support, partial-support, disjoint, equal, near-equal and
+``data/chernoff_batch_golden.json`` holds ``float.hex`` of the rates of
+:func:`chernoff_symbol_major` on seeded batches of row pairs at m = 2, 3, 4
+and 8, scored as the columns of the transposed arrays (mixed batches of
+full-support, partial-support, disjoint, equal, near-equal and
 endpoint-optimum rows, plus all-full-support batches with and without equal
 rows), of :func:`_batch_both_rates` on a k = 2 random batch, and the sha256
 of the float64 bytes of the demo model's s = 2 grid rates at 41 points per
@@ -24,7 +25,7 @@ import pytest
 
 from privtest import demo_model, policy_space
 from privtest.optimizer import SearchConfig, _batch_both_rates, grid_evaluation
-from privtest.probkit import chernoff_batch
+from privtest.probkit import chernoff_symbol_major
 
 GOLDEN = Path(__file__).parent / "data" / "chernoff_batch_golden.json"
 
@@ -100,11 +101,16 @@ def _hex(values: np.ndarray) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _row_rates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The kernel's rates of the row pairs of two ``(B, m)`` arrays."""
+    return chernoff_symbol_major(p.T.copy(), q.T.copy())[0]
+
+
 def compute() -> dict:
     utility, privacy = _batch_both_rates(k2_laws(), 2)
     return {
         "chernoff_batch": {
-            name: _hex(chernoff_batch(p, q)) for name, (p, q) in kernel_batches().items()
+            name: _hex(_row_rates(p, q)) for name, (p, q) in kernel_batches().items()
         },
         "k2_rates": {"utility": _hex(utility), "privacy": _hex(privacy)},
         "grid_s2_41_sha256": grid_digest(),
@@ -119,7 +125,7 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", sorted(kernel_batches()))
 def test_chernoff_batch_bits(golden, name):
     p, q = kernel_batches()[name]
-    assert _hex(chernoff_batch(p, q)) == golden["chernoff_batch"][name]
+    assert _hex(_row_rates(p, q)) == golden["chernoff_batch"][name]
 
 
 def test_k2_batch_rates_bits(golden):

@@ -61,7 +61,7 @@ def rate_at(p, q, mu):
 @given(columns())
 def test_rate_at_the_tilt_is_the_rate(pq):
     p, q = pq
-    rates, tilts = chernoff_symbol_major(p, q, return_tilt=True)
+    rates, tilts = chernoff_symbol_major(p, q)
     assert np.all((tilts >= 0.0) & (tilts <= 1.0))
     for b, (rate, mu) in enumerate(zip(rates, tilts)):
         at_tilt = rate_at(p[:, b], q[:, b], mu)
@@ -75,7 +75,7 @@ def test_rate_at_the_tilt_is_the_rate(pq):
 @given(columns())
 def test_envelope_gradient_matches_central_differences(pq):
     p, q = pq
-    rates, tilts = chernoff_symbol_major(p, q, return_tilt=True)
+    rates, tilts = chernoff_symbol_major(p, q)
     h = 1e-7
     for b, (rate, mu) in enumerate(zip(rates, tilts)):
         common = np.flatnonzero((p[:, b] > 0.0) & (q[:, b] > 0.0))
@@ -94,7 +94,7 @@ def test_envelope_gradient_matches_central_differences(pq):
                 arrays = [p[:, b].copy(), q[:, b].copy()]
                 arrays[side][common[0]] += sign * h
                 arrays[side][common[1]] -= sign * h
-                shifted.append(chernoff_symbol_major(arrays[0][:, None], arrays[1][:, None])[0])
+                shifted.append(chernoff_symbol_major(arrays[0][:, None], arrays[1][:, None])[0][0])
             difference = (shifted[0] - shifted[1]) / (2.0 * h)
             assert difference == pytest.approx(grad[0] - grad[1], rel=1e-5, abs=1e-6)
 
@@ -103,7 +103,7 @@ def test_envelope_gradient_matches_central_differences(pq):
 @given(columns())
 def test_tilt_agrees_with_the_scalar_argmax_where_the_optimum_is_strict(pq):
     p, q = pq
-    _, tilts = chernoff_symbol_major(p, q, return_tilt=True)
+    _, tilts = chernoff_symbol_major(p, q)
     labels = tuple(range(len(p)))
     for b, mu in enumerate(tilts):
         pb, qb = p[:, b], q[:, b]
@@ -125,12 +125,12 @@ def test_tilt_agrees_with_the_scalar_argmax_where_the_optimum_is_strict(pq):
 @given(columns(), st.data())
 def test_warm_started_rates_equal_cold_rates(pq, data):
     p, q = pq
-    cold, tilts = chernoff_symbol_major(p, q, return_tilt=True)
+    cold, tilts = chernoff_symbol_major(p, q)
     # a column's own tilt, a distant one, or an endpoint
     starts = np.array(
         [data.draw(st.sampled_from([mu, 1.0 - mu, 0.0, 1.0, 0.5])) for mu in tilts]
     )
-    warm, warm_tilts = chernoff_symbol_major(p, q, starts, return_tilt=True)
+    warm, warm_tilts = chernoff_symbol_major(p, q, starts)
     np.testing.assert_array_equal(np.isinf(warm), np.isinf(cold))
     finite = np.isfinite(cold)
     assert np.all(np.abs(warm[finite] - cold[finite]) <= 1e-15)

@@ -146,10 +146,20 @@ class TestExponentCommand:
             values.append(float(out.splitlines()[0].split(":")[1]))
         assert values[1] == pytest.approx(values[0], rel=0.0, abs=1e-12)
 
-    def test_cross_check_of_block_laws_exits_2(self, capsys):
+    def test_cross_check_of_block_laws_exits_5_on_the_default_grid(self, capsys):
+        # every route takes k-block laws, but the 4 block labels of k = 2 at
+        # the default step 1e-3 make C(1003, 3) Sanov grid points, above the
+        # cap, so the refusal comes before any output
         code, out, err = run(capsys, "exponent", "--k", "2", "--cross-check")
-        assert (code, out) == (2, "")
-        assert err == "error: --cross-check needs a k=1 policy\n"
+        assert (code, out) == (5, "")
+        assert err.startswith("error: 167668501 grid points (4 symbols, step 0.001)")
+
+    def test_cross_check_of_block_laws_agrees(self, capsys):
+        code, out, err = run(
+            capsys, "exponent", "--k", "2", "--cross-check", "--grid-step", "0.005"
+        )
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[-1].split(":")[1]) <= 2e-3
 
     def test_block_length_above_the_cap_exits_5(self, capsys):
         code, out, err = run(capsys, "exponent", "--k", "4")
@@ -188,6 +198,21 @@ class TestExactErrorCommand:
             assert code == 0
             alphas.append(float(out.splitlines()[0].split(":")[1]))
         assert alphas[1] == pytest.approx(alphas[0], rel=0, abs=1e-12)
+
+    def test_block_laws_that_underflow_to_zero_are_scored(self, capsys, tmp_path):
+        # the k = 2 block (0, 0) of law (0, 0) has mass 1e-300 * 1e-300 / 4,
+        # which underflows to 0: the bound's Chernoff rate uses the common
+        # support, so the error and its bound are reported
+        doc = dict(MODEL_DOC, x_alphabet=[0, 1], noise=[0.5, 0.5],
+                   cond=[[1e-300, 1.0], [0.4, 0.6], [0.6, 0.4], [0.8, 0.2]])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "exact-error", "--model", str(path), "--k", "2", "--n", "8",
+            "--method", "enumerate",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith("[PASS]")
 
     def test_types_error_above_constant_decision_exits_2(self, capsys, monkeypatch):
         # both paths check 0 <= alpha <= the best constant decision; with that
@@ -441,6 +466,11 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert f"trials must be >= 1, got {trials}" in err
+
+    def test_negative_seed_exits_2_before_any_suite(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "identity", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_output_matches_golden_lines(self, capsys):
         lines = []

@@ -433,11 +433,12 @@ def test_a_kernel_does_not_depend_on_its_batch(model, k):
         assert space.params_from_kernel(space.kernel_from_params(x)).tobytes() == x.tobytes()
 
 
-def test_k4_space_is_small():
+def test_k4_space_is_small(monkeypatch):
     """The k = 4 family (dim 3,242) is index arrays over a 256 x 16 kernel."""
+    monkeypatch.setattr("privtest.model.DEFAULT_BLOCK_CAP", 4)
     tracemalloc.start()
     try:
-        space = policy_space(demo_model(), 1.0, 4, cap=4)
+        space = policy_space(demo_model(), 1.0, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -313,25 +313,21 @@ def exponent_composite(block_laws: OutputLaws, target: TestTarget) -> ExponentRe
     composite Chernoff divergence of law(u,p) toward law(1-u,pb) beside
     law(1-u,1-pb); the privacy target swaps the roles of u and p.  The
     minimum is divided by k, as in :func:`exponent_chernoff`.  Laws with
-    zero masses are refused.
+    zero masses are refused.  The sides come from :func:`_side_laws`: each
+    law of side h toward the other side's two laws, in order and reversed.
     """
     _require_full_support_laws(block_laws)
-
-    def key(u: int, p: int) -> tuple[int, int]:
-        return (u, p) if target is TestTarget.UTILITY else (p, u)
-
+    laws = block_laws.laws
     best = math.inf
     best_pair = None
-    for own in (0, 1):
-        for other in (0, 1):
-            for pb in (0, 1):
-                q1 = block_laws.laws[key(own, other)]
-                q2 = block_laws.laws[key(1 - own, pb)]
-                q3 = block_laws.laws[key(1 - own, 1 - pb)]
-                value = composite_chernoff(q1, q2, q3)
+    for h in (0, 1):
+        other = _side_laws(target, 1 - h)
+        for a in _side_laws(target, h):
+            for b, c in (other, other[::-1]):
+                value = composite_chernoff(laws[a], laws[b], laws[c])
                 if value < best:
                     best = value
-                    best_pair = (key(own, other), key(1 - own, pb))
+                    best_pair = (a, b)
     return ExponentReport(
         value=best / block_laws.k, argmin_pair=best_pair, method=ExponentMethod.COMPOSITE
     )

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from . import __version__
 from .bayes import (
@@ -28,7 +28,6 @@ from .bayes import (
 )
 from .errors import (
     CrossCheckError,
-    EnumerationCapError,
     PrivtestError,
     SizeCapError,
     SupportError,
@@ -103,13 +102,6 @@ def _load_policy_arg(spec: str, model: SourceModel, s: float, k: int):
     return load_policy(spec, model)
 
 
-def _parse_target(name: str) -> TestTarget:
-    try:
-        return TestTarget(name)
-    except ValueError:
-        raise ValidationError(f"target must be 'utility' or 'privacy', got {name!r}") from None
-
-
 def _parse_list(spec: str, what: str) -> list[float]:
     """A comma list of at least one number."""
     values = [float(p) for p in spec.split(",") if p.strip()]
@@ -142,37 +134,8 @@ def _parse_lambda_grid(spec: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every output artifact."""
-
-    command: str
-    parameters: dict
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    version: str = __version__
-    started: str = ""
-    finished: str = ""
-
-    @staticmethod
-    def _digest(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    def add_input_bytes(self, name: str, data: bytes) -> None:
-        self.inputs[name] = self._digest(data)
-
-    def add_input_file(self, name: str, path: str) -> None:
-        with open(path, "rb") as fh:
-            self.add_input_bytes(name, fh.read())
-
-    def add_output_file(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            self.outputs[path] = self._digest(fh.read())
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _utcnow() -> str:
@@ -209,7 +172,7 @@ def cmd_exponent(args) -> int:
     model = _load_model_arg(args.model)
     policy = _load_policy_arg(args.policy, model, s=args.s, k=args.k)
     laws = induced_output_laws(model, policy)
-    target = _parse_target(args.target)
+    target = TestTarget(args.target)
     report = exponent_chernoff(laws, target)
     if args.cross_check:  # every report before any output, so a refusal prints nothing
         comp_report = exponent_composite(laws, target)
@@ -233,7 +196,7 @@ def cmd_exact_error(args) -> int:
     model = _load_model_arg(args.model)
     policy = _load_policy_arg(args.policy, model, s=args.s, k=args.k)
     laws = induced_output_laws(model, policy)
-    target = _parse_target(args.target)
+    target = TestTarget(args.target)
     n = args.n
     if n % laws.k != 0:
         raise ValidationError(f"n={n} is not a multiple of the block length k={laws.k}")
@@ -360,29 +323,14 @@ def _write_svg(path: str, points: list[TradeoffPoint], s_values: list[float]) ->
 
 
 def cmd_tradeoff(args) -> int:
-    manifest = RunManifest(
-        command="tradeoff",
-        parameters={
-            "model": args.model,
-            "s": args.s,
-            "lambda_grid": args.lambda_grid,
-            "k": args.k,
-            "correction": args.correction,
-            "seed": args.seed,
-            "grid_points": args.grid_points,
-            "restarts": args.restarts,
-        },
-        started=_utcnow(),
-    )
+    started = _utcnow()
     model = _load_model_arg(args.model)
     if args.model == "demo":
         from importlib.resources import files
 
-        manifest.add_input_bytes(
-            "model:demo", files("privtest.data").joinpath("model_demo.json").read_bytes()
-        )
+        model_bytes = files("privtest.data").joinpath("model_demo.json").read_bytes()
     else:
-        manifest.add_input_file(f"model:{args.model}", args.model)
+        model_bytes = Path(args.model).read_bytes()
     lambdas = _parse_lambda_grid(args.lambda_grid)
     s_values = _parse_list(args.s, "--s")
     cfg = GuaranteeConfig(
@@ -393,12 +341,31 @@ def cmd_tradeoff(args) -> int:
     )
     points = tradeoff_sweep(model, lambdas, s_values, cfg, search)
     _write_csv(args.out_csv, points)
-    manifest.add_output_file(args.out_csv)
+    outputs = [args.out_csv]
     if args.out_svg:
         _write_svg(args.out_svg, points, s_values)
-        manifest.add_output_file(args.out_svg)
-    manifest.finished = _utcnow()
-    manifest.write(args.out_csv + ".manifest.json")
+        outputs.append(args.out_svg)
+    manifest = {
+        "command": "tradeoff",
+        "parameters": {
+            "model": args.model,
+            "s": args.s,
+            "lambda_grid": args.lambda_grid,
+            "k": args.k,
+            "correction": args.correction,
+            "seed": args.seed,
+            "grid_points": args.grid_points,
+            "restarts": args.restarts,
+        },
+        "inputs": {f"model:{args.model}": _sha256(model_bytes)},
+        "outputs": {path: _sha256(Path(path).read_bytes()) for path in outputs},
+        "version": __version__,
+        "started": started,
+        "finished": _utcnow(),
+    }
+    with open(args.out_csv + ".manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     infeasible = sum(not p.feasible for p in points)
     print(f"wrote {len(points)} points to {args.out_csv} ({infeasible} infeasible)")
     return 0
@@ -494,7 +461,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SizeCapError, EnumerationCapError) as exc:
+    except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except (PrivtestError, ValueError) as exc:

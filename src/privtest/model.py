@@ -51,6 +51,10 @@ DEFAULT_BLOCK_CAP = 3
 #: Slack used when testing the supply constraint on float-valued alphabets.
 CONSTRAINT_TOL = 1e-9
 
+#: Slack of the family simplex: each parameter in [0, 1] and each slice sum
+#: at most 1, both up to this.
+SIMPLEX_TOL = 1e-12
+
 Block = tuple[float, ...]
 
 
@@ -61,6 +65,12 @@ def require_block_length(k: int) -> None:
         raise ValidationError(f"block length {k} must be >= 1")
     if k > DEFAULT_BLOCK_CAP:
         raise SizeCapError(f"block length {k} exceeds cap {DEFAULT_BLOCK_CAP}")
+
+
+def require_supply_slack(s: float) -> None:
+    """Refuse a supply slack below 0 or NaN."""
+    if not s >= 0.0:
+        raise ValidationError(f"supply slack s must be >= 0, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -90,20 +100,13 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Prior:
-    """Joint prior p_{U,P} as a flat tuple in :data:`UP_PAIRS` order."""
+    """Joint prior p_{U,P} as a flat tuple in :data:`UP_PAIRS` order, checked
+    as a :class:`~privtest.probkit.Pmf` on those pairs."""
 
     joint: tuple[float, float, float, float]
 
     def __post_init__(self):
-        joint = tuple(float(x) for x in self.joint)
-        object.__setattr__(self, "joint", joint)
-        if len(joint) != 4:
-            raise ValidationError("prior needs exactly 4 entries (2x2 row-major)")
-        if any(x < 0.0 or not math.isfinite(x) for x in joint):
-            raise ValidationError("prior entries must be finite and >= 0")
-        total = math.fsum(joint)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"prior sums to {total!r}, expected 1")
+        object.__setattr__(self, "joint", Pmf(labels=UP_PAIRS, probs=self.joint).probs)
 
     @classmethod
     def uniform(cls) -> "Prior":
@@ -160,10 +163,8 @@ class PolicyKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("block length k must be >= 1")
-        if self.s < 0.0:
-            raise ValidationError("supply slack s must be >= 0")
+        require_block_length(self.k)
+        require_supply_slack(self.s)
         matrix = np.array(self.matrix, dtype=float)
         shape = _kernel_shape(self, self.k)
         if matrix.shape != shape:
@@ -241,6 +242,15 @@ def _input_pair(alphabets, k: int, row: int) -> tuple[Block, Block]:
     """The (x-block, z-block) labels of a kernel row."""
     x_index, z_index = divmod(int(row), len(alphabets.z_alphabet) ** k)
     return alphabets.x_alphabet.blocks(k)[x_index], alphabets.z_alphabet.blocks(k)[z_index]
+
+
+def _table_sums(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``values[:, table[0]] + values[:, table[1]] + ...``, added first row
+    of ``table`` to last, so each row of ``values`` is summed by itself."""
+    total = values[:, table[0]]
+    for columns in table[1:]:
+        total += values[:, columns]
+    return total
 
 
 def _supply_net(alphabets, k: int) -> np.ndarray:
@@ -340,8 +350,8 @@ def induced_output_laws(model: SourceModel, policy: PolicyKernel) -> OutputLaws:
     """Push the model through the kernel: laws(u,p)(y) = sum_{x,z} w(x,z|u,p) q(y|x,z).
 
     The kernel must be defined over the model's alphabets and valid per
-    :func:`validate_policy`.  Each induced law is checked to sum to 1 within
-    1e-10 and then renormalized.
+    :func:`validate_policy`.  Each induced law is then divided by its total,
+    which valid rows keep within 1e-9 of 1.
     """
     if (policy.x_alphabet, policy.z_alphabet) != (model.x_alphabet, model.z_alphabet):
         raise AlphabetError("policy alphabets differ from the model alphabets")
@@ -352,12 +362,6 @@ def induced_output_laws(model: SourceModel, policy: PolicyKernel) -> OutputLaws:
         )
     laws = _push_forward(_row_weights(model, policy.k), policy.matrix)
     totals = laws.sum(axis=1)
-    for up, total in zip(UP_PAIRS, totals):
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(
-                f"induced law for (u,p)={up} sums to {float(total)!r}; policy rows are "
-                "not properly normalized"
-            )
     return _output_laws(policy.k, model.x_alphabet.blocks(policy.k), laws / totals[:, None])
 
 
@@ -415,7 +419,9 @@ class PolicySpace:
     feasible output are forced; a row with f >= 2 feasible outputs
     contributes f-1 free parameters (the probabilities of all but its last
     output, which takes 1 minus their sum).  A parameter vector is feasible
-    when each row's slice is nonnegative with sum <= 1.
+    when each row's slice is nonnegative with sum <= 1, both up to
+    :data:`SIMPLEX_TOL`; the slice sums are :func:`_table_sums` over
+    ``slice_columns``.
 
     The family is held as flat indices into the kernel matrix: each
     parameter's head entry, each row's last feasible entry and one slice
@@ -485,21 +491,19 @@ class PolicySpace:
 
     def _slice_sums(self, padded: np.ndarray) -> np.ndarray:
         """Each free slice's sum over a (G, dim + 1) batch whose last column
-        is 0, shape (G, slices), added first to last one row of the table at
-        a time, so a row's sums depend on that row alone.  Padding (-1)
-        reads the 0, which changes no sum."""
-        total = padded[:, self.slice_columns[0]]
-        for columns in self.slice_columns[1:]:
-            total += padded[:, columns]
-        return total
+        is 0, shape (G, slices): :func:`_table_sums` over
+        :attr:`slice_columns`, so a row's sums depend on that row alone.
+        Padding (-1) reads the 0, which changes no sum."""
+        return _table_sums(padded, self.slice_columns)
 
     def params_feasible(self, params: np.ndarray) -> np.ndarray:
-        """Boolean mask over a (G, dim) batch: in [0,1] with slice sums <= 1."""
+        """Boolean mask over a (G, dim) batch: in [0,1] with slice sums
+        (:meth:`_slice_sums`) <= 1, each up to :data:`SIMPLEX_TOL`."""
         params = np.atleast_2d(params)
         padded = np.zeros((len(params), self.dim + 1))
         padded[:, :-1] = params
-        ok = np.all((params >= -1e-12) & (params <= 1.0 + 1e-12), axis=1)
-        return ok & np.all(self._slice_sums(padded) <= 1.0 + 1e-12, axis=1)
+        ok = np.all((params >= -SIMPLEX_TOL) & (params <= 1.0 + SIMPLEX_TOL), axis=1)
+        return ok & np.all(self._slice_sums(padded) <= 1.0 + SIMPLEX_TOL, axis=1)
 
     def random_params(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` parameter vectors, each row's output simplex drawn uniformly."""
@@ -559,8 +563,11 @@ def policy_space(model: SourceModel, s: float, k: int = 1) -> PolicySpace:
 
     Raises :class:`FeasibilityError` naming the first input pair whose
     feasible output set is empty (the combination then admits no policy).
+    A block length outside 1..cap and a negative or NaN ``s`` are refused
+    first.
     """
     require_block_length(k)
+    require_supply_slack(s)
     feasible = _within_supply(_supply_net(model, k), s)
     empty = np.flatnonzero(~feasible.any(axis=1))
     if empty.size:

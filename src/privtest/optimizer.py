@@ -61,16 +61,19 @@ import numpy as np
 
 from .errors import EnumerationCapError, ValidationError
 from .model import (
+    SIMPLEX_TOL,
     UP_PAIRS,
     OutputLaws,
     PolicyKernel,
     PolicySpace,
     Prior,
     SourceModel,
+    _table_sums,
     blockwise_extend,
     induced_output_laws,
     policy_space,
     require_block_length,
+    require_supply_slack,
     validate_policy,
 )
 from .bayes import TestTarget, grouped_pairs
@@ -117,10 +120,8 @@ class GuaranteeConfig:
             raise ValidationError(f"lambda must be >= 0, got {self.lam!r}")
         if self.lam == math.inf:  # no kernel reaches it
             raise ValidationError("lambda must be finite, got inf")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
-        if not self.s >= 0.0:
-            raise ValidationError(f"s must be >= 0, got {self.s!r}")
+        require_block_length(self.k)
+        require_supply_slack(self.s)
 
     def effective_threshold(self, prior: Prior) -> float:
         extra = math.log(8.0 * prior.p_max) / self.k if self.include_correction else 0.0
@@ -408,19 +409,17 @@ def _probes(
 
     Every row of ``x`` must lie in the simplex.  A probe differs from its
     row only in [0, 1] values of the slices its moves touch, so it is in
-    the simplex when each of those slices, summed first to last with the
-    moved values in place (``sources``, from :func:`_probe_sources`), is at
-    most 1 + 1e-12: the mask of :meth:`PolicySpace.params_feasible`, by
-    construction.  A column of -1 is no move.
+    the simplex when each of those slices, summed first to last by
+    :func:`~privtest.model._table_sums` with the moved values in place
+    (``sources``, from :func:`_probe_sources`), is at most
+    1 + :data:`~privtest.model.SIMPLEX_TOL`: the mask of
+    :meth:`PolicySpace.params_feasible`, as both run the same lines.  A
+    column of -1 is no move.
     """
     value = np.clip(x[:, columns] + steps[:, None, None] * signs, 0.0, 1.0)
     move = value - x[:, columns]
     source = np.concatenate([x, value.reshape(len(x), -1), np.zeros((len(x), 1))], axis=1)
-    entries = source[:, sources]  # (G, L, D, t)
-    total = entries[:, 0]
-    for l in range(1, entries.shape[1]):
-        total += entries[:, l]
-    return value, move, np.all(total <= 1.0 + 1e-12, axis=2)
+    return value, move, np.all(_table_sums(source, sources) <= 1.0 + SIMPLEX_TOL, axis=2)
 
 
 def _probe_params(base: np.ndarray, columns: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -593,8 +592,8 @@ def optimize_policy(
             raise ValidationError("warm start violates its invariants: " + report.violations[0])
         starts.append(params := space.params_from_kernel(kernel))
         if not space.params_feasible(params)[0]:  # a row summing to 1 + 1e-9 is valid
-            for _, start, stop in space.free_slices:
-                params[start:stop] /= max(params[start:stop].sum(), 1.0)
+            sums = space._slice_sums(np.append(params, 0.0)[None])[0]
+            params /= np.maximum(sums, 1.0)[space.param_slices]
     if space.dim <= GRID_DIM_LIMIT:
         grid = grid if grid is not None else grid_evaluation(space, search, threshold)
         starts.insert(0, grid.params[_best(grid, threshold)])
@@ -725,10 +724,10 @@ def tradeoff_sweep(
     So each curve is nondecreasing in lambda, and no point lies above one at
     a smaller s or a divisor of k, beyond the tie band; a point depends on
     the rest of the sweep.  Per-point seeds derive from the base seed and
-    the pair's indices.  A k above the block cap is refused before any search.
+    the pair's indices.  A k above the block cap is refused before any
+    search, by the :class:`GuaranteeConfig` that carries it.
     """
     k = cfg_template.k
-    require_block_length(k)
     divisors = [d for d in range(1, k + 1) if k % d == 0]
     jobs = list(product(divisors, range(len(s_values)), range(len(lambdas))))
     order = sorted(jobs, key=lambda j: (j[0], float(s_values[j[1]]), -float(lambdas[j[2]])))
@@ -770,12 +769,11 @@ def monotonicity_check(
     re-verified by :func:`_reverify` as an explicit witness, so the check
     can only fail by more than float noise if the n-level search is broken.
     The n-level search is heuristic, hence :data:`MONOTONICITY_SLACK`.  An
-    ``l`` below 1, or an n above :data:`DEFAULT_BLOCK_CAP`, is refused
-    before any search.
+    ``l`` below 1, or an n above :data:`DEFAULT_BLOCK_CAP` (by the config
+    at n), is refused before any search.
     """
     if l < 1:
         raise ValidationError("l must be >= 1")
-    require_block_length(cfg.k * l)
     cfg_n = replace(cfg, k=cfg.k * l)
     point_k, point_n = _search_in_order(model, [(cfg, search), (cfg_n, search)])
     extended_rate, extended_check = _reverify(model, cfg_n, _extend(point_k, cfg_n.k))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,34 @@ class TestExponentCommand:
         assert (code, out) == (5, "")
         assert "block length 4 exceeds cap 3" in err
 
+    def test_nan_supply_slack_exits_2(self, capsys):
+        code, out, err = run(capsys, "exponent", "--s", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: supply slack s must be >= 0, got nan\n"
+
+    def test_policy_rows_within_the_validation_slack_exit_0(self, capsys, tmp_path):
+        # rows may sum to 1 within 1e-9 and no later check is stricter, so
+        # the identity rows scaled by 1 + 5e-10 score the identity's exponent
+        rows = [
+            {"input": [[x], [z]], "output_probs": {str(x): 1.0000000005}}
+            for x in (0, 1) for z in (0, 1)
+        ]
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"k": 1, "s": 1.0, "rows": rows}))
+        code, out, err = run(capsys, "exponent", "--policy", str(path))
+        assert (code, err) == (0, "")
+        value = float(out.splitlines()[0].split(":")[1])
+        assert value == pytest.approx(0.1809401482504862, rel=0.0, abs=1e-12)
+
+    def test_constant_policy_needs_the_slack_of_its_largest_net_flow(self, capsys):
+        # output 1 on input x = 0, z = 1 is an average net flow of 2
+        code, out, err = run(capsys, "exponent", "--s", "2", "--policy", "constant:1")
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[0].split(":")[1]) == 0.0  # the four laws are equal
+        code, out, err = run(capsys, "exponent", "--s", "1", "--policy", "constant:1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: constant output (1.0,) infeasible at s=1.0")
+
 
 class TestExactErrorCommand:
     def test_single_slot_hand_value(self, capsys):
@@ -238,6 +267,11 @@ class TestExactErrorCommand:
             code, out, err = run(capsys, "exact-error", "--k", "2", "--n", n, "--method", method)
             assert (code, out) == (5, "")
             assert f"({blocks} blocks on 4 labels)" in err
+
+    def test_horizon_not_a_multiple_of_the_block_length_exits_2(self, capsys):
+        code, out, err = run(capsys, "exact-error", "--k", "2", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: n=3 is not a multiple of the block length k=2\n"
 
     def test_block_length_above_the_cap_exits_5(self, capsys):
         # the built-in identity policy is refused before its kernel is built
@@ -424,6 +458,30 @@ class TestTradeoffCommand:
         assert err == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_block_length_zero_exits_2_before_any_output(self, capsys, tmp_path):
+        csv_path = tmp_path / "c.csv"
+        code, out, err = run(
+            capsys, "tradeoff", "--k", "0", "--s", "1", "--lambda-grid", "0.1",
+            "--grid-points", "11", "--out-csv", str(csv_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: block length 0 must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infeasible_point_ends_the_polyline(self, capsys, tmp_path):
+        # no s = 1 kernel reaches a utility rate of 0.3, so the curve over
+        # 0.1, 0.15 and 0.3 is one polyline of the two feasible points
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        code, out, _ = run(
+            capsys, "tradeoff", "--s", "1", "--lambda-grid", "0.1,0.15,0.3",
+            "--grid-points", "11", "--out-csv", str(csv_path), "--out-svg", str(svg_path),
+        )
+        assert code == 0
+        assert out.endswith("(1 infeasible)\n")
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg_path.read_text())
+        assert len(polylines) == 1
+        assert len(polylines[0].split()) == 2
+
     def test_one_lambda_beyond_float_resolution_plots(self, capsys, tmp_path):
         # 1e17 + 1.0 rounds back to 1e17, so a unit span would be empty
         csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
@@ -453,6 +511,11 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify", "--suite", "identity", "--trials", "30", "--seed", "7")
         assert out == out2
         assert "[PASS] composite-identity" in out
+
+    def test_monotonic_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "monotonic")
+        assert code == 0
+        assert out.startswith("[PASS] blocklength-monotonicity")
 
     def test_tensorize_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "tensorize")

@@ -22,6 +22,7 @@ from privtest import (
     PolicyKernel,
     Prior,
     SourceModel,
+    SizeCapError,
     ValidationError,
     blockwise_extend,
     constant_policy,
@@ -71,6 +72,25 @@ class TestTypes:
         assert Prior.uniform().p_max == 0.25
         assert Prior((0.7, 0.1, 0.1, 0.1)).p_max == 0.7
 
+    def test_prior_is_checked_as_a_pmf_on_the_four_pairs(self):
+        for joint, message in (
+            ((0.5, 0.5, 0.0), "4 labels but 3 weights"),
+            ((0.5, 0.5, math.nan, 0.0), "is nan, expected >= 0"),
+            ((0.5, 0.6, -0.1, 0.0), "is -0.1, expected >= 0"),
+            ((0.5, 0.5, 0.5, 0.0), "weights sum to 1.5"),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                Prior(joint)
+        assert Prior((0.7, 0.1, 0.1, 0.1)).joint == (0.7, 0.1, 0.1, 0.1)
+
+    def test_kernel_refuses_a_block_length_above_the_cap_and_a_nan_slack(self, model):
+        # both rules come before the matrix shape is checked
+        alphabets = (model.x_alphabet, model.z_alphabet)
+        with pytest.raises(SizeCapError, match="block length 4 exceeds cap 3"):
+            PolicyKernel(*alphabets, 4, 1.0, np.zeros((1, 1)))
+        with pytest.raises(ValidationError, match="supply slack s must be >= 0, got nan"):
+            PolicyKernel(*alphabets, 1, math.nan, np.zeros((4, 2)))
+
     def test_demo_model_parameters(self, model):
         assert model.prior.p_max == 0.25
         assert model.cond[(0, 0)].prob(0.0) == 0.1
@@ -116,6 +136,17 @@ class TestInducedLaws:
                 np.testing.assert_allclose(
                     laws.laws[up].probs, expected.laws[up].probs, atol=1e-12
                 )
+
+    def test_rows_within_the_validation_slack_are_accepted(self, model):
+        # validate_policy (rows sum to 1 within 1e-9) is the only
+        # normalization rule; each induced law is divided by its total
+        kernel = identity_policy(model, s=1.0)
+        scaled = PolicyKernel(
+            model.x_alphabet, model.z_alphabet, 1, 1.0, kernel.matrix * (1.0 + 5e-10)
+        )
+        laws = induced_output_laws(model, scaled)
+        for up in UP_PAIRS:
+            assert math.fsum(laws.laws[up].probs) == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_constant_policy_equalizes_laws(self, model):
         laws = induced_output_laws(model, constant_policy(model, s=2.0, y_value=1.0))
@@ -289,6 +320,12 @@ class TestPolicySpace:
         )
         with pytest.raises(FeasibilityError, match="z=\\(5.0,\\)"):
             policy_space(model, s=0.0, k=1)
+
+    def test_nan_supply_slack_rejected(self, model):
+        # NaN fails every supply test, so without the slack rule each row
+        # would read as infeasible
+        with pytest.raises(ValidationError, match="supply slack s must be >= 0, got nan"):
+            policy_space(model, float("nan"))
 
     def test_params_roundtrip(self, model):
         space = policy_space(model, s=2.0, k=1)

@@ -68,6 +68,16 @@ def test_negative_search_seed_refused():
         SearchConfig(seed=-1)
 
 
+def test_config_refuses_a_block_length_above_the_cap_and_a_nan_slack():
+    # the config runs the model's block-length and supply-slack rules
+    with pytest.raises(SizeCapError, match="block length 4 exceeds cap 3"):
+        GuaranteeConfig(lam=0.1, k=4)
+    with pytest.raises(ValidationError, match="block length 0 must be >= 1"):
+        GuaranteeConfig(lam=0.1, k=0)
+    with pytest.raises(ValidationError, match="supply slack s must be >= 0, got nan"):
+        GuaranteeConfig(lam=0.1, s=math.nan)
+
+
 class TestGuaranteeCheck:
     def test_identical_laws_pass_without_correction(self):
         cfg = GuaranteeConfig(lam=0.0, k=1, s=1.0, include_correction=False)

@@ -32,7 +32,7 @@ result among the refined starts.
 Grid rates are batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a candidate batch through the model :data:`_LAW_CHUNK_ROWS` rows at a time,
 and :func:`_batch_both_rates` scores the six unordered cross-group law pairs
-of every row with the Newton kernel
+of every row with the Chernoff kernel
 :func:`privtest.probkit.chernoff_symbol_major`.  A grid ranked only at
 thresholds above 0 is screened by one utility pair first
 (:func:`grid_evaluation`); a row scored in full gets the same bits either way.
@@ -233,7 +233,10 @@ def _pair_rates(
 
     The pairs of a chunk of rows are gathered straight into two
     symbol-major ``(m, len(pairs) g)`` arrays, one index per side, and
-    scored by one call of the Newton kernel.
+    scored by one kernel call.  A one-pair gather comes out F-ordered and a
+    wider one C-ordered; the kernel's bits do not depend on that, so a row
+    gets the same rates from a screening pass, a full pass or a batch of
+    its own.
     """
     m, G, _ = by_symbol.shape
     first, second = _FIRST[pairs], _SECOND[pairs]

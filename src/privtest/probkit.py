@@ -12,11 +12,13 @@ The four computational kernels are
   log-moment function that the composite search also uses on its segment
   nu = 0; the tests hold it to an independent value-only bracketing search,
 * ``chernoff_symbol_major`` -- the one batch kernel: the same quantity for
-  every column of two symbol-major ``(m, B)`` arrays at once, by
-  safeguarded Newton iteration on the derivative of the log-moment
-  function, in common-support mode; the policy optimizer fills that layout
-  directly, and the kernel can start Newton at given tilts and returns each
-  column's rate and tilt mu*,
+  every column of two symbol-major ``(m, B)`` arrays at once, in
+  common-support mode, at the closed-form optimum for two-symbol columns
+  and otherwise by safeguarded Newton iteration on the derivative of the
+  log-moment function; the policy optimizer fills that layout directly,
+  the output bits depend on neither the batch nor its memory layout, and
+  the kernel can start Newton at given tilts and returns each column's
+  rate and tilt mu*,
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by
@@ -308,12 +310,15 @@ def chernoff_symbol_major(
     symbols where both columns have mass, and columns with disjoint supports
     give +inf.  Equal columns give exactly 0.  Columns whose slope does not
     change sign on [0, 1] -- every column with a constant log-ratio among
-    them -- take the better endpoint at once; the rest go to
-    :func:`_chernoff_newton`, which starts two-symbol columns at the exact
-    root of ``L'`` (they then retire after one moment evaluation) and longer
-    columns at the secant root.  Each column's result depends on that column
-    alone (sums run over the symbols in a fixed order), so splitting a batch
-    changes no bit of the output.
+    them -- take the better endpoint at once.  Two-symbol columns are scored
+    at the closed-form root of ``L'`` (:func:`_chernoff_two_symbol`), and
+    only the near-equal ones, whose Newton step there is above
+    :data:`_NEWTON_TOL`, go on to :func:`_chernoff_newton`, started at that
+    root; longer columns go to :func:`_chernoff_newton` at the secant root.
+    The symbol sums are taken from one C-ordered buffer, so they add the
+    symbols first to last whatever the layout of ``p`` and ``q``: each
+    column's result depends on that column alone, and neither splitting a
+    batch nor storing it in the other order changes a bit of the output.
 
     ``start`` optionally gives each column's starting tilt in [0, 1] for
     Newton (a nearby column's mu*, say), in place of the secant root; at
@@ -327,11 +332,13 @@ def chernoff_symbol_major(
     gradient of the rate (Cover & Thomas, section 11.9).
 
     Selections that would select every column are skipped, which changes no
-    bit: a batch without zero masses needs no common-support masks, every
-    batch with a column that has ``L'(0) < 0 < L'(1)`` goes to Newton whole
-    (each column's result depends on that column alone), and only the other
-    columns are searched for equal columns (equal columns have zero slopes,
-    so they are never inner).
+    bit: a batch without zero masses needs no common-support masks, a
+    two-symbol batch is scored at its roots whole and selects only the
+    columns Newton still has to move, every longer batch with a column that
+    has ``L'(0) < 0 < L'(1)`` goes to Newton whole (each column's result
+    depends on that column alone), and only the other columns are searched
+    for equal columns (equal columns have zero slopes, so they are never
+    inner).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -352,9 +359,14 @@ def chernoff_symbol_major(
             qc = np.where(common, q, 0.0)
             lq = np.log(qc)  # -inf off the common support
             d = np.where(common, np.log(pc) - lq, 0.0)
-        # summed over the outer axis of one (m, 4, B) array, whole rows add
-        # first symbol to last, even for a single column (B = 1)
-        sums = np.concatenate((pc, qc, qc * d, pc * d), axis=1).reshape(len(p), 4, -1)
+        # the four symbol sums come from one C-ordered (m, 4, B) buffer, so
+        # summing over its outer axis adds whole rows, first symbol to last,
+        # whatever the layout of p and q and even for one column (B = 1)
+        sums = np.empty((len(p), 4, p.shape[1]))
+        sums[:, 0] = pc
+        sums[:, 1] = qc
+        np.multiply(qc, d, out=sums[:, 2])
+        np.multiply(pc, d, out=sums[:, 3])
         sp, sq, qd, pd = sums.sum(axis=0)
         slope0 = qd / sq  # L'(0); nan for disjoint columns
         slope1 = pd / sp  # L'(1)
@@ -362,25 +374,64 @@ def chernoff_symbol_major(
         out = -np.minimum(np.log(sq), np.log(sp))
     tilt = (sp < sq).astype(float)  # L(1) = log sp, L(0) = log sq
     inner = (slope0 < 0.0) & (slope1 > 0.0)
-    if inner.all():
-        rate, tilt = _chernoff_newton(lq, d, slope0, slope1, start)
-        np.maximum(out, rate, out=out)
-    else:
-        outer = np.flatnonzero(~inner)
+    every = inner.all()
+    outer = None if every else np.flatnonzero(~inner)
+    if len(p) == 2:
         if inner.any():
-            # Newton takes the whole batch, with the other columns copied
-            # from the first inner one (an equal column would give a 0/0
-            # step) and their results dropped
-            fill = np.argmax(inner)
-            for a in (lq, d) if start is None else (lq, d, start):
-                a[..., outer] = a[..., fill, None]
-            slope0[outer], slope1[outer] = slope0[fill], slope1[fill]
-            rate, mu = _chernoff_newton(lq, d, slope0, slope1, start)
+            rate, mu = _chernoff_two_symbol(lq, d, slope0, slope1, inner)
             np.maximum(out, rate, out=out, where=inner)
             np.copyto(tilt, mu, where=inner)
+    elif every:
+        rate, tilt = _chernoff_newton(lq, d, slope0, slope1, start)
+        np.maximum(out, rate, out=out)
+    elif inner.any():
+        # Newton takes the whole batch, with the other columns copied from
+        # the first inner one (an equal column would give a 0/0 step) and
+        # their results dropped
+        fill = np.argmax(inner)
+        for a in (lq, d) if start is None else (lq, d, start):
+            a[..., outer] = a[..., fill, None]
+        slope0[outer], slope1[outer] = slope0[fill], slope1[fill]
+        rate, mu = _chernoff_newton(lq, d, slope0, slope1, start)
+        np.maximum(out, rate, out=out, where=inner)
+        np.copyto(tilt, mu, where=inner)
+    if not every:
         out[outer[np.all(p[:, outer] == q[:, outer], axis=0)]] = 0.0
     np.maximum(out, 0.0, out=out)
     return out, tilt
+
+
+def _chernoff_two_symbol(
+    lq: np.ndarray, d: np.ndarray, slope0: np.ndarray, slope1: np.ndarray, inner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``-min L`` and its argmin for the ``inner`` columns of two-symbol
+    arrays ``lq`` and ``d`` (other columns give values to be dropped).
+
+    The root of ``L'`` is known in closed form, ``mu* = (log q_1 - log q_0
+    + log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]: ``L'(0) < 0 <
+    L'(1)`` makes ``d_0`` and ``d_1`` nonzero with opposite signs, so it is
+    defined.  One moment pass there gives the rate ``-log(w_0 + w_1)`` and
+    the Newton step, exactly as :func:`_chernoff_newton`'s first pass would.
+    A column whose step meets :data:`_NEWTON_TOL` is done; the others, where
+    ``p`` is within about 1e-6 of ``q`` and rounding moves the root, go on to
+    :func:`_chernoff_newton` as one compacted batch started at the root, so
+    they take the same iterates as if Newton had started there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # L'(mu) = 0 is q0 d0 exp(mu d0) = -q1 d1 exp(mu d1), solved for mu
+        mu = np.clip((lq[1] - lq[0] + np.log(-d[1] / d[0])) / (d[0] - d[1]), 0.0, 1.0)
+        w = np.exp(lq + mu * d)
+        wd = w * d
+        total = w[0] + w[1]
+        grad = (wd[0] + wd[1]) / total
+        step = grad / ((wd[0] * d[0] + wd[1] * d[1]) / total - grad * grad)
+        rate = -np.log(total)
+    redo = np.flatnonzero(inner & ~(np.abs(step) <= _NEWTON_TOL))
+    if len(redo):
+        rate[redo], mu[redo] = _chernoff_newton(
+            lq[:, redo], d[:, redo], slope0[redo], slope1[redo], mu[redo]
+        )
+    return rate, mu
 
 
 def _chernoff_newton(
@@ -395,16 +446,14 @@ def _chernoff_newton(
 
     ``L(mu) = log sum exp(lq + mu * d)`` with ``lq`` and ``d`` of shape
     (m, B).  Each column keeps a bracket around the root of ``L'`` and is done
-    as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Columns with
-    m > 2 start from ``start`` when given, else from the secant root of the
-    endpoint slopes.  At m = 2 the root is known in closed form, ``mu* =
-    (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)`` clipped to [0, 1]:
-    ``L'(0) < 0 < L'(1)`` makes ``d_0`` and ``d_1`` nonzero with opposite
-    signs, so it is defined, and the first step from it already meets the
-    tolerance.  The tolerance test comes before the safeguard, which
-    replaces a step leaving the bracket by bisection, so a converged column
-    is never sent back to bisection.  ``L`` is flat at its minimum, so its
-    value at the last iterate is exact to rounding.
+    as soon as its raw Newton step is below :data:`_NEWTON_TOL`.  Columns
+    start from ``start`` when given, else from the secant root of the
+    endpoint slopes.  It serves columns of three or more symbols, and the
+    few two-symbol columns that :func:`_chernoff_two_symbol` passes on,
+    started at their closed-form root.  The tolerance test comes before the
+    safeguard, which replaces a step leaving the bracket by bisection, so a
+    converged column is never sent back to bisection.  ``L`` is flat at its
+    minimum, so its value at the last iterate is exact to rounding.
 
     The batch keeps its shape: a column that is done keeps its iterate, so
     every later pass recomputes its moments at the same point, bit for bit,
@@ -415,10 +464,7 @@ def _chernoff_newton(
     hi = np.ones(n)
     terms = np.empty((m, 3, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 2:
-            # L'(mu) = 0 is q0 d0 exp(mu d0) = -q1 d1 exp(mu d1), solved for mu
-            mu = np.clip((lq[1] - lq[0] + np.log(-d[1] / d[0])) / (d[0] - d[1]), 0.0, 1.0)
-        elif start is not None:
+        if start is not None:
             mu = np.clip(start, 0.0, 1.0)
         else:
             mu = slope0 / (slope0 - slope1)

@@ -6,7 +6,7 @@ kernel or the scalar ``chernoff_from_probs``) serves as its own oracle.  It
 evaluates an endpoint of [0, 1] whenever its final bracket touches it, so it
 is exact for optima there too; the agreement test therefore draws weights
 spanning twelve orders of magnitude (log-ratios up to about 30 nats) and
-still holds the two to 1e-9.  Two-symbol rows, which start Newton at the
+still holds the two to 1e-9.  Two-symbol rows, which are scored at the
 closed-form root, are also held to a 60-digit ``decimal`` evaluation.
 """
 
@@ -18,8 +18,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from privtest import demo_model, induced_output_laws, policy_space
-from privtest.optimizer import _CHUNK_ELEMENTS, _FIRST, _SECOND, _batch_both_rates
+from privtest import demo_model, induced_output_laws, policy_space, probkit
+from privtest.optimizer import (
+    _CHUNK_ELEMENTS,
+    _FIRST,
+    _SECOND,
+    SearchConfig,
+    _batch_both_rates,
+    grid_evaluation,
+)
 from privtest.errors import ValidationError
 from privtest.probkit import chernoff_symbol_major, kl_from_probs
 
@@ -81,12 +88,13 @@ _MASS = st.builds(
 
 @st.composite
 def two_symbol_pair(draw):
-    """Two distinct two-symbol pmfs: independent, or 1e-1..1e-9 apart."""
+    """Two distinct two-symbol pmfs: independent, or 1e-1..1e-15 apart (the
+    nearest ones are the columns that go on from the root to Newton)."""
     a = draw(_MASS)
     if draw(st.booleans()):
         b = draw(_MASS)
     else:
-        gap = draw(st.integers(1, 9)) * 10.0 ** -draw(st.integers(1, 9))
+        gap = draw(st.integers(1, 9)) * 10.0 ** -draw(st.integers(1, 15))
         b = a + gap if a + gap < 1.0 else a - gap
     assume(0.0 < b < 1.0 and b != a)
     return (a, 1.0 - a), (b, 1.0 - b)
@@ -94,12 +102,15 @@ def two_symbol_pair(draw):
 
 def _decimal_chernoff(p, q) -> decimal.Decimal:
     """``-log sum q_i exp(mu* d_i)``, ``d = log p/q``, at the exact root
-    ``mu* = (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)``, in 60 digits."""
+    ``mu* = (log q_1 - log q_0 + log(-d_1/d_0)) / (d_0 - d_1)`` clipped to
+    [0, 1], in 60 digits.  Float masses sum to 1 only to rounding, so for
+    pairs 1e-12 apart the exact root can lie far outside [0, 1]."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         p0, p1, q0, q1 = (decimal.Decimal(float(v)) for v in (*p, *q))
         d0, d1 = (p0 / q0).ln(), (p1 / q1).ln()
         mu = (q1.ln() - q0.ln() + (-d1 / d0).ln()) / (d0 - d1)
+        mu = min(max(mu, decimal.Decimal(0)), decimal.Decimal(1))
         return -(q0 * (mu * d0).exp() + q1 * (mu * d1).exp()).ln()
 
 
@@ -114,6 +125,51 @@ def test_two_symbol_rows_match_a_high_precision_reference(pairs):
         # 1e-11 give values near 12, which no float holds closer than 9e-16
         bound = 1e-15 + math.ulp(float(expected))
         assert abs(decimal.Decimal(float(value)) - expected) <= bound
+
+
+@pytest.fixture
+def newton_columns(monkeypatch) -> list[int]:
+    """The column count of every batch that reaches ``_chernoff_newton``."""
+    counts = []
+    newton = probkit._chernoff_newton
+
+    def counted(lq, *rest):
+        counts.append(lq.shape[1])
+        return newton(lq, *rest)
+
+    monkeypatch.setattr(probkit, "_chernoff_newton", counted)
+    return counts
+
+
+def test_two_symbol_batch_equals_each_column_alone_bit_for_bit(newton_columns):
+    """Two-symbol columns are scored at their closed-form root, and only the
+    near-equal ones go on to Newton, as one compacted batch started there;
+    a batch that mixes them with well-separated columns gives every column
+    the rate and tilt it gets alone."""
+    rng = np.random.default_rng(23)
+    count = 600
+    a = rng.uniform(0.001, 0.999, size=count)
+    gap = rng.integers(1, 10, size=count) * 10.0 ** -rng.integers(1, 16, size=count)
+    near = np.where(a + gap < 1.0, a + gap, a - gap)
+    b = np.where(rng.random(count) < 0.5, near, rng.uniform(0.001, 0.999, size=count))
+    p = np.stack([a, 1.0 - a])
+    q = np.stack([b, 1.0 - b])
+    rates, tilts = chernoff_symbol_major(p, q)
+    assert 0 < sum(newton_columns) < count  # both paths are taken
+    for i in range(count):
+        rate, tilt = chernoff_symbol_major(p[:, i : i + 1], q[:, i : i + 1])
+        assert (rate[0], tilt[0]) == (rates[i], tilts[i])
+
+
+def test_two_symbol_grid_never_reaches_newton(newton_columns):
+    """The demo model's s = 2 grid at 41 points per parameter (68,921 rows of
+    two-symbol pairs, the golden digest's grid) is scored at the closed-form
+    roots alone: no column goes on to Newton."""
+    grid = grid_evaluation(
+        policy_space(demo_model(), s=2.0, k=1), SearchConfig(grid_points_per_parameter=41)
+    )
+    assert len(grid.utility) == 41**3
+    assert newton_columns == []
 
 
 @PROPERTY
@@ -192,17 +248,30 @@ def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
     assert (screened_utility[dropped] < floor).all()
 
 
-@pytest.mark.parametrize("m", [8, 9])
+@pytest.mark.parametrize("m", [8, 9, 16])
 def test_single_pairs_match_their_batch_bit_for_bit(m):
-    """From 8 symbols on numpy's sum of a lone column stops adding first
-    to last; the kernel's symbol sums still do, for a one-pair call as for
-    the last pair left in Newton."""
+    """From 8 symbols on numpy sums a lone column, or any other contiguous
+    axis, pairwise rather than first to last; the kernel's symbol sums still
+    add first to last, for a one-pair call as for the last pair left in
+    Newton, for a batch stored in either order, and for a law row scored
+    alone (the optimizer's one-pair gathers arrive F-ordered) as in its
+    batch."""
     rng = np.random.default_rng(m)
     p = rng.dirichlet(np.ones(m), size=64)
     q = rng.dirichlet(np.ones(m), size=64)
     rates = chernoff_rows(p, q)
     for i in range(len(p)):
         assert chernoff_rows(p[i : i + 1], q[i : i + 1])[0] == rates[i]
+    p = rng.dirichlet(np.ones(m), size=2000)
+    q = rng.dirichlet(np.ones(m), size=2000)
+    c_order = chernoff_symbol_major(p.T.copy(), q.T.copy())
+    f_order = chernoff_symbol_major(p.T, q.T)  # views of the (B, m) arrays
+    assert all(np.array_equal(c, f) for c, f in zip(c_order, f_order))
+    laws = rng.dirichlet(np.ones(m), size=(256, 4))
+    utility, privacy = _batch_both_rates(laws, 3)
+    for g in range(len(laws)):
+        u, v = _batch_both_rates(laws[g : g + 1], 3)
+        assert (u[0], v[0]) == (utility[g], privacy[g])
 
 
 @settings(max_examples=25)

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import privtest
 from privtest import bayes
 from privtest.cli import _parse_lambda_grid, main
 from privtest.errors import SizeCapError
@@ -31,6 +35,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """Run the interpreter on ``argv`` in a fresh process that imports this
+    package; return the completed process with text output."""
+    src = str(Path(privtest.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 class TestDivergenceCommand:
@@ -534,6 +547,17 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "identity", "--seed", "-1")
         assert (code, out) == (2, "")
         assert err == "error: seed must be >= 0, got -1\n"
+
+    def test_unknown_suite_exits_2_and_lists_the_suites(self):
+        result = run_python("-m", "privtest", "verify", "--suite", "bogus")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: unknown suite 'bogus'; choose from {sorted(SUITES)}\n"
+
+    def test_other_subcommands_do_not_import_the_suites(self):
+        result = run_python(
+            "-c", "import sys, privtest.cli; print('privtest.verify' in sys.modules)"
+        )
+        assert (result.returncode, result.stdout) == (0, "False\n")
 
     def test_output_matches_golden_lines(self, capsys):
         lines = []

@@ -70,9 +70,7 @@ from .optimizer import (
     guarantee_check,
     monotonicity_check,
     optimize_policy,
-    privacy_objective,
     tradeoff_sweep,
-    utility_rate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,8 @@ All three take k-block laws and report the per-slot value, divided by k;
 the last two take the log of every mass, so they refuse zero masses:
 
 * ``exponent_chernoff``: the minimum Chernoff information over the four
-  cross-group law pairs, each on its common support as the optimizer
-  scores it (the rate of ``exponent_lower_bound``),
+  cross-group law pairs, each on its common support (the rate of
+  ``exponent_lower_bound``),
 * ``exponent_composite``: the minimum of eight composite Chernoff
   divergence evaluations,
 * ``exponent_sanov``: a brute-force large-deviations computation over a
@@ -18,6 +18,10 @@ the last two take the log of every mass, so they refuse zero masses:
   the asymptotic type-based test.
 
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
+The grouped pairs of both targets are scored in one place,
+:func:`_pair_rates`, on the batch kernel; the Chernoff route and the policy
+search (``privtest.optimizer``) both call it, so a kernel's exponent equals
+the optimizer's rate bit for bit.
 Finite-horizon errors are exact.  Two private cores score a stack of law
 sets, shape ``(L, 4, m)``, for several targets in one pass:
 ``_enumerated_errors`` enumerates output sequences at an ascending list of
@@ -50,7 +54,7 @@ from .probkit import (
     DEFAULT_ENUM_CAP,
     LATTICE_CHUNK,
     _grid_steps,
-    chernoff_from_probs,
+    chernoff_symbol_major,
     composite_chernoff,
     composition_lattice,
     kl_rows,
@@ -98,6 +102,80 @@ def grouped_pairs(target: TestTarget) -> tuple[tuple[tuple[int, int], tuple[int,
     return tuple((a, b) for a in side1 for b in side0)
 
 
+def _side_rows(target: TestTarget) -> list[list[int]]:
+    """The UP_PAIRS rows of the side-0 laws and of the side-1 laws."""
+    return [[UP_PAIRS.index(up) for up in _side_laws(target, h)] for h in (0, 1)]
+
+
+def _pair_layout() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, np.ndarray]]:
+    """The six unordered cross-group law pairs of both targets.
+
+    Returns the UP_PAIRS rows of each pair's two sides and, per target, the
+    positions of its four pairs in that list, in :func:`grouped_pairs`
+    order.  Chernoff information is symmetric, so the two pairs the targets
+    share are scored once.
+    """
+    pairs: list[tuple[int, int]] = []
+    columns = {}
+    for target in TestTarget:
+        side0, side1 = _side_rows(target)
+        own = [(min(a, b), max(a, b)) for a in side1 for b in side0]
+        pairs += [pair for pair in own if pair not in pairs]
+        columns[target] = np.array([pairs.index(pair) for pair in own])
+    first, second = np.array(pairs).T
+    return first, second, columns
+
+
+_FIRST, _SECOND, _COLUMNS = _pair_layout()
+_ALL = np.arange(len(_FIRST))
+
+#: Probabilities per stacked array in one Chernoff kernel call; larger
+#: batches of law sets are scored in chunks of this size, so memory stays flat.
+_CHUNK_ELEMENTS = 8192
+
+
+def _pair_rates(
+    by_symbol: np.ndarray, pairs: np.ndarray, tilts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chernoff informations of the given unordered pairs of every law set
+    and their tilts mu*, two ``(G, len(pairs))`` arrays; ``by_symbol`` is
+    the ``(m, G, 4)`` law view and ``tilts``, if given, Newton's starting
+    tilts in the same layout.
+
+    Each C is summed over its pair's common support (+inf for disjoint
+    supports).  The pairs of a chunk of law sets are gathered straight into
+    two symbol-major ``(m, len(pairs) g)`` arrays, one index per side, and
+    scored by one :func:`~privtest.probkit.chernoff_symbol_major` call.  A
+    one-pair gather comes out F-ordered and a wider one C-ordered; the
+    kernel's bits do not depend on that, so a pair gets the same rate
+    whichever pairs and law sets it is scored with.
+    """
+    m, G, _ = by_symbol.shape
+    first, second = _FIRST[pairs], _SECOND[pairs]
+    rates = np.empty((G, len(pairs)))
+    mus = np.empty((G, len(pairs)))
+    size = max(1, _CHUNK_ELEMENTS // (len(pairs) * m))
+    for start in range(0, G, size):
+        rows = slice(start, start + size)
+        chunk = by_symbol[:, rows]
+        rate, mu = chernoff_symbol_major(
+            chunk[:, :, first].reshape(m, -1),
+            chunk[:, :, second].reshape(m, -1),
+            None if tilts is None else tilts[rows].ravel(),
+        )
+        rates[rows] = rate.reshape(-1, len(pairs))
+        mus[rows] = mu.reshape(-1, len(pairs))
+    return rates, mus
+
+
+def _target_rates(rates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Utility and privacy rates from all six pair rates of each law set:
+    each target's minimum over its four pairs, divided by k."""
+    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
+    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
+    return utility / k, privacy / k
+
+
 def _require_full_support_laws(laws: OutputLaws) -> None:
     for up in UP_PAIRS:
         if not laws.laws[up].full_support:
@@ -128,11 +206,6 @@ def _check_error_bounds(alphas: np.ndarray, prior: Prior, targets: Sequence[Test
                 f"computed error {float(column[above][0])!r} exceeds the best constant "
                 "decision; this indicates an internal inconsistency"
             )
-
-
-def _side_rows(target: TestTarget) -> list[list[int]]:
-    """The UP_PAIRS rows of the side-0 laws and of the side-1 laws."""
-    return [[UP_PAIRS.index(up) for up in _side_laws(target, h)] for h in (0, 1)]
 
 
 def _slices(stack: np.ndarray, items: int):
@@ -286,24 +359,20 @@ def exact_min_error_iid_log(
 # ---------------------------------------------------------------------------
 
 
-def _grouped_rate(laws: OutputLaws, target: TestTarget) -> tuple[float, tuple]:
-    """The per-slot rate ``min C(a, b) / k`` over the four grouped pairs, each
-    C summed over its pair's common support, and the first pair that attains
-    the minimum."""
-    pairs = grouped_pairs(target)
-    rates = [
-        chernoff_from_probs(laws.laws[a].probs, laws.laws[b].probs, allow_zeros=True)[0]
-        for a, b in pairs
-    ]
-    first = rates.index(min(rates))
-    return rates[first] / laws.k, pairs[first]
-
-
 def exponent_chernoff(block_laws: OutputLaws, target: TestTarget) -> ExponentReport:
     """Asymptotic per-slot exponent of k-block laws: the minimal cross-group
-    Chernoff information divided by k, as it tensorizes over the slots."""
-    value, pair = _grouped_rate(block_laws, target)
-    return ExponentReport(value=value, argmin_pair=pair, method=ExponentMethod.CHERNOFF)
+    Chernoff information divided by k, as it tensorizes over the slots.
+
+    The four pairs are scored by :func:`_pair_rates`, each over its common
+    support, and ``argmin_pair`` is the first that attains the minimum.
+    """
+    rates = _pair_rates(block_laws.arrays()[None].transpose(2, 0, 1), _COLUMNS[target])[0][0]
+    first = int(np.argmin(rates))
+    return ExponentReport(
+        value=float(rates[first]) / block_laws.k,
+        argmin_pair=grouped_pairs(target)[first],
+        method=ExponentMethod.CHERNOFF,
+    )
 
 
 def exponent_composite(block_laws: OutputLaws, target: TestTarget) -> ExponentReport:
@@ -396,7 +465,7 @@ def exponent_lower_bound(
     for n in horizons:
         if n < 1:
             raise ValidationError(f"n_blocks must be >= 1, got {n!r}")
-    rate, _ = _grouped_rate(laws, target)
+    rate = exponent_chernoff(laws, target).value
     log_8p = math.log(8.0 * prior.p_max)
     bounds = [rate - log_8p / (laws.k * n) for n in horizons]
     return bounds[0] if single else bounds

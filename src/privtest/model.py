@@ -194,9 +194,6 @@ class OutputLaws:
     def block_labels(self) -> tuple:
         return self.laws[UP_PAIRS[0]].labels
 
-    def law(self, u: int, p: int) -> Pmf:
-        return self.laws[(u, p)]
-
     def arrays(self) -> np.ndarray:
         """Shape (4, num_blocks) array in UP_PAIRS order."""
         return np.stack([self.laws[up].array() for up in UP_PAIRS])

@@ -32,8 +32,9 @@ result among the refined starts.
 Grid rates are batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a candidate batch through the model :data:`_LAW_CHUNK_ROWS` rows at a time,
 and :func:`_batch_both_rates` scores the six unordered cross-group law pairs
-of every row with the Chernoff kernel
-:func:`privtest.probkit.chernoff_symbol_major`.  A grid ranked only at
+of every row with :func:`privtest.bayes._pair_rates`, the scorer behind
+:func:`~privtest.bayes.exponent_chernoff`, so the search, the guarantee
+check and the exponent route agree bit for bit.  A grid ranked only at
 thresholds above 0 is screened by one utility pair first
 (:func:`grid_evaluation`); a row scored in full gets the same bits either way.
 
@@ -76,8 +77,16 @@ from .model import (
     require_supply_slack,
     validate_policy,
 )
-from .bayes import TestTarget, grouped_pairs
-from .probkit import DEFAULT_ENUM_CAP, chernoff_symbol_major
+from .bayes import (
+    _ALL,
+    _FIRST,
+    _SECOND,
+    TestTarget,
+    _pair_rates,
+    _target_rates,
+    exponent_chernoff,
+)
+from .probkit import DEFAULT_ENUM_CAP
 
 #: Largest free dimension searched by exhaustive grid.
 GRID_DIM_LIMIT = 4
@@ -98,9 +107,6 @@ MONOTONICITY_SLACK = 1e-3
 #: of the optimum differ only in their last bits, so an exact-equality rule
 #: would let rounding pick the kernel.
 _TIE_TOL = 1e-15
-
-_UP_INDEX = {up: i for i, up in enumerate(UP_PAIRS)}
-
 
 @dataclass(frozen=True)
 class GuaranteeConfig:
@@ -176,91 +182,23 @@ class TradeoffPoint:
 
 
 # ---------------------------------------------------------------------------
-# Rate evaluation (scalar and batched)
+# Rate screening and the guarantee check
 # ---------------------------------------------------------------------------
 
-
-def _unordered_pairs() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, list[int]]]:
-    """The six unordered cross-group law pairs of both targets.
-
-    Returns the law indices of each pair's two sides and, per target, the
-    positions of its four pairs in that list.  Chernoff information is
-    symmetric, so the two pairs the targets share are scored once.
-    """
-    pairs: list[tuple[int, int]] = []
-    columns: dict[TestTarget, list[int]] = {}
-    for target in (TestTarget.UTILITY, TestTarget.PRIVACY):
-        cols = []
-        for a, b in grouped_pairs(target):
-            pair = tuple(sorted((_UP_INDEX[a], _UP_INDEX[b])))
-            if pair not in pairs:
-                pairs.append(pair)
-            cols.append(pairs.index(pair))
-        columns[target] = cols
-    first, second = np.array(pairs).T
-    return first, second, columns
-
-
-_FIRST, _SECOND, _COLUMNS = _unordered_pairs()
 
 #: The pair a screened batch scores first: law (0, 1) against law (1, 0), a
 #: utility pair that the privacy target shares.  On its own it rules out most
 #: grid rows below a utility floor.
 _SCREEN = next(
     i for i, pair in enumerate(zip(_FIRST, _SECOND))
-    if pair == (_UP_INDEX[(0, 1)], _UP_INDEX[(1, 0)])
+    if pair == (UP_PAIRS.index((0, 1)), UP_PAIRS.index((1, 0)))
 )
 _REST = np.array([i for i in range(len(_FIRST)) if i != _SCREEN])
-_ALL = np.arange(len(_FIRST))
-
-#: Probabilities per stacked array in one Chernoff kernel call; larger
-#: candidate batches are scored in chunks of this size, so memory stays flat.
-_CHUNK_ELEMENTS = 8192
 
 #: Candidates pushed through the model at once by :func:`_evaluate`; a larger
 #: batch (the optimizer grid) is scored in chunks of this many rows, so its
 #: kernel matrices and laws never exist all at once.
 _LAW_CHUNK_ROWS = 4096
-
-
-def _pair_rates(
-    by_symbol: np.ndarray, pairs: np.ndarray, tilts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chernoff informations of the given unordered pairs of every row and
-    their tilts mu*, two ``(G, len(pairs))`` arrays; ``by_symbol`` is the
-    ``(m, G, 4)`` law view and ``tilts``, if given, Newton's starting tilts
-    in the same layout.
-
-    The pairs of a chunk of rows are gathered straight into two
-    symbol-major ``(m, len(pairs) g)`` arrays, one index per side, and
-    scored by one kernel call.  A one-pair gather comes out F-ordered and a
-    wider one C-ordered; the kernel's bits do not depend on that, so a row
-    gets the same rates from a screening pass, a full pass or a batch of
-    its own.
-    """
-    m, G, _ = by_symbol.shape
-    first, second = _FIRST[pairs], _SECOND[pairs]
-    rates = np.empty((G, len(pairs)))
-    mus = np.empty((G, len(pairs)))
-    size = max(1, _CHUNK_ELEMENTS // (len(pairs) * m))
-    for start in range(0, G, size):
-        rows = slice(start, start + size)
-        chunk = by_symbol[:, rows]
-        rate, mu = chernoff_symbol_major(
-            chunk[:, :, first].reshape(m, -1),
-            chunk[:, :, second].reshape(m, -1),
-            None if tilts is None else tilts[rows].ravel(),
-        )
-        rates[rows] = rate.reshape(-1, len(pairs))
-        mus[rows] = mu.reshape(-1, len(pairs))
-    return rates, mus
-
-
-def _target_rates(rates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Utility and privacy rates from all six pair rates of each row."""
-    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
-    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
-    return utility / k, privacy / k
 
 
 def _batch_both_rates(
@@ -276,7 +214,8 @@ def _batch_both_rates(
     screening rate / k is at least ``floor - _TIE_TOL``; every other row
     keeps that rate as its utility, which is below the floor, and gets
     privacy +inf.  The kernel scores each pair by itself, so a scored row
-    gets the same bits either way.
+    gets the same bits either way, and the same as
+    :func:`~privtest.bayes.exponent_chernoff` gives its laws.
     """
     by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
     if floor > 0.0:
@@ -292,29 +231,8 @@ def _batch_both_rates(
     return _target_rates(_pair_rates(by_symbol, _ALL)[0], k)
 
 
-def utility_rate(laws: OutputLaws) -> float:
-    """(1/k) * min cross-group utility Chernoff information of block laws."""
-    utility, _ = _batch_both_rates(laws.arrays()[None, :, :], laws.k)
-    return float(utility[0])
-
-
-def privacy_objective(laws: OutputLaws) -> float:
-    """(1/k) * min cross-group privacy Chernoff information of block laws.
-
-    Laws with partially overlapping supports are evaluated on the common
-    support.  A pair with disjoint supports is perfectly distinguishable and
-    never attains the minimum, so the objective is +inf only when all four
-    required pairs have disjoint supports.  Identical laws give 0.
-    """
-    _, privacy = _batch_both_rates(laws.arrays()[None, :, :], laws.k)
-    return float(privacy[0])
-
-
-def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
-    """Compare the utility rate of block laws against the effective threshold."""
-    if laws.k != cfg.k:
-        raise ValidationError(f"laws have k={laws.k} but the config says k={cfg.k}")
-    rate = utility_rate(laws)
+def _guarantee(rate: float, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
+    """Compare a utility rate against the effective threshold of ``cfg``."""
     threshold = cfg.effective_threshold(prior)
     margin = rate - threshold
     return GuaranteeResult(
@@ -323,6 +241,14 @@ def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> Gua
         utility_rate=rate,
         threshold=threshold,
     )
+
+
+def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
+    """Compare the utility rate of block laws, by
+    :func:`~privtest.bayes.exponent_chernoff`, against the effective threshold."""
+    if laws.k != cfg.k:
+        raise ValidationError(f"laws have k={laws.k} but the config says k={cfg.k}")
+    return _guarantee(exponent_chernoff(laws, TestTarget.UTILITY).value, cfg, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +483,12 @@ def _pattern_directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _reverify(
     model: SourceModel, cfg: GuaranteeConfig, kernel: PolicyKernel
 ) -> tuple[float, GuaranteeResult]:
-    """Privacy rate and guarantee check of ``kernel``, from laws rebuilt by
-    :func:`induced_output_laws` (which validates the kernel first)."""
+    """Privacy rate and guarantee check of ``kernel``, from one scoring of
+    the laws rebuilt by :func:`induced_output_laws` (which validates the
+    kernel first)."""
     laws = induced_output_laws(model, kernel)
-    return privacy_objective(laws), guarantee_check(laws, cfg, model.prior)
+    utility, privacy = _batch_both_rates(laws.arrays()[None], laws.k)
+    return float(privacy[0]), _guarantee(float(utility[0]), cfg, model.prior)
 
 
 def optimize_policy(

@@ -18,13 +18,14 @@ import pytest
 from privtest import (
     GuaranteeConfig,
     SearchConfig,
+    TestTarget,
     asymptotic_guarantee,
     blockwise_extend,
     demo_model,
+    exponent_chernoff,
     guarantee_check,
     induced_output_laws,
     monotonicity_check,
-    privacy_objective,
     tradeoff_sweep,
     validate_policy,
 )
@@ -173,7 +174,8 @@ def test_criterion_7_blocklength_monotonicity():
     laws = induced_output_laws(model, extended)
     cfg_n = GuaranteeConfig(lam=0.1, k=2, s=1.0, include_correction=False)
     assert guarantee_check(laws, cfg_n, model.prior).passed
-    assert privacy_objective(laws) == pytest.approx(rep.point_k.privacy_rate, abs=1e-9)
+    privacy = exponent_chernoff(laws, TestTarget.PRIVACY).value
+    assert privacy == pytest.approx(rep.point_k.privacy_rate, abs=1e-9)
     pinned = PINNED_DRIVERS["criterion7"]
     assert_point_pinned(rep.point_k, pinned["point_k"])
     assert_point_pinned(rep.point_n, pinned["point_n"])

@@ -19,14 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privtest import demo_model, induced_output_laws, policy_space, probkit
-from privtest.optimizer import (
-    _CHUNK_ELEMENTS,
-    _FIRST,
-    _SECOND,
-    SearchConfig,
-    _batch_both_rates,
-    grid_evaluation,
-)
+from privtest.bayes import _CHUNK_ELEMENTS, _FIRST, _SECOND
+from privtest.optimizer import SearchConfig, _batch_both_rates, grid_evaluation
 from privtest.errors import ValidationError
 from privtest.probkit import chernoff_symbol_major, kl_from_probs
 

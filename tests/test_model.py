@@ -23,15 +23,15 @@ from privtest import (
     Prior,
     SourceModel,
     SizeCapError,
+    TestTarget,
     ValidationError,
     blockwise_extend,
     constant_policy,
+    exponent_chernoff,
     identity_policy,
     induced_output_laws,
     policy_space,
-    privacy_objective,
     product_laws,
-    utility_rate,
     source_laws,
     validate_policy,
 )
@@ -152,7 +152,7 @@ class TestInducedLaws:
         laws = induced_output_laws(model, constant_policy(model, s=2.0, y_value=1.0))
         for up in UP_PAIRS:
             assert laws.laws[up].prob((1.0,)) == pytest.approx(1.0, abs=1e-12)
-        assert privacy_objective(laws) == 0.0
+        assert exponent_chernoff(laws, TestTarget.PRIVACY).value == 0.0
 
     def test_constant_zero_infeasible_at_s2(self, model):
         # y=0 cannot cover x=1 with z=0
@@ -282,8 +282,8 @@ class TestBlockwiseExtend:
         kernel = space.kernel_from_params(np.array([0.2, 0.7, 0.4]))
         laws = induced_output_laws(model, kernel)
         ext_laws = induced_output_laws(model, blockwise_extend(kernel, 2))
-        assert privacy_objective(ext_laws) == pytest.approx(
-            privacy_objective(laws), abs=1e-9
+        assert exponent_chernoff(ext_laws, TestTarget.PRIVACY).value == pytest.approx(
+            exponent_chernoff(laws, TestTarget.PRIVACY).value, abs=1e-9
         )
 
     def test_extension_passes_validation(self, model):
@@ -403,8 +403,9 @@ def test_blockwise_extension_tensorizes(drawn, l, seed):
     expected = product_laws(laws, l)
     assert ext_laws.block_labels == expected.block_labels
     np.testing.assert_allclose(ext_laws.arrays(), expected.arrays(), rtol=0.0, atol=1e-15)
-    assert privacy_objective(ext_laws) == pytest.approx(privacy_objective(laws), abs=1e-9)
-    assert utility_rate(ext_laws) == pytest.approx(utility_rate(laws), abs=1e-9)
+    for target in TestTarget:
+        rate = exponent_chernoff(laws, target).value
+        assert exponent_chernoff(ext_laws, target).value == pytest.approx(rate, abs=1e-9)
 
 
 @settings(max_examples=25)

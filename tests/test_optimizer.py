@@ -17,6 +17,7 @@ from privtest import (
     SourceModel,
     TestTarget,
     asymptotic_guarantee,
+    bayes,
     constant_policy,
     exact_min_error,
     exact_min_error_iid_log,
@@ -27,10 +28,8 @@ from privtest import (
     optimize_policy,
     optimizer,
     policy_space,
-    privacy_objective,
     source_laws,
     tradeoff_sweep,
-    utility_rate,
     validate_policy,
 )
 from privtest.errors import EnumerationCapError, SizeCapError, ValidationError
@@ -102,14 +101,14 @@ class TestGuaranteeCheck:
 
 class TestPrivacyObjective:
     def test_identical_laws_zero(self):
-        assert privacy_objective(equal_laws()) == 0.0
+        assert exponent_chernoff(equal_laws(), TestTarget.PRIVACY).value == 0.0
 
     def test_constant_kernel_zero(self, model):
         laws = induced_output_laws(model, constant_policy(model, s=2.0, y_value=1.0))
-        assert privacy_objective(laws) == 0.0
+        assert exponent_chernoff(laws, TestTarget.PRIVACY).value == 0.0
 
     def test_demo_identity_value(self, identity_laws):
-        assert privacy_objective(identity_laws) == pytest.approx(
+        assert exponent_chernoff(identity_laws, TestTarget.PRIVACY).value == pytest.approx(
             0.0101245165799592, abs=1e-9
         )
 
@@ -127,7 +126,7 @@ class TestPrivacyObjective:
             assert exact_min_error(laws, UNIFORM, TestTarget.PRIVACY, n) == pytest.approx(
                 0.25, abs=1e-12
             )
-        assert privacy_objective(laws) == 0.0
+        assert exponent_chernoff(laws, TestTarget.PRIVACY).value == 0.0
 
     @settings(max_examples=30)
     @given(small_models(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
@@ -138,15 +137,16 @@ class TestPrivacyObjective:
         source = source_laws(model, k=k)
         for params in space.random_params(np.random.default_rng(seed), 5):
             laws = induced_output_laws(model, space.kernel_from_params(params))
-            assert privacy_objective(laws) <= privacy_objective(source) + 1e-10
-            assert utility_rate(laws) <= utility_rate(source) + 1e-10
+            for target in TestTarget:
+                rate = exponent_chernoff(laws, target).value
+                assert rate <= exponent_chernoff(source, target).value + 1e-10
 
 
 class TestOptimizePolicy:
     def test_infeasible_lambda_flagged(self, model, identity_laws):
         # nothing can beat the source utility rate, so lambda above it
         # leaves the guarantee set empty
-        lam = utility_rate(identity_laws) + 0.02
+        lam = exponent_chernoff(identity_laws, TestTarget.UTILITY).value + 0.02
         point = optimize_policy(model, GuaranteeConfig(lam=lam, k=1, s=1.0), FAST)
         assert not point.feasible
         assert point.utility_rate < lam
@@ -174,10 +174,32 @@ class TestOptimizePolicy:
         point = optimize_policy(model, cfg, FAST)
         assert validate_policy(point.kernel).ok
         laws = induced_output_laws(model, point.kernel)
-        assert privacy_objective(laws) == pytest.approx(point.privacy_rate, abs=1e-10)
+        privacy = exponent_chernoff(laws, TestTarget.PRIVACY).value
+        assert privacy == pytest.approx(point.privacy_rate, abs=1e-10)
         check = guarantee_check(laws, cfg, model.prior)
         assert check.passed
         assert check.utility_rate == pytest.approx(point.utility_rate, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reverify_scores_the_six_pairs_once(self, model, monkeypatch, k):
+        # both rates come from one kernel call over the six unordered pairs,
+        # with the bits of the exponent route
+        space = policy_space(model, 2.0, k)
+        kernel = space.kernel_from_params(space.random_params(np.random.default_rng(k), 1)[0])
+        cfg = GuaranteeConfig(lam=0.05, k=k, s=2.0)
+        columns = []
+        original = bayes.chernoff_symbol_major
+
+        def counting(first, second, *args):
+            columns.append(first.shape[1])
+            return original(first, second, *args)
+
+        monkeypatch.setattr(bayes, "chernoff_symbol_major", counting)
+        privacy, check = optimizer._reverify(model, cfg, kernel)
+        assert columns == [6]
+        laws = induced_output_laws(model, kernel)
+        assert privacy == exponent_chernoff(laws, TestTarget.PRIVACY).value
+        assert check == guarantee_check(laws, cfg, model.prior)
 
     def test_finite_horizon_exponents_track_the_point(self, model):
         # tie the asymptotic claims to exact n=800 type-class errors for the
@@ -450,7 +472,8 @@ def test_warm_start_just_outside_the_simplex_is_scaled_back(model, monkeypatch):
     # (1 + 5e-10) / (1 + 5e-10) is 1 exactly: the start is x itself
     assert starts[0][0].tobytes() == x.tobytes()
     assert point.feasible and validate_policy(point.kernel).ok
-    assert point.privacy_rate == privacy_objective(induced_output_laws(model, point.kernel))
+    laws = induced_output_laws(model, point.kernel)
+    assert point.privacy_rate == exponent_chernoff(laws, TestTarget.PRIVACY).value
     matrix[row, np.flatnonzero(matrix[row])] = -1.0
     invalid = PolicyKernel(model.x_alphabet, model.z_alphabet, 2, 1.0, matrix)
     with pytest.raises(ValidationError, match="warm start violates its invariants"):

@@ -14,8 +14,8 @@ PUBLIC = [
     "exact_min_error", "exact_min_error_iid_log", "exponent_chernoff", "exponent_composite",
     "exponent_lower_bound", "exponent_sanov", "guarantee_check", "identity_policy",
     "induced_output_laws", "kl_divergence", "load_model", "load_policy", "model",
-    "monotonicity_check", "optimize_policy", "optimizer", "policy_space", "privacy_objective",
-    "probkit", "product_laws", "source_laws", "tradeoff_sweep", "utility_rate",
+    "monotonicity_check", "optimize_policy", "optimizer", "policy_space",
+    "probkit", "product_laws", "source_laws", "tradeoff_sweep",
     "validate_policy",
 ]
 

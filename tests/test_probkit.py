@@ -64,7 +64,7 @@ class TestPmf:
 
     def test_product_extension(self):
         p = Pmf(labels=((0,), (1,)), probs=Pmf.bernoulli(0.25).probs)
-        pk = product_laws(OutputLaws(k=1, laws={up: p for up in UP_PAIRS}), 2).law(0, 0)
+        pk = product_laws(OutputLaws(k=1, laws={up: p for up in UP_PAIRS}), 2).laws[(0, 0)]
         assert pk.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
         np.testing.assert_allclose(
             pk.probs, (0.0625, 0.1875, 0.1875, 0.5625), atol=1e-15

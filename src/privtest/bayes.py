@@ -18,10 +18,13 @@ the last two take the log of every mass, so they refuse zero masses:
   the asymptotic type-based test.
 
 They must agree (the test suite holds them to 2e-3 with the grid at 1e-3).
-The grouped pairs of both targets are scored in one place,
-:func:`_pair_rates`, on the batch kernel; the Chernoff route and the policy
-search (``privtest.optimizer``) both call it, so a kernel's exponent equals
-the optimizer's rate bit for bit.
+The grouped pairs of both targets are scored in one place: the stack
+scorer :func:`_law_set_rates` gathers the six unordered cross-group pairs of
+a ``(G, 4, m)`` stack of law sets into the batch kernel (:func:`_pair_rates`)
+and, given a floor, screens them by one utility pair first.  The Chernoff
+route is its one-law-set case; the policy search (``privtest.optimizer``),
+the guarantee check and the ``verify`` suites score whole stacks with it,
+so a kernel's exponent equals the optimizer's rate bit for bit.
 Finite-horizon errors are exact.  Two private cores score a stack of law
 sets, shape ``(L, 4, m)``, for several targets in one pass:
 ``_enumerated_errors`` enumerates output sequences at an ascending list of
@@ -129,6 +132,16 @@ def _pair_layout() -> tuple[np.ndarray, np.ndarray, dict[TestTarget, np.ndarray]
 _FIRST, _SECOND, _COLUMNS = _pair_layout()
 _ALL = np.arange(len(_FIRST))
 
+#: The pair a screened stack scores first, law (0, 1) against law (1, 0): a
+#: utility pair that the privacy target shares.  On its own it rules out
+#: most optimizer grid rows below a utility floor.  :data:`_REST` are the
+#: other five (not by ``np.setdiff1d``, whose first call would import
+#: ``numpy.ma``, 1.2 MiB, into every ``import privtest``).
+_SCREEN = np.flatnonzero(
+    (_FIRST == UP_PAIRS.index((0, 1))) & (_SECOND == UP_PAIRS.index((1, 0)))
+)
+_REST = np.flatnonzero(_ALL != _SCREEN[0])
+
 #: Probabilities per stacked array in one Chernoff kernel call; larger
 #: batches of law sets are scored in chunks of this size, so memory stays flat.
 _CHUNK_ELEMENTS = 8192
@@ -168,12 +181,40 @@ def _pair_rates(
     return rates, mus
 
 
-def _target_rates(rates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Utility and privacy rates from all six pair rates of each law set:
-    each target's minimum over its four pairs, divided by k."""
-    utility = rates[:, _COLUMNS[TestTarget.UTILITY]].min(axis=1)
-    privacy = rates[:, _COLUMNS[TestTarget.PRIVACY]].min(axis=1)
-    return utility / k, privacy / k
+def _law_set_rates(
+    laws: np.ndarray, k: int, floor: float = 0.0, tilts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Utility and privacy rates of every law set of a ``(G, 4, m)`` stack of
+    k-block laws (rows in UP_PAIRS order), two ``(G,)`` arrays, then the six
+    pair rates and tilts mu* that :func:`_pair_rates` scored, two ``(G, 6)``
+    arrays, or None for both on a screened stack.
+
+    This is the one scorer of grouped-pair rates.  Each target's rate is the
+    minimum over its four pairs (:data:`_COLUMNS`), divided by k; a pair
+    with disjoint supports is perfectly distinguishable (+inf), so a rate is
+    +inf only when all four are.  Without a ``floor`` above 0 all six pairs
+    are scored in one :func:`_pair_rates` call, Newton starting at ``tilts``
+    (``(G, 6)``) if given.  With one, the :data:`_SCREEN` pair is scored
+    first and the other five only on the law sets whose screening rate / k
+    is at least ``floor``; every other law set keeps that rate as its
+    utility, which is below the floor, and gets privacy +inf.  The kernel
+    scores each pair by itself, so a law set scored in full gets the same
+    bits either way, and in any stack.
+    """
+    by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
+    if floor > 0.0:
+        screen = _pair_rates(by_symbol, _SCREEN)[0][:, 0]
+        utility = screen / k
+        privacy = np.full(len(screen), np.inf)
+        kept = np.flatnonzero(utility >= floor)
+        rates = np.empty((len(kept), len(_ALL)))
+        rates[:, _SCREEN[0]] = screen[kept]
+        rates[:, _REST] = _pair_rates(by_symbol[:, kept], _REST)[0]
+        utility[kept], privacy[kept] = (rates[:, _COLUMNS[t]].min(axis=1) / k for t in TestTarget)
+        return utility, privacy, None, None
+    rates, mus = _pair_rates(by_symbol, _ALL, tilts)
+    utility, privacy = (rates[:, _COLUMNS[t]].min(axis=1) / k for t in TestTarget)
+    return utility, privacy, rates, mus
 
 
 def _require_full_support_laws(laws: OutputLaws) -> None:
@@ -363,13 +404,14 @@ def exponent_chernoff(block_laws: OutputLaws, target: TestTarget) -> ExponentRep
     """Asymptotic per-slot exponent of k-block laws: the minimal cross-group
     Chernoff information divided by k, as it tensorizes over the slots.
 
-    The four pairs are scored by :func:`_pair_rates`, each over its common
-    support, and ``argmin_pair`` is the first that attains the minimum.
+    This is the one-law-set case of :func:`_law_set_rates`, which scores
+    each pair over its common support; ``argmin_pair`` is the first of the
+    target's four pairs that attains the minimum.
     """
-    rates = _pair_rates(block_laws.arrays()[None].transpose(2, 0, 1), _COLUMNS[target])[0][0]
-    first = int(np.argmin(rates))
+    utility, privacy, rates, _ = _law_set_rates(block_laws.arrays()[None], block_laws.k)
+    first = int(np.argmin(rates[0, _COLUMNS[target]]))
     return ExponentReport(
-        value=float(rates[first]) / block_laws.k,
+        value=float((utility if target is TestTarget.UTILITY else privacy)[0]),
         argmin_pair=grouped_pairs(target)[first],
         method=ExponentMethod.CHERNOFF,
     )
@@ -437,9 +479,15 @@ def exponent_sanov(
     )
 
 
+def _lower_bound(rate: float, prior: Prior, slots: int) -> float:
+    """The finite-horizon exponent bound ``rate - log(8 p_max) / n`` at
+    ``n = slots`` of a per-slot Chernoff rate."""
+    return rate - math.log(8.0 * prior.p_max) / slots
+
+
 def exponent_lower_bound(
-    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int | Sequence[int] = 1
-) -> float | list[float]:
+    laws: OutputLaws, prior: Prior, target: TestTarget, n_blocks: int = 1
+) -> float:
     """Lower bound on the finite-horizon error exponent.
 
     For k-block laws repeated ``n_blocks`` times (horizon n = k * n_blocks):
@@ -452,20 +500,7 @@ def exponent_lower_bound(
     pair's common support, so zero masses are accepted: off that support
     min(a, b) = 0, and the Chernoff step ``min(a, b) <= a^mu b^(1-mu)``
     needs no term there.
-
-    ``n_blocks`` is one block count, which gives one float, or a sequence of
-    them, which gives a list with one bound per entry in the same order.
-    The sequence form scores the rate once for all horizons; each of its
-    bounds equals the single-horizon call bit for bit.
     """
-    single = np.ndim(n_blocks) == 0
-    horizons = [n_blocks] if single else list(n_blocks)
-    if not horizons:
-        raise ValidationError("n_blocks must name at least one horizon, got none")
-    for n in horizons:
-        if n < 1:
-            raise ValidationError(f"n_blocks must be >= 1, got {n!r}")
-    rate = exponent_chernoff(laws, target).value
-    log_8p = math.log(8.0 * prior.p_max)
-    bounds = [rate - log_8p / (laws.k * n) for n in horizons]
-    return bounds[0] if single else bounds
+    if n_blocks < 1:
+        raise ValidationError(f"n_blocks must be >= 1, got {n_blocks!r}")
+    return _lower_bound(exponent_chernoff(laws, target).value, prior, laws.k * n_blocks)

@@ -31,12 +31,12 @@ result among the refined starts.
 
 Grid rates are batched end to end: :meth:`PolicySpace.batch_laws` pushes
 a candidate batch through the model :data:`_LAW_CHUNK_ROWS` rows at a time,
-and :func:`_batch_both_rates` scores the six unordered cross-group law pairs
-of every row with :func:`privtest.bayes._pair_rates`, the scorer behind
-:func:`~privtest.bayes.exponent_chernoff`, so the search, the guarantee
-check and the exponent route agree bit for bit.  A grid ranked only at
-thresholds above 0 is screened by one utility pair first
-(:func:`grid_evaluation`); a row scored in full gets the same bits either way.
+and :func:`privtest.bayes._law_set_rates` scores the laws of every row, the
+scorer behind :func:`~privtest.bayes.exponent_chernoff`, so the search, the
+guarantee check and the exponent route agree bit for bit.  This module keeps
+no rate code of its own.  A grid ranked only at thresholds above 0 is
+screened by one utility pair first (:func:`grid_evaluation`); a row scored in
+full gets the same bits either way.
 
 The drivers (:func:`tradeoff_sweep`, :func:`monotonicity_check` and
 :func:`asymptotic_guarantee`) only order their searches.
@@ -63,7 +63,6 @@ import numpy as np
 from .errors import EnumerationCapError, ValidationError
 from .model import (
     SIMPLEX_TOL,
-    UP_PAIRS,
     OutputLaws,
     PolicyKernel,
     PolicySpace,
@@ -77,15 +76,7 @@ from .model import (
     require_supply_slack,
     validate_policy,
 )
-from .bayes import (
-    _ALL,
-    _FIRST,
-    _SECOND,
-    TestTarget,
-    _pair_rates,
-    _target_rates,
-    exponent_chernoff,
-)
+from .bayes import _law_set_rates
 from .probkit import DEFAULT_ENUM_CAP
 
 #: Largest free dimension searched by exhaustive grid.
@@ -182,53 +173,8 @@ class TradeoffPoint:
 
 
 # ---------------------------------------------------------------------------
-# Rate screening and the guarantee check
+# The guarantee check
 # ---------------------------------------------------------------------------
-
-
-#: The pair a screened batch scores first: law (0, 1) against law (1, 0), a
-#: utility pair that the privacy target shares.  On its own it rules out most
-#: grid rows below a utility floor.
-_SCREEN = next(
-    i for i, pair in enumerate(zip(_FIRST, _SECOND))
-    if pair == (UP_PAIRS.index((0, 1)), UP_PAIRS.index((1, 0)))
-)
-_REST = np.array([i for i in range(len(_FIRST)) if i != _SCREEN])
-
-#: Candidates pushed through the model at once by :func:`_evaluate`; a larger
-#: batch (the optimizer grid) is scored in chunks of this many rows, so its
-#: kernel matrices and laws never exist all at once.
-_LAW_CHUNK_ROWS = 4096
-
-
-def _batch_both_rates(
-    laws: np.ndarray, k: int, floor: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Utility and privacy Chernoff rates per batch row; laws is (G, 4, m).
-
-    Each target's rate is the minimum over its four pairs, divided by k; a
-    pair with disjoint supports is perfectly distinguishable (+inf), so the
-    rate is +inf only when all four are.  Without a ``floor`` above 0 all
-    six unordered pairs are scored together.  With one, the :data:`_SCREEN`
-    pair is scored first, and the other five only on the rows whose
-    screening rate / k is at least ``floor - _TIE_TOL``; every other row
-    keeps that rate as its utility, which is below the floor, and gets
-    privacy +inf.  The kernel scores each pair by itself, so a scored row
-    gets the same bits either way, and the same as
-    :func:`~privtest.bayes.exponent_chernoff` gives its laws.
-    """
-    by_symbol = laws.transpose(2, 0, 1)  # (m, G, 4) view
-    if floor > 0.0:
-        screen = _pair_rates(by_symbol, np.array([_SCREEN]))[0][:, 0]
-        utility = screen / k
-        privacy = np.full(len(screen), np.inf)
-        kept = np.flatnonzero(utility >= floor - _TIE_TOL)
-        rates = np.empty((len(kept), len(_FIRST)))
-        rates[:, _SCREEN] = screen[kept]
-        rates[:, _REST] = _pair_rates(by_symbol[:, kept], _REST)[0]
-        utility[kept], privacy[kept] = _target_rates(rates, k)
-        return utility, privacy
-    return _target_rates(_pair_rates(by_symbol, _ALL)[0], k)
 
 
 def _guarantee(rate: float, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
@@ -244,16 +190,24 @@ def _guarantee(rate: float, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResu
 
 
 def guarantee_check(laws: OutputLaws, cfg: GuaranteeConfig, prior: Prior) -> GuaranteeResult:
-    """Compare the utility rate of block laws, by
-    :func:`~privtest.bayes.exponent_chernoff`, against the effective threshold."""
+    """Compare the utility rate of block laws, scored by
+    :func:`privtest.bayes._law_set_rates` (the rate of
+    :func:`~privtest.bayes.exponent_chernoff`), against the effective threshold."""
     if laws.k != cfg.k:
         raise ValidationError(f"laws have k={laws.k} but the config says k={cfg.k}")
-    return _guarantee(exponent_chernoff(laws, TestTarget.UTILITY).value, cfg, prior)
+    utility = _law_set_rates(laws.arrays()[None], laws.k)[0]
+    return _guarantee(float(utility[0]), cfg, prior)
 
 
 # ---------------------------------------------------------------------------
 # Policy optimization
 # ---------------------------------------------------------------------------
+
+
+#: Candidates pushed through the model at once by :func:`_evaluate`; a larger
+#: batch (the optimizer grid) is scored in chunks of this many rows, so its
+#: kernel matrices and laws never exist all at once.
+_LAW_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +221,16 @@ class _FamilyEval:
 
 def _evaluate(space: PolicySpace, params: np.ndarray, floor: float = 0.0) -> _FamilyEval:
     """Rates of a candidate batch, pushed through the model
-    :data:`_LAW_CHUNK_ROWS` rows at a time and screened against ``floor``
-    by :func:`_batch_both_rates`; ``params`` is kept whole."""
+    :data:`_LAW_CHUNK_ROWS` rows at a time and scored by
+    :func:`privtest.bayes._law_set_rates`, screened against ``floor`` less
+    :data:`_TIE_TOL` (so unscreened at ``floor`` 0); ``params`` is kept whole."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     utility = np.empty(len(params))
     privacy = np.empty(len(params))
     for start in range(0, len(params), _LAW_CHUNK_ROWS):
         rows = slice(start, start + _LAW_CHUNK_ROWS)
-        utility[rows], privacy[rows] = _batch_both_rates(
-            space.batch_laws(params[rows]), space.k, floor
+        utility[rows], privacy[rows], _, _ = _law_set_rates(
+            space.batch_laws(params[rows]), space.k, floor - _TIE_TOL
         )
     return _FamilyEval(params=params, utility=utility, privacy=privacy)
 
@@ -417,8 +372,7 @@ def _local_refine(
     sources = _probe_sources(space, columns)
     x = np.array(starts, dtype=float)  # the starts stay untouched
     laws = space.batch_laws(x)
-    rates, tilts = _pair_rates(laws.transpose(2, 0, 1), _ALL)
-    utility, privacy = _target_rates(rates, space.k)
+    utility, privacy, _, tilts = _law_set_rates(laws, space.k)
     steps = np.full(len(x), float(step))
     moves = np.zeros(len(x), dtype=int)
     active = np.arange(len(x) if len(columns) else 0)
@@ -427,8 +381,9 @@ def _local_refine(
         a, d = np.nonzero(kept)
         owner = active[a]
         probe_laws = _probe_laws(space, laws[owner], columns[d], move[a, d])
-        probe_rates, probe_tilts = _pair_rates(probe_laws.transpose(2, 0, 1), _ALL, tilts[owner])
-        probe_utility, probe_privacy = _target_rates(probe_rates, space.k)
+        probe_utility, probe_privacy, _, probe_tilts = _law_set_rates(
+            probe_laws, space.k, tilts=tilts[owner]
+        )
         wins = np.where(
             utility[owner] >= threshold,
             (probe_utility >= threshold) & (probe_privacy < privacy[owner] - _TIE_TOL),
@@ -487,7 +442,7 @@ def _reverify(
     the laws rebuilt by :func:`induced_output_laws` (which validates the
     kernel first)."""
     laws = induced_output_laws(model, kernel)
-    utility, privacy = _batch_both_rates(laws.arrays()[None], laws.k)
+    utility, privacy, _, _ = _law_set_rates(laws.arrays()[None], laws.k)
     return float(privacy[0]), _guarantee(float(utility[0]), cfg, model.prior)
 
 
@@ -564,10 +519,10 @@ def grid_evaluation(space: PolicySpace, search: SearchConfig, floor: float = 0.0
 
     ``floor`` is the smallest effective threshold the grid will be ranked
     at.  Above 0, a row whose screening utility pair already falls below it
-    (see :func:`_batch_both_rates`) keeps that pair's rate as its utility
-    and gets privacy +inf.  :func:`_best` at any threshold at or above the
-    floor then picks what it picks on the unscreened grid: a dropped row is
-    infeasible there, and its violation exceeds that of a row clearing the
+    by more than :data:`_TIE_TOL` (see :func:`privtest.bayes._law_set_rates`)
+    keeps that pair's rate as its utility and gets privacy +inf.
+    :func:`_best` at any threshold at or above the floor then picks what it
+    picks on the unscreened grid: a dropped row is infeasible there, and its violation exceeds that of a row clearing the
     floor by more than :data:`_TIE_TOL`.  If no row clears the floor, the
     winner is the row of largest utility, which its screening rate bounds
     from above, so two passes find it: the row of the largest screening

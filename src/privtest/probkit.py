@@ -15,10 +15,10 @@ The four computational kernels are
   every column of two symbol-major ``(m, B)`` arrays at once, in
   common-support mode, at the closed-form optimum for two-symbol columns
   and otherwise by safeguarded Newton iteration on the derivative of the
-  log-moment function; ``bayes._pair_rates`` fills that layout directly
-  for every grouped-pair rate, the output bits depend on neither the batch
-  nor its memory layout, and the kernel can start Newton at given tilts
-  and returns each column's rate and tilt mu*,
+  log-moment function; ``bayes._law_set_rates``, the one stack scorer of
+  grouped-pair rates, fills that layout directly, the output bits depend on
+  neither the batch nor its memory layout, and the kernel can start Newton
+  at given tilts and returns each column's rate and tilt mu*,
 * ``composite_chernoff`` -- the two-parameter generalization
   ``max -log sum q1^(mu+nu) q2^(1-mu) q3^(-nu)`` over the compact triangle
   ``{mu >= 0, nu >= 0, (1-mu) * D(q1||q2) / D(q1||q3) >= nu}``, which by

@@ -26,11 +26,11 @@ import numpy as np
 from .bayes import (
     TestTarget,
     _enumerated_errors,
+    _law_set_rates,
+    _lower_bound,
     _type_class_errors,
     exponent_composite,
-    exponent_lower_bound,
     exponent_sanov,
-    exponent_chernoff,
 )
 from .errors import ValidationError
 from .model import (
@@ -128,6 +128,16 @@ def random_kernel_laws(
     return induced_output_laws(model, space.kernel_from_params(space.random_params(rng, 1)[0]))
 
 
+def _chernoff_rates(law_sets: Sequence[OutputLaws]) -> list[list[float]]:
+    """``rate[l][t]``: the Chernoff rate of law set ``l`` for
+    ``tuple(TestTarget)[t]``, the value :func:`~privtest.bayes.exponent_chernoff`
+    gives, with every law set (all of one block length and alphabet) scored
+    in one :func:`~privtest.bayes._law_set_rates` call."""
+    stack = np.stack([laws.arrays() for laws in law_sets])
+    utility, privacy, _, _ = _law_set_rates(stack, law_sets[0].k)
+    return np.column_stack([utility, privacy]).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -161,25 +171,19 @@ def suite_primal_dual(seed: int = 0, trials: int = 50) -> SuiteResult:
     )
 
 
-def _three_way_worst(laws: OutputLaws) -> float:
-    worst = 0.0
-    for target in TestTarget:
-        reports = (
-            exponent_chernoff(laws, target),
-            exponent_composite(laws, target),
-            exponent_sanov(laws, target, _GRID_STEP),
-        )
-        values = [r.value for r in reports]
-        worst = max(worst, max(values) - min(values))
-    return worst
-
-
 def suite_exponent_consistency(seed: int = 0, trials: int = 20) -> SuiteResult:
     """Chernoff, composite, and Sanov exponent forms agree on both targets."""
     rng = np.random.default_rng(seed)
-    worst = _three_way_worst(source_laws(demo_model()))
-    for _ in range(trials):
-        worst = max(worst, _three_way_worst(random_binary_laws(rng)))
+    law_sets = [source_laws(demo_model())] + [random_binary_laws(rng) for _ in range(trials)]
+    worst = 0.0
+    for laws, rates in zip(law_sets, _chernoff_rates(law_sets)):
+        for target, rate in zip(TestTarget, rates):
+            values = (
+                rate,
+                exponent_composite(laws, target).value,
+                exponent_sanov(laws, target, _GRID_STEP).value,
+            )
+            worst = max(worst, max(values) - min(values))
     return SuiteResult(
         "exponent-three-way", worst <= _THREE_WAY_TOL, trials + 1, worst, _THREE_WAY_TOL
     )
@@ -197,22 +201,21 @@ def suite_exponent_bound(seed: int = 0, trials: int = 50) -> SuiteResult:
     draws = [random_kernel_laws(rng, model, space) for _ in range(trials)]
     stack = np.stack([laws.arrays() for laws in draws])
     targets = tuple(TestTarget)
-    # alpha[trial, target, horizon], then log alpha[trial, target] per type horizon
+    # rate[trial][target], alpha[trial, target, horizon], then log
+    # alpha[trial, target] per type horizon
+    rates = _chernoff_rates(draws)
     enumerated = _enumerated_errors(stack, model.prior, targets, _ENUM_HORIZONS).tolist()
     typed = [_type_class_errors(stack, model.prior, targets, n).tolist() for n in _TYPE_HORIZONS]
     min_slack = math.inf
     violations = 0
-    for trial, laws in enumerate(draws):
-        for t, target in enumerate(targets):
+    for trial in range(trials):
+        for t in range(len(targets)):
             exponents = [
                 math.log(1.0 / alpha) / n
                 for alpha, n in zip(enumerated[trial][t], _ENUM_HORIZONS)
             ] + [-log_alpha[trial][t] / n for log_alpha, n in zip(typed, _TYPE_HORIZONS)]
-            bounds = exponent_lower_bound(
-                laws, model.prior, target, n_blocks=[*_ENUM_HORIZONS, *_TYPE_HORIZONS]
-            )
-            for exponent, bound in zip(exponents, bounds):
-                slack = exponent - bound
+            for exponent, n in zip(exponents, (*_ENUM_HORIZONS, *_TYPE_HORIZONS)):
+                slack = exponent - _lower_bound(rates[trial][t], model.prior, space.k * n)
                 min_slack = min(min_slack, slack)
                 violations += slack < 0.0
     return SuiteResult(
@@ -237,8 +240,7 @@ def suite_convergence() -> SuiteResult:
     ]
     worst_final = 0.0
     monotone = True
-    for t, target in enumerate(targets):
-        limit = exponent_chernoff(laws, target).value
+    for t, limit in enumerate(_chernoff_rates([laws])[0]):
         gaps = [
             abs(-log_alpha[t] / n - limit)
             for log_alpha, n in zip(log_alphas, _CONVERGENCE_HORIZONS)
@@ -260,17 +262,16 @@ def suite_tensorization(seed: int = 0, trials: int = 10) -> SuiteResult:
     rng = np.random.default_rng(seed)
     model = demo_model()
     space = policy_space(model, _KERNEL_S, 1)
+    kernels = [space.kernel_from_params(space.random_params(rng, 1)[0]) for _ in range(trials)]
+    law_sets = [induced_output_laws(model, kernel) for kernel in kernels]
+    extended = [induced_output_laws(model, blockwise_extend(kernel, 2)) for kernel in kernels]
     worst = 0.0
-    for _ in range(trials):
-        kernel = space.kernel_from_params(space.random_params(rng, 1)[0])
-        laws = induced_output_laws(model, kernel)
-        extended = blockwise_extend(kernel, 2)
-        ext_laws = induced_output_laws(model, extended)
+    for laws, ext_laws, (_, rate), (_, ext_rate) in zip(
+        law_sets, extended, _chernoff_rates(law_sets), _chernoff_rates(extended)
+    ):
         expect = product_laws(laws, 2)
         law_delta = float(np.abs(ext_laws.arrays() - expect.arrays()).max())
-        rates = [exponent_chernoff(each, TestTarget.PRIVACY).value for each in (ext_laws, laws)]
-        rate_delta = abs(rates[0] - rates[1])
-        worst = max(worst, law_delta, rate_delta)
+        worst = max(worst, law_delta, abs(ext_rate - rate))
     return SuiteResult(
         "blockwise-tensorization", worst <= _TENSORIZE_TOL, trials, worst, _TENSORIZE_TOL
     )

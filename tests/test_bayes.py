@@ -32,8 +32,8 @@ from privtest import (
     source_laws,
     composite_chernoff,
 )
-from privtest import bayes
-from privtest.bayes import _side_laws
+from privtest import bayes, verify
+from privtest.bayes import _REST, _SCREEN, _law_set_rates, _side_laws
 from privtest.errors import ValidationError
 from privtest.model import (
     UP_PAIRS,
@@ -41,11 +41,16 @@ from privtest.model import (
     identity_policy,
     induced_output_laws,
     policy_space,
-    product_laws,
 )
-from privtest.optimizer import _batch_both_rates
 from privtest.probkit import composition_lattice
-from privtest.verify import random_kernel_laws, suite_convergence, suite_exponent_bound
+from privtest.verify import (
+    SUITES,
+    random_kernel_laws,
+    suite_convergence,
+    suite_exponent_bound,
+    suite_exponent_consistency,
+    suite_tensorization,
+)
 from reference import map_decision, map_decision_for_type, type_test_decision
 
 UNIFORM = Prior.uniform()
@@ -366,18 +371,24 @@ class TestExponents:
                 assert abs(chern - sanov) <= 6e-3
 
     def test_zero_mass_chernoff_equals_the_optimizer_rates(self, model):
-        # the Chernoff route scores each pair over its common support by the
-        # optimizer's batch kernel, so it reports the optimizer's bits
+        # the Chernoff route is the one-law-set case of the optimizer's
+        # stack scorer, each pair over its common support, so it reports the
+        # bits of every stack its laws are scored in
         rng = np.random.default_rng(8)
         kernel_laws = [
             random_kernel_laws(rng, model, policy_space(model, 2.0, k))
             for k in (1, 2, 3)
             for _ in range(5)
         ]
+        stacks = {}
         for laws in [laws for laws, _ in zero_mass_cases(5, 100)] + kernel_laws:
-            rates = _batch_both_rates(laws.arrays()[None], laws.k)
-            for target, rate in zip((TestTarget.UTILITY, TestTarget.PRIVACY), rates):
-                assert exponent_chernoff(laws, target).value.hex() == float(rate[0]).hex()
+            stacks.setdefault((laws.k, len(laws.block_labels)), []).append(laws)
+        for (k, _), law_sets in stacks.items():
+            stack = np.stack([laws.arrays() for laws in law_sets])
+            rates = _law_set_rates(stack, k)[:2]
+            for g, laws in enumerate(law_sets):
+                for target, rate in zip((TestTarget.UTILITY, TestTarget.PRIVACY), rates):
+                    assert exponent_chernoff(laws, target).value.hex() == float(rate[g]).hex()
 
     def test_zero_mass_laws_refused_by_the_log_routes(self):
         # the composite and Sanov routes take the log of every mass
@@ -440,47 +451,16 @@ class TestLowerBound:
                 assert -log_alpha / n >= bound
 
     def test_zero_mass_bound_below_exact_exponent(self):
-        horizons = range(1, 9)
         for laws, prior in zero_mass_cases(6, 100):
             for target in TestTarget:
-                bounds = exponent_lower_bound(laws, prior, target, n_blocks=horizons)
-                for n, bound in zip(horizons, bounds):
+                for n in range(1, 9):
+                    bound = exponent_lower_bound(laws, prior, target, n_blocks=n)
                     alpha = exact_min_error(laws, prior, target, n)
                     assert (math.log(1.0 / alpha) / n if alpha > 0.0 else math.inf) >= bound
 
-    def _law_sets(self, model, identity_laws):
-        rng = np.random.default_rng(11)
-        space = policy_space(model, 2.0, 1)
-        kernel_laws = [random_kernel_laws(rng, model, space) for _ in range(3)]
-        return [identity_laws, *kernel_laws, *(product_laws(laws, 2) for laws in kernel_laws)]
-
-    def test_horizon_sequence_matches_single_calls_bit_for_bit(self, model, identity_laws):
-        horizons = [*range(1, 13), 100, 800]
-        for laws in self._law_sets(model, identity_laws):
-            for target in TestTarget:
-                bounds = exponent_lower_bound(laws, model.prior, target, n_blocks=horizons)
-                assert isinstance(bounds, list)
-                single = [
-                    exponent_lower_bound(laws, model.prior, target, n_blocks=n)
-                    for n in horizons
-                ]
-                assert [b.hex() for b in bounds] == [b.hex() for b in single]
-
-    def test_int_horizon_gives_a_float(self, identity_laws):
-        bound = exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=3)
-        assert type(bound) is float
-        assert exponent_lower_bound(
-            identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=(3,)
-        ) == [bound]
-
-    def test_empty_horizon_sequence_refused(self, identity_laws):
-        with pytest.raises(ValidationError, match="at least one horizon"):
-            exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=[])
-
-    @pytest.mark.parametrize("horizons", [0, -3, [1, 0, 2], [5, -3]])
+    @pytest.mark.parametrize("horizons", [0, -3])
     def test_horizon_below_one_refused_by_name(self, identity_laws, horizons):
-        bad = horizons if isinstance(horizons, int) else min(horizons)
-        with pytest.raises(ValidationError, match=f"got {bad}$"):
+        with pytest.raises(ValidationError, match=f"got {horizons}$"):
             exponent_lower_bound(identity_laws, UNIFORM, TestTarget.UTILITY, n_blocks=horizons)
 
     @pytest.mark.parametrize(
@@ -502,17 +482,62 @@ class TestLowerBound:
             drawn = random_kernel_laws(a, model, policy_space(model, 2.0, 1)).arrays()
             assert np.array_equal(random_kernel_laws(b, model, space).arrays(), drawn)
 
-    @pytest.mark.parametrize("trials", [1, 3])
-    def test_suite_scores_each_rate_once(self, monkeypatch, trials):
-        # one rate per (laws, target): one scoring of one law set's four
-        # grouped pairs for each of two targets
+
+class TestLawSetRates:
+    def test_tensorization_and_three_way_worst_pinned_bit_for_bit(self):
+        # scoring each suite's law sets in one stack keeps the per-call bits
+        assert suite_tensorization().worst.hex() == (2.220446049250313e-16).hex()
+        assert suite_exponent_consistency().worst.hex() == (0.00026480009822579115).hex()
+
+    @pytest.mark.parametrize(
+        "suite, stacks",
+        [
+            ("lower-bound", [(3, 1)]),
+            ("convergence", [(1, 1)]),
+            ("exponents", [(4, 1)]),
+            ("tensorize", [(3, 1), (3, 2)]),
+        ],
+        ids=["lower-bound", "convergence", "exponents", "tensorize"],
+    )
+    def test_suites_score_their_law_sets_in_one_call_per_block_length(
+        self, monkeypatch, suite, stacks
+    ):
+        # (law sets, k) of each scorer call, whether a suite calls the
+        # scorer itself or through an exponent route
+        calls = []
+        original = bayes._law_set_rates
+
+        def counting(laws, k, *args, **kwargs):
+            calls.append((len(laws), k))
+            return original(laws, k, *args, **kwargs)
+
+        monkeypatch.setattr(bayes, "_law_set_rates", counting)
+        monkeypatch.setattr(verify, "_law_set_rates", counting)
+        assert SUITES[suite](seed=0, trials=3).passed
+        assert calls == stacks
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_screen_scores_the_rest_on_the_kept_law_sets_only(self, model, monkeypatch, k):
+        # the other five pairs are gathered for the kept law sets alone, so
+        # a screened grid never holds six rates for the rows it drops
+        space = policy_space(model, 2.0, k)
+        laws = space.batch_laws(space.random_params(np.random.default_rng(k), 200))
+        utility, privacy, rates, _ = _law_set_rates(laws, k)
+        floor = float(np.median(utility))
+        kept = rates[:, _SCREEN[0]] / k >= floor
+        assert 0 < kept.sum() < len(laws)
         calls = []
         original = bayes._pair_rates
 
         def counting(by_symbol, pairs, *args):
-            calls.append((by_symbol.shape[1], len(pairs)))
+            calls.append((by_symbol.shape[1], pairs.tolist()))
             return original(by_symbol, pairs, *args)
 
         monkeypatch.setattr(bayes, "_pair_rates", counting)
-        assert suite_exponent_bound(seed=0, trials=trials).passed
-        assert calls == [(1, 4)] * (2 * trials)
+        screened = _law_set_rates(laws, k, floor)
+        assert calls == [(len(laws), _SCREEN.tolist()), (int(kept.sum()), _REST.tolist())]
+        assert screened[2:] == (None, None)
+        assert np.array_equal(screened[0][kept], utility[kept])
+        assert np.array_equal(screened[1][kept], privacy[kept])
+        assert np.array_equal(screened[0][~kept], rates[~kept, _SCREEN[0]] / k)
+        assert np.isinf(screened[1][~kept]).all()

@@ -19,8 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privtest import demo_model, induced_output_laws, policy_space, probkit
-from privtest.bayes import _CHUNK_ELEMENTS, _FIRST, _SECOND
-from privtest.optimizer import SearchConfig, _batch_both_rates, grid_evaluation
+from privtest.bayes import _CHUNK_ELEMENTS, _FIRST, _SECOND, _law_set_rates
+from privtest.optimizer import SearchConfig, grid_evaluation
 from privtest.errors import ValidationError
 from privtest.probkit import chernoff_symbol_major, kl_from_probs
 
@@ -226,14 +226,14 @@ def test_chunked_batch_equals_row_by_row_bit_for_bit(seed, m, layout):
         laws[disjoint, _SECOND[0], : m // 2] = 0.0
         laws[equal, _SECOND[1]] = laws[equal, _FIRST[1]]
     laws /= laws.sum(axis=2, keepdims=True)
-    utility, privacy = _batch_both_rates(laws, 2)
+    utility, privacy = _law_set_rates(laws, 2)[:2]
     for g in range(count):
-        u, v = _batch_both_rates(laws[g : g + 1], 2)
+        u, v = _law_set_rates(laws[g : g + 1], 2)[:2]
         assert (u[0], v[0]) == (utility[g], privacy[g])
     # screened against a floor, a row keeps its bits, or it is dropped with
     # privacy +inf and a utility from one of its pairs, below the floor
     floor = float(np.median(utility))
-    screened_utility, screened_privacy = _batch_both_rates(laws, 2, floor)
+    screened_utility, screened_privacy = _law_set_rates(laws, 2, floor)[:2]
     kept = (screened_utility == utility) & (screened_privacy == privacy)
     assert kept[utility >= floor].all()
     dropped = ~kept
@@ -262,9 +262,9 @@ def test_single_pairs_match_their_batch_bit_for_bit(m):
     f_order = chernoff_symbol_major(p.T, q.T)  # views of the (B, m) arrays
     assert all(np.array_equal(c, f) for c, f in zip(c_order, f_order))
     laws = rng.dirichlet(np.ones(m), size=(256, 4))
-    utility, privacy = _batch_both_rates(laws, 3)
+    utility, privacy = _law_set_rates(laws, 3)[:2]
     for g in range(len(laws)):
-        u, v = _batch_both_rates(laws[g : g + 1], 3)
+        u, v = _law_set_rates(laws[g : g + 1], 3)[:2]
         assert (u[0], v[0]) == (utility[g], privacy[g])
 
 

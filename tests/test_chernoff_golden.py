@@ -5,7 +5,7 @@
 and 8, scored as the columns of the transposed arrays (mixed batches of
 full-support, partial-support, disjoint, equal, near-equal and
 endpoint-optimum rows, plus all-full-support batches with and without equal
-rows), of :func:`_batch_both_rates` on a k = 2 random batch, and the sha256
+rows), of :func:`_law_set_rates` on a k = 2 random batch, and the sha256
 of the float64 bytes of the demo model's s = 2 grid rates at 41 points per
 parameter (68,921 rows, too many to list).  Every comparison is bit for
 bit, so a faster kernel that moves any last digit fails here.
@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from privtest import demo_model, policy_space
-from privtest.optimizer import SearchConfig, _batch_both_rates, grid_evaluation
+from privtest.bayes import _law_set_rates
+from privtest.optimizer import SearchConfig, grid_evaluation
 from privtest.probkit import chernoff_symbol_major
 
 GOLDEN = Path(__file__).parent / "data" / "chernoff_batch_golden.json"
@@ -107,7 +108,7 @@ def _row_rates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def compute() -> dict:
-    utility, privacy = _batch_both_rates(k2_laws(), 2)
+    utility, privacy = _law_set_rates(k2_laws(), 2)[:2]
     return {
         "chernoff_batch": {
             name: _hex(_row_rates(p, q)) for name, (p, q) in kernel_batches().items()
@@ -129,7 +130,7 @@ def test_chernoff_batch_bits(golden, name):
 
 
 def test_k2_batch_rates_bits(golden):
-    utility, privacy = _batch_both_rates(k2_laws(), 2)
+    utility, privacy = _law_set_rates(k2_laws(), 2)[:2]
     assert _hex(utility) == golden["k2_rates"]["utility"]
     assert _hex(privacy) == golden["k2_rates"]["privacy"]
 

@@ -482,6 +482,21 @@ class TestLowerBound:
             drawn = random_kernel_laws(a, model, policy_space(model, 2.0, 1)).arrays()
             assert np.array_equal(random_kernel_laws(b, model, space).arrays(), drawn)
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_suite_scores_each_rate_once(self, monkeypatch, trials):
+        # each of the six pair rates of each law set is scored once, all in
+        # one batch-kernel call, and both targets read from those rates
+        calls = []
+        original = bayes._pair_rates
+
+        def counting(by_symbol, pairs, *args):
+            calls.append((by_symbol.shape[1], len(pairs)))
+            return original(by_symbol, pairs, *args)
+
+        monkeypatch.setattr(bayes, "_pair_rates", counting)
+        assert suite_exponent_bound(seed=0, trials=trials).passed
+        assert calls == [(trials, 6)]
+
 
 class TestLawSetRates:
     def test_tensorization_and_three_way_worst_pinned_bit_for_bit(self):

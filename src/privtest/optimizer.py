@@ -11,10 +11,12 @@ multi-output row) are enumerated on a per-axis grid when the total dimension
 is at most :data:`GRID_DIM_LIMIT`, and the grid winner is refined by a local
 pattern search; higher-dimensional families refine seeded random starts
 instead.  All starts of one search are refined in lockstep: each
-pattern-search step stacks the probes of every start still moving into one
+pattern-search round stacks the probes of every start still moving into one
 rate batch, and each start then moves or shrinks its step by itself,
-exactly as it would if refined alone.  Results are deterministic given the
-search seed.
+exactly as it would if refined alone.  A family with few directions also
+probes the step's next halvings in the same round: a failed round changes
+only the step, so the same moves take fewer rounds.  Results are
+deterministic given the search seed.
 
 The search works in law space (:func:`_local_refine`): the induced laws
 are affine in the parameters (:attr:`PolicySpace.law_map`), so a probe's
@@ -98,6 +100,10 @@ MONOTONICITY_SLACK = 1e-3
 #: of the optimum differ only in their last bits, so an exact-equality rule
 #: would let rounding pick the kernel.
 _TIE_TOL = 1e-15
+
+#: Probes per start and round that :func:`_local_refine` aims at: D
+#: directions probe max(1, this // D) step halvings (8 at dim 2, 3 at dim 3).
+_LADDER_PROBES = 64
 
 @dataclass(frozen=True)
 class GuaranteeConfig:
@@ -339,7 +345,8 @@ def _local_refine(
     max_moves: int = 2000,
 ) -> _FamilyEval:
     """Pattern search from every row of ``starts`` in lockstep: probe scaled
-    directions, shrink on failure; returns the refined starts, row for row.
+    directions at a ladder of step halvings, shrink on failure; returns the
+    refined starts, row for row.
 
     Every start must lie in the simplex (:meth:`PolicySpace.params_feasible`),
     and so does every probe it accepts.  Each start keeps its own incumbent
@@ -353,23 +360,28 @@ def _local_refine(
     pairs at the incumbent's tilt.  Only a start that moved has its laws
     rebuilt, from its new parameters by :meth:`PolicySpace.batch_laws`.
 
-    On every step the probes of all active starts are stacked and scored
-    by one rate batch, and the results are split back per start.  A probe
-    must beat its start's incumbent by more than :data:`_TIE_TOL` (a
-    feasible probe beats an infeasible incumbent); the best such probe by
-    :func:`_best` becomes the new incumbent, with the rates and tilts it
-    was scored with.  Each probe's laws and rates depend on its own start
-    alone, whatever the batch, so every start follows the path it would
-    follow if refined by itself.  The laws a probe was scored on equal
-    those :meth:`PolicySpace.kernel_from_params` builds from its parameters
-    only to rounding, so the caller re-verifies the point it reports from
-    scratch.  Without directions (a family with no parameters) the starts
+    Each round, an active start with step h probes the levels h, h/2, ...,
+    h/2^(L-1) that are at least ``tol``, L = max(1, :data:`_LADDER_PROBES`
+    // D) for D directions, and the probes of all of them are scored by one
+    rate batch.  A probe must beat its start's incumbent by more than
+    :data:`_TIE_TOL` (a feasible probe beats an infeasible incumbent); at
+    the first level with such probes the best by :func:`_best` becomes the
+    incumbent, with the rates and tilts it was scored with, and the step
+    becomes that level's, else the step halves once per level.  A failed
+    level changes only the step, and halving is exact, so this is the path
+    of one level per round.  Each probe's laws and rates depend on its own
+    row and its start's tilts alone, whatever the batch, so every start
+    follows the path it would follow if refined by itself.  The laws a
+    probe was scored on equal those :meth:`PolicySpace.kernel_from_params`
+    builds from its parameters only to rounding, so the caller re-verifies
+    the point it reports from scratch.  Without directions (a family with no parameters) the starts
     are returned as evaluated.
     """
     columns, signs = directions
     if not (columns[:, 1:] >= 0).any():  # no diagonals: one move per probe
         columns, signs = columns[:, :1], signs[:, :1]
     sources = _probe_sources(space, columns)
+    ladder = 0.5 ** np.arange(max(1, _LADDER_PROBES // max(len(columns), 1)))
     x = np.array(starts, dtype=float)  # the starts stay untouched
     laws = space.batch_laws(x)
     utility, privacy, _, tilts = _law_set_rates(laws, space.k)
@@ -377,9 +389,12 @@ def _local_refine(
     moves = np.zeros(len(x), dtype=int)
     active = np.arange(len(x) if len(columns) else 0)
     while (active := active[(steps[active] >= tol) & (moves[active] < max_moves)]).size:
-        value, move, kept = _probes(x[active], steps[active], columns, signs, sources)
+        levels = steps[active, None] * ladder
+        pos, level = np.nonzero(levels >= tol)
+        rows, row_steps = active[pos], levels[pos, level]  # each level's start and step
+        value, move, kept = _probes(x[rows], row_steps, columns, signs, sources)
         a, d = np.nonzero(kept)
-        owner = active[a]
+        owner = rows[a]
         probe_laws = _probe_laws(space, laws[owner], columns[d], move[a, d])
         probe_utility, probe_privacy, _, probe_tilts = _law_set_rates(
             probe_laws, space.k, tilts=tilts[owner]
@@ -390,24 +405,27 @@ def _local_refine(
             (probe_utility >= threshold)
             | ((threshold - probe_utility) < (threshold - utility[owner]) - _TIE_TOL),
         )
-        # each active start's winning probes are one run of ``won``
+        # each level's winning probes are one run of ``won``; a start moves
+        # at its first level with a run
         won = np.flatnonzero(wins)
-        bounds = np.searchsorted(a[won], np.arange(len(active) + 1))
-        steps[active[bounds[1:] == bounds[:-1]]] *= 0.5
-        movers = np.flatnonzero(bounds[1:] > bounds[:-1])
-        for pos in movers:
-            i = active[pos]
-            mine = won[bounds[pos] : bounds[pos + 1]]
+        bounds = np.searchsorted(a[won], np.arange(len(rows) + 1))
+        steps[active] *= 0.5 ** np.bincount(pos)
+        moved = []
+        for row in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            i = rows[row]
+            if moved and moved[-1] == i:  # a later level of a mover
+                continue
+            mine = won[bounds[row] : bounds[row + 1]]
             # only the tied probes need their parameter vectors
             mine = mine[_tied(probe_utility[mine], probe_privacy[mine], threshold)]
             params = _probe_params(x[i], columns[d[mine]], value[a[mine], d[mine]])
             pick = _best(_FamilyEval(params, probe_utility[mine], probe_privacy[mine]), threshold)
             choice = mine[pick]
-            x[i] = params[pick]
+            x[i], steps[i] = params[pick], row_steps[row]
             utility[i], privacy[i] = probe_utility[choice], probe_privacy[choice]
             tilts[i] = probe_tilts[choice]
-        if movers.size:
-            moved = active[movers]
+            moved.append(i)
+        if moved:
             moves[moved] += 1
             laws[moved] = space.batch_laws(x[moved])
     return _FamilyEval(x, utility, privacy)

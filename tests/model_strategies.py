@@ -1,9 +1,19 @@
-"""Hypothesis strategies for small drawn source models, shared by the tests."""
+"""Hypothesis strategies for small drawn source models, and one fixed
+three-symbol model, shared by the tests."""
 
 from hypothesis import strategies as st
 
 from privtest import Alphabet, Pmf, Prior, SourceModel
 from privtest.model import UP_PAIRS
+
+# X = {0, 1, 2} with one noise value: the model of the CI's 3-symbol search
+THREE_SYMBOLS = {
+    "x_alphabet": [0, 1, 2],
+    "z_alphabet": [0],
+    "prior": [0.25, 0.25, 0.25, 0.25],
+    "cond": [[0.1, 0.2, 0.7], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.7, 0.2, 0.1]],
+    "noise": [1.0],
+}
 
 
 def _weights(size):

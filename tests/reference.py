@@ -7,15 +7,28 @@
   independent oracle of both Newton solvers (the scalar
   ``chernoff_from_probs`` and the batch kernel ``chernoff_symbol_major``).
   It reads values of the objective only, never its slopes.
+* The pattern search as it was before its step ladder: each round probes
+  one step per start and halves it on failure, the path the optimizer's
+  laddered search must follow move for move.
 """
 
 import math
 
 import numpy as np
 
-from privtest.bayes import _side_laws
+from privtest.bayes import _law_set_rates, _side_laws
 from privtest.errors import ValidationError
 from privtest.model import UP_PAIRS
+from privtest.optimizer import (
+    _TIE_TOL,
+    _best,
+    _FamilyEval,
+    _probe_laws,
+    _probe_params,
+    _probe_sources,
+    _probes,
+    _tied,
+)
 from privtest.probkit import kl_from_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -125,3 +138,52 @@ def golden_chernoff(p, q):
             if end_value > value:
                 mu, value = end, end_value
     return max(value, 0.0), mu
+
+
+def one_level_refine(space, threshold, starts, step, tol, directions, max_moves=2000):
+    """The lockstep pattern search probing one step per start and round:
+    a start moves to its best winning probe by ``_best``, or halves its
+    step when none wins, and retires below ``tol`` or at ``max_moves``."""
+    columns, signs = directions
+    if not (columns[:, 1:] >= 0).any():
+        columns, signs = columns[:, :1], signs[:, :1]
+    sources = _probe_sources(space, columns)
+    x = np.array(starts, dtype=float)
+    laws = space.batch_laws(x)
+    utility, privacy, _, tilts = _law_set_rates(laws, space.k)
+    steps = np.full(len(x), float(step))
+    moves = np.zeros(len(x), dtype=int)
+    active = np.arange(len(x) if len(columns) else 0)
+    while (active := active[(steps[active] >= tol) & (moves[active] < max_moves)]).size:
+        value, move, kept = _probes(x[active], steps[active], columns, signs, sources)
+        a, d = np.nonzero(kept)
+        owner = active[a]
+        probe_laws = _probe_laws(space, laws[owner], columns[d], move[a, d])
+        probe_utility, probe_privacy, _, probe_tilts = _law_set_rates(
+            probe_laws, space.k, tilts=tilts[owner]
+        )
+        wins = np.where(
+            utility[owner] >= threshold,
+            (probe_utility >= threshold) & (probe_privacy < privacy[owner] - _TIE_TOL),
+            (probe_utility >= threshold)
+            | ((threshold - probe_utility) < (threshold - utility[owner]) - _TIE_TOL),
+        )
+        won = np.flatnonzero(wins)
+        bounds = np.searchsorted(a[won], np.arange(len(active) + 1))
+        steps[active[bounds[1:] == bounds[:-1]]] *= 0.5
+        movers = np.flatnonzero(bounds[1:] > bounds[:-1])
+        for pos in movers:
+            i = active[pos]
+            mine = won[bounds[pos] : bounds[pos + 1]]
+            mine = mine[_tied(probe_utility[mine], probe_privacy[mine], threshold)]
+            params = _probe_params(x[i], columns[d[mine]], value[a[mine], d[mine]])
+            pick = _best(_FamilyEval(params, probe_utility[mine], probe_privacy[mine]), threshold)
+            choice = mine[pick]
+            x[i] = params[pick]
+            utility[i], privacy[i] = probe_utility[choice], probe_privacy[choice]
+            tilts[i] = probe_tilts[choice]
+        if movers.size:
+            moved = active[movers]
+            moves[moved] += 1
+            laws[moved] = space.batch_laws(x[moved])
+    return _FamilyEval(x, utility, privacy)

@@ -39,6 +39,8 @@ from privtest.verify import (
     suite_exponent_bound,
 )
 
+from model_strategies import THREE_SYMBOLS
+
 SEED = 0
 
 # criterion 6's and criterion 8's curves and a k = 2 curve, pinned: a change
@@ -49,6 +51,9 @@ PINNED_K2_CSV = Path(__file__).parent / "data" / "tradeoff_k2.csv"
 # a sweep at lambda 0.1 and 0.3 (above every kernel's utility) on a grid
 # screened against 0.1, pinned from the unscreened scan
 PINNED_SCREENED_CSV = Path(__file__).parent / "data" / "tradeoff_screened.csv"
+# the 3-symbol search of the CI (m = 3 outputs, a dim-3 family at s = 2),
+# pinned from the search that probed one step per round
+PINNED_MODEL3_CSV = Path(__file__).parent / "data" / "model3_s2.csv"
 # the block-length drivers' outputs: criterion 7's two optima and extension
 # rate, and asymptotic_guarantee up to k = 2
 PINNED_DRIVERS = json.loads(
@@ -262,3 +267,15 @@ def test_pinned_screened_grid_curve(tmp_path, capsys):
     assert [header] + [row for row in rows if row.startswith("0.3,")] == (
         alone.read_text().splitlines()
     )
+
+
+def test_pinned_three_symbol_search_csv(tmp_path, capsys):
+    # the only pinned search with three output symbols; its pattern search
+    # probes a ladder of three step halvings per round
+    model = tmp_path / "model3.json"
+    model.write_text(json.dumps(THREE_SYMBOLS))
+    out = tmp_path / "model3.csv"
+    args = ["tradeoff", "--model", str(model), "--s", "2", "--lambda-grid", "0.05,0.1"]
+    assert cli_main(args + ["--out-csv", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == PINNED_MODEL3_CSV.read_bytes()

@@ -35,6 +35,7 @@ from privtest import (
 from privtest.errors import EnumerationCapError, SizeCapError, ValidationError
 from privtest.model import UP_PAIRS, OutputLaws
 from privtest.optimizer import (
+    _LADDER_PROBES,
     GRID_DIM_LIMIT,
     _best,
     _evaluate,
@@ -49,7 +50,9 @@ from privtest.optimizer import (
 from privtest.model import model_from_dict
 from privtest.probkit import Pmf
 
-from model_strategies import small_models
+from model_strategies import THREE_SYMBOLS, small_models
+import reference
+from reference import one_level_refine
 
 UNIFORM = Prior.uniform()
 
@@ -358,6 +361,103 @@ def test_lockstep_refine_equals_one_start_at_a_time(model, seed, count, lam, max
         assert result(stacked, i) == result(_local_refine(space, lam, start[None, :], *args), 0)
 
 
+# (s, k) of ladder depth 8 (dim 2), 3 (dim 3) and 1 (dim 34, 68 directions)
+LADDER_FAMILIES = {(1.0, 1): 8, (2.0, 1): 3, (1.0, 2): 1}
+
+
+def probed_steps(module, refine, *args):
+    """The result of ``refine(*args)`` and the steps each of its rounds
+    passed to ``module._probes``, one array per round."""
+    rounds = []
+    probes = module._probes
+
+    def recorded(x, steps, *rest):
+        rounds.append(steps.copy())
+        return probes(x, steps, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_probes", recorded)
+        return refine(*args), rounds
+
+
+def ladder_rounds(one_level, depth):
+    """Rounds of a laddered search of one start, from the steps of its
+    one-level rounds: a laddered round takes the one-level rounds that halve
+    the step (the next step is smaller), up to ``depth`` of them, and the
+    round after them, which moves (keeps the step) or is the last."""
+    rounds = t = 0
+    while t < len(one_level):
+        run = 1
+        while run < depth and t + run < len(one_level) and one_level[t + run] < one_level[t + run - 1]:
+            run += 1
+        rounds, t = rounds + 1, t + run
+    return rounds
+
+
+@pytest.mark.parametrize("s, k", list(LADDER_FAMILIES), ids=["dim2", "dim3", "dim34"])
+@settings(max_examples=6)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from([0.05, 0.1, 1.0]),
+    st.sampled_from([1e-5, 1e-9]),
+    st.sampled_from([5, 2000]),
+)
+@example(seed=0, count=1, lam=0.1, tol=1e-5, max_moves=5)
+@example(seed=1, count=2, lam=0.05, tol=1e-9, max_moves=5)
+@example(seed=2, count=3, lam=0.1, tol=1e-5, max_moves=2000)
+@example(seed=3, count=2, lam=1.0, tol=1e-9, max_moves=2000)
+def test_laddered_refine_equals_one_level_search(model, s, k, seed, count, lam, tol, max_moves):
+    space = policy_space(model, s, k)
+    directions = _pattern_directions(space.dim)
+    depth = max(1, _LADDER_PROBES // len(directions[0]))
+    assert depth == LADDER_FAMILIES[s, k]
+    rng = np.random.default_rng(seed)
+    drawn = space.random_params(rng, count)
+    boundary = drawn[0] * (rng.random(space.dim) < 0.5)  # some params exactly 0
+    converged = one_level_refine(space, lam, drawn[:1], 0.25, tol, directions).params
+    starts = np.vstack([drawn, drawn[:1], boundary, converged])  # one duplicate
+    args = (space, lam, starts, 0.25, tol, directions, max_moves)
+    laddered, rounds = probed_steps(optimizer, _local_refine, *args)
+    expected = one_level_refine(*args)
+    assert laddered.params.tobytes() == expected.params.tobytes()
+    assert laddered.utility.tobytes() == expected.utility.tobytes()
+    assert laddered.privacy.tobytes() == expected.privacy.tobytes()
+    assert np.concatenate(rounds).min() >= tol  # no level below tol is scored
+    # the first round probes each start at every level down to tol
+    assert len(rounds[0]) == len(starts) * sum(0.25 * 0.5**j >= tol for j in range(depth))
+    # one start alone: each round takes a run of halvings and the move after it
+    args = (space, lam, drawn[:1], 0.25, tol, directions, max_moves)
+    _, one_level = probed_steps(reference, one_level_refine, *args)
+    _, rounds = probed_steps(optimizer, _local_refine, *args)
+    assert len(rounds) == ladder_rounds([float(step) for (step,) in one_level], depth)
+
+
+def test_ladder_rounds_on_small_and_large_families(model, monkeypatch):
+    # rounds (_probes calls) per refine: the tradeoff-grid sweep (s 1 and 2,
+    # lambda 0.1, 41 grid points) ran 39 + 39 one level at a time; the k = 2
+    # search behind monotonicity_check has one level per round, so it keeps
+    # its count
+    rounds = []
+    probes, refine = optimizer._probes, optimizer._local_refine
+
+    def counted_probes(*args):
+        rounds[-1][1] += 1
+        return probes(*args)
+
+    def counted_refine(space, *args):
+        rounds.append([space.k, 0])
+        return refine(space, *args)
+
+    monkeypatch.setattr(optimizer, "_probes", counted_probes)
+    monkeypatch.setattr(optimizer, "_local_refine", counted_refine)
+    tradeoff_sweep(model, [0.1], [1.0, 2.0], search=SearchConfig(grid_points_per_parameter=41))
+    assert len(rounds) == 2 and sum(count for _, count in rounds) <= 40
+    rounds.clear()
+    monotonicity_check(model, GuaranteeConfig(lam=0.1), 2, SearchConfig(restarts=1))
+    assert [k for k, _ in rounds] == [1, 2] and rounds[1][1] == 165
+
+
 def law_space_starts(space, rng):
     """Drawn starts, one with some parameters exactly 0 and one with every
     slice summing to 1 exactly (its last entries at 0)."""
@@ -389,18 +489,9 @@ def probe_directions(space, rng):
 # past and well past the 1e-12 band of a slice's sum bound
 STEPS = (1.0, 0.25, 2.0**-20, 1e-13, 5e-13, 2e-12)
 
-# X = {0, 1, 2} with one noise value: at s = 2 and k = 1 the row x = 0 has a
-# slice of two parameters and x = 1 one of one (dim 3), so the pattern
-# directions' own diagonals move two parameters of one slice
-THREE_SYMBOLS = {
-    "x_alphabet": [0, 1, 2],
-    "z_alphabet": [0],
-    "prior": [0.25, 0.25, 0.25, 0.25],
-    "cond": [[0.1, 0.2, 0.7], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.7, 0.2, 0.1]],
-    "noise": [1.0],
-}
-
-
+# THREE_SYMBOLS at s = 2 and k = 1: the row x = 0 has a slice of two
+# parameters and x = 1 one of one (dim 3), so the pattern directions' own
+# diagonals move two parameters of one slice
 @pytest.mark.parametrize(
     "s, k, three_symbols",
     [(s, k, False) for s in (1.0, 2.0) for k in (1, 2, 3)] + [(2.0, 1, True)],

@@ -142,9 +142,40 @@ _SCREEN = np.flatnonzero(
 )
 _REST = np.flatnonzero(_ALL != _SCREEN[0])
 
+#: The UP_PAIRS rows of the two laws that :data:`_SCREEN` compares.
+_SCREEN_LAWS = np.concatenate([_FIRST[_SCREEN], _SECOND[_SCREEN]])
+
 #: Probabilities per stacked array in one Chernoff kernel call; larger
 #: batches of law sets are scored in chunks of this size, so memory stays flat.
 _CHUNK_ELEMENTS = 8192
+
+
+def _screen_bound(
+    base: np.ndarray, law_map: np.ndarray, params: np.ndarray, k: int, error: float
+) -> np.ndarray:
+    """Upper bounds on the :data:`_SCREEN` pair's rate / k of the law sets
+    ``base + sum_j params[g, j] law_map[j]``, ``(G,)``: ``-2 log(B - m sqrt(2
+    error)) / k``, B the pair's Bhattacharyya coefficient sum_y sqrt(p_y q_y)
+    (Kailath, 1967), or +inf when B is within the margin of 0.  L(mu) = log
+    sum_y p^mu q^(1-mu) is convex and at most 0 on [0, 1], so C = -L(mu*) <= -2
+    L(1/2); as |sqrt a - sqrt b| <= sqrt |a - b|, the margin covers masses
+    within ``error`` of the scored ones.
+    """
+    base = base[_SCREEN_LAWS, :, None]
+    moves = law_map[:, _SCREEN_LAWS, :, None]
+    margin = base.shape[1] * math.sqrt(2.0 * max(error, np.finfo(float).eps))
+    bound = np.empty(len(params))
+    size = max(1, _CHUNK_ELEMENTS // (2 * base.shape[1]))  # both laws of a chunk
+    for start in range(0, len(params), size):
+        block = params[start : start + size]
+        laws = np.repeat(base, len(block), axis=2)
+        for j, move in enumerate(moves):
+            laws += move * block[:, j]
+        products = np.maximum(laws[0] * laws[1], 0.0)
+        coefficient = np.sqrt(products, out=products).sum(axis=0) - margin
+        with np.errstate(divide="ignore"):
+            bound[start : start + size] = -2.0 * np.log(np.maximum(coefficient, 0.0)) / k
+    return bound
 
 
 def _pair_rates(

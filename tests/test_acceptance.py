@@ -51,6 +51,9 @@ PINNED_K2_CSV = Path(__file__).parent / "data" / "tradeoff_k2.csv"
 # a sweep at lambda 0.1 and 0.3 (above every kernel's utility) on a grid
 # screened against 0.1, pinned from the unscreened scan
 PINNED_SCREENED_CSV = Path(__file__).parent / "data" / "tradeoff_screened.csv"
+# lambda 0.3 alone: no grid row clears it, so both grids fall back to the
+# row of largest utility; pinned from the scan without the Bhattacharyya bound
+PINNED_FALLBACK_CSV = Path(__file__).parent / "data" / "tradeoff_fallback.csv"
 # the 3-symbol search of the CI (m = 3 outputs, a dim-3 family at s = 2),
 # pinned from the search that probed one step per round
 PINNED_MODEL3_CSV = Path(__file__).parent / "data" / "model3_s2.csv"
@@ -263,6 +266,7 @@ def test_pinned_screened_grid_curve(tmp_path, capsys):
     assert cli_main(args + ["--lambda-grid", "0.3", "--out-csv", str(alone)]) == 0
     capsys.readouterr()
     assert both.read_bytes() == PINNED_SCREENED_CSV.read_bytes()
+    assert alone.read_bytes() == PINNED_FALLBACK_CSV.read_bytes()
     header, *rows = both.read_text().splitlines()
     assert [header] + [row for row in rows if row.startswith("0.3,")] == (
         alone.read_text().splitlines()

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privtest import (
@@ -33,11 +33,12 @@ from privtest import (
     composite_chernoff,
 )
 from privtest import bayes, verify
-from privtest.bayes import _REST, _SCREEN, _law_set_rates, _side_laws
+from privtest.bayes import _REST, _SCREEN, _law_set_rates, _screen_bound, _side_laws
 from privtest.errors import ValidationError
 from privtest.model import (
     UP_PAIRS,
     OutputLaws,
+    _row_outer,
     identity_policy,
     induced_output_laws,
     policy_space,
@@ -556,3 +557,39 @@ class TestLawSetRates:
         assert np.array_equal(screened[1][kept], privacy[kept])
         assert np.array_equal(screened[0][~kept], rates[~kept, _SCREEN[0]] / k)
         assert np.isinf(screened[1][~kept]).all()
+
+
+# a mass of a drawn law: an exact zero, one down to 1e-300, or an ordinary one
+_MASSES = st.one_of(st.just(0.0), st.floats(1e-300, 1e-200), st.floats(1e-12, 1.0))
+
+
+@st.composite
+def screen_stacks(draw):
+    """A (G, 4, m^k) stack of k-block laws, k in 1..3, and the same stack
+    with every mass moved by a few ulps of 1, as an affine sum of the laws
+    moves it (a zero may turn negative)."""
+    m, k, count = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    law = st.lists(_MASSES, min_size=m, max_size=m).filter(lambda w: sum(w) > 0)
+    slot = np.array(draw(st.lists(law, min_size=4 * count, max_size=4 * count)))
+    slot = (slot / slot.sum(axis=1, keepdims=True)).reshape(count, 4, m)
+    laws = _row_outer([slot] * k)
+    ulps = draw(st.lists(st.integers(-4, 4), min_size=laws.size, max_size=laws.size))
+    return laws, k, laws + np.reshape(ulps, laws.shape) * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_stacks())
+@example(  # disjoint supports: +inf on both sides, and a perturbed zero
+    (np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]]), 1,
+     np.array([[[1.0, 0.0], [4e-16, 1.0], [1.0, -4e-16], [0.5, 0.5]]]))
+)
+def test_screen_bound_never_falls_below_the_screening_rate(stack):
+    # Chernoff information is at most -2 log of the Bhattacharyya
+    # coefficient, and the margin covers masses off by the stated error
+    laws, k, moved = stack
+    rate = _law_set_rates(laws, k)[2][:, _SCREEN[0]] / k
+    for scored, error in ((laws, 0.0), (moved, 4 * np.finfo(float).eps)):
+        # a stack is an affine family: laws 0 at 0, one move per law set
+        # and the unit vectors as parameters, which sum to it exactly
+        bound = _screen_bound(np.zeros(laws.shape[1:]), scored, np.eye(len(laws)), k, error)
+        assert (bound >= rate).all(), (bound, rate)

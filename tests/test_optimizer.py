@@ -33,7 +33,7 @@ from privtest import (
     validate_policy,
 )
 from privtest.errors import EnumerationCapError, SizeCapError, ValidationError
-from privtest.model import UP_PAIRS, OutputLaws
+from privtest.model import UP_PAIRS, OutputLaws, PolicySpace
 from privtest.optimizer import (
     _LADDER_PROBES,
     GRID_DIM_LIMIT,
@@ -633,13 +633,72 @@ def test_screened_grid_picks_the_unscreened_winner(drawn, data):
 
 
 # the demo model's kernels reach utility 0.181 at most: floor 0.1 screens
-# both grids, floor 0.2 makes the s = 2 grid fall back to the whole one
-@pytest.mark.parametrize("s, floor", [(1.0, 0.1), (2.0, 0.1), (2.0, 0.2)])
-def test_screened_demo_grid_picks_the_unscreened_winner(model, s, floor):
-    space = policy_space(model, s, 1)
+# both grids, floor 0.2 makes the s = 2 grid fall back to the whole one.
+# THREE_SYMBOLS reaches 0.0699, with zero masses at s = 2; at s = 0.5 it has
+# no parameters, a grid of one empty row, kept at 0.05 and fallen back at 0.1
+@pytest.mark.parametrize(
+    "doc, s, floor",
+    [
+        pytest.param(None, 1.0, 0.1, id="1.0-0.1"),
+        pytest.param(None, 2.0, 0.1, id="2.0-0.1"),
+        pytest.param(None, 2.0, 0.2, id="2.0-0.2"),
+        pytest.param(THREE_SYMBOLS, 2.0, 0.05, id="three-symbols-2.0-0.05"),
+        pytest.param(THREE_SYMBOLS, 2.0, 0.1, id="three-symbols-2.0-0.1"),
+        pytest.param(THREE_SYMBOLS, 0.5, 0.05, id="three-symbols-dim0-0.05"),
+        pytest.param(THREE_SYMBOLS, 0.5, 0.1, id="three-symbols-dim0-0.1"),
+    ],
+)
+def test_screened_demo_grid_picks_the_unscreened_winner(model, doc, s, floor):
+    space = policy_space(model if doc is None else model_from_dict(doc), s, 1)
+    assert (space.dim == 0) == (s == 0.5)
     assert_screen_keeps_winner(
         space, grid_evaluation(space, SearchConfig(grid_points_per_parameter=21)), floor
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_models().filter(lambda drawn: drawn[1] in (1.0, 2.0)), st.data())
+def test_prescreen_skips_only_rows_below_the_floor(drawn, data):
+    # a row the prescreen skips keeps an upper bound on its screening rate
+    # as its utility, and the screened scorer would have dropped it too;
+    # every other row gets the screened scorer's bits
+    model, s = drawn
+    space = policy_space(model, s, 1)
+    assume(space.dim <= GRID_DIM_LIMIT)
+    grid = grid_evaluation(space, SearchConfig(grid_points_per_parameter=21)).params
+    laws = space.batch_laws(grid)
+    screen = bayes._law_set_rates(laws, 1)[2][:, bayes._SCREEN[0]]
+    # floors at the rows' own screening rates put rows right at the margin
+    floors = st.floats(0.0, 0.2, exclude_min=True)
+    levels = np.unique(screen[(screen > 0.0) & (screen <= 0.2)])
+    if levels.size:
+        floors = st.integers(0, levels.size - 1).map(lambda i: float(levels[i])) | floors
+    floor = data.draw(floors, label="floor")
+    ev = _evaluate(space, grid, floor)
+    utility, privacy, _, _ = bayes._law_set_rates(laws, 1, floor - optimizer._TIE_TOL)
+    skipped = ev.utility != utility
+    assert np.array_equal(ev.privacy[~skipped], privacy[~skipped])
+    assert (screen[skipped] < floor - optimizer._TIE_TOL).all()
+    assert (ev.utility[skipped] > screen[skipped]).all()
+    assert np.isinf(ev.privacy[skipped]).all()
+
+
+def test_prescreen_builds_few_kernels_on_the_demo_grid(model, monkeypatch):
+    # at floor 0.1 the bound rules out most of the s = 2 grid, whose rows
+    # then never reach batch_laws
+    rows = []
+    original = PolicySpace.batch_laws
+
+    def counting(self, params):
+        rows.append(len(np.atleast_2d(params)))
+        return original(self, params)
+
+    monkeypatch.setattr(PolicySpace, "batch_laws", counting)
+    space = policy_space(model, 2.0, 1)
+    ev = grid_evaluation(space, SearchConfig(grid_points_per_parameter=21), 0.1)
+    assert len(ev.params) == 21**3
+    assert rows[0] == 1  # the laws at 0, which the affine sums start from
+    assert sum(rows[1:]) <= len(ev.params) // 6
 
 
 @settings(max_examples=30)
